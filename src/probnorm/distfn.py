@@ -51,7 +51,7 @@ class StepDF:
             raise ValueError("breakpoints must be strictly increasing")
         if vals[0] != 0.0:
             raise ValueError("values[0] must be 0 (membership in Delta+)")
-        if any(v < 0 or v > 1 for v in vals):
+        if not all(0.0 <= v <= 1.0 for v in vals):
             raise ValueError("values must lie in [0, 1]")
         if any(v2 < v1 for v1, v2 in zip(vals, vals[1:])):
             raise ValueError("values must be nondecreasing")
@@ -87,13 +87,13 @@ class StepQuantile:
         qv = _as_float_tuple(qvalues)
         if len(wb) != len(qv) or not wb:
             raise ValueError("wbreaks and qvalues must be nonempty and equal length")
-        if any(w <= 0 or w > 1 for w in wb):
+        if not all(0.0 < w <= 1.0 for w in wb):
             raise ValueError("wbreaks must lie in (0, 1]")
         if any(w2 <= w1 for w1, w2 in zip(wb, wb[1:])):
             raise ValueError("wbreaks must be strictly increasing")
         if wb[-1] != 1.0:
             raise ValueError("last wbreak must be 1")
-        if any(q < 0 for q in qv):
+        if not all(q >= 0.0 for q in qv):
             raise ValueError("qvalues must be >= 0")
         if any(q2 < q1 for q1, q2 in zip(qv, qv[1:])):
             raise ValueError("qvalues must be nondecreasing")
@@ -133,22 +133,23 @@ def unit_step(a: float) -> StepDF:
 def df_eval(F: StepDF, x: float) -> float:
     """Evaluate F at x with left-continuous step semantics.
 
-    F(-inf) = 0 and F(+inf) = 1 by convention, even for improper F.
+    F(-inf) = 0 and F(+inf) = 1 by convention, even for improper F; a NaN x
+    raises ValueError.
     """
+    if x < INF:
+        return 0.0 if x == -INF else F.values[bisect_left(F.breakpoints, x)]
     if x == INF:
         return 1.0
-    if x == -INF:
-        return 0.0
-    return F.values[bisect_left(F.breakpoints, x)]
+    raise ValueError("cannot evaluate a d.f. at NaN")
 
 
 def _df_eval_right(F: StepDF, x: float) -> float:
     # right limit F(x+): value on the band just above x
+    if x < INF:
+        return 0.0 if x == -INF else F.values[bisect_right(F.breakpoints, x)]
     if x == INF:
         return 1.0
-    if x == -INF:
-        return 0.0
-    return F.values[bisect_right(F.breakpoints, x)]
+    raise ValueError("cannot evaluate a d.f. at NaN")
 
 
 def df_scale(F: StepDF, h: float) -> StepDF:

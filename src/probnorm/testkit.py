@@ -54,30 +54,29 @@ def _s_grid(F: StepDF, G: StepDF, x: float, cfg: OracleConfig) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _oracle_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg, sup: bool) -> float:
-    cfg = cfg or OracleConfig()
-    s = _s_grid(F, G, x, cfg)
-    fs = _scan_eval_many(F, s)
-    gt = _scan_eval_many(G, x - s)
+def _pair_vals(T: TNormKind, fs: np.ndarray, gt: np.ndarray, sup: bool) -> np.ndarray:
     # boundary arguments (0 and 1) are split off exactly, mirroring the
     # production t-norm conventions so grid and exact maxima share floats
     if T is TNormKind.W:
         if sup:
             vals = np.maximum(fs + gt - 1.0, 0.0)
             vals = np.where(fs == 1.0, gt, vals)
-            vals = np.where(gt == 1.0, fs, vals)
-        else:
-            vals = np.minimum(fs + gt, 1.0)
-    elif T is TNormKind.PROD:
+            return np.where(gt == 1.0, fs, vals)
+        return np.minimum(fs + gt, 1.0)
+    if T is TNormKind.PROD:
         if sup:
-            vals = fs * gt
-        else:
-            vals = fs + gt - fs * gt
-            vals = np.where(fs == 0.0, gt, vals)
-            vals = np.where(gt == 0.0, fs, vals)
-            vals = np.where((fs == 1.0) | (gt == 1.0), 1.0, vals)
-    else:
-        vals = np.minimum(fs, gt) if sup else np.maximum(fs, gt)
+            return fs * gt
+        vals = fs + gt - fs * gt
+        vals = np.where(fs == 0.0, gt, vals)
+        vals = np.where(gt == 0.0, fs, vals)
+        return np.where((fs == 1.0) | (gt == 1.0), 1.0, vals)
+    return np.minimum(fs, gt) if sup else np.maximum(fs, gt)
+
+
+def _oracle_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg, sup: bool) -> float:
+    cfg = cfg or OracleConfig()
+    s = _s_grid(F, G, x, cfg)
+    vals = _pair_vals(T, _scan_eval_many(F, s), _scan_eval_many(G, x - s), sup)
     return float(vals.max() if sup else vals.min())
 
 
@@ -89,6 +88,30 @@ def oracle_sup_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg: OracleCon
 def oracle_inf_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg: OracleConfig | None = None) -> float:
     """Dense-grid inf of T*(F(s), G(x-s))."""
     return _oracle_conv(T, F, G, x, cfg, sup=False)
+
+
+def oracle_conv_dense(T: TNormKind, F: StepDF, G: StepDF, sup: bool) -> StepDF:
+    """tau_T (sup) or tau_{T*} (inf) of F and G by a per-interval dense mask.
+
+    The output breakpoints are the distinct sums a_i + b_j; on each interval
+    between them every band pair (i, j) is tested against that interval's
+    fences with an (n+1) x (m+1) boolean mask, O(n^2 m^2) in all.  It
+    compares the same float sums as the exact convolutions, so it must
+    agree with them bit for bit.
+    """
+    a = np.array(F.breakpoints)
+    b = np.array(G.breakpoints)
+    lows = np.concatenate(([-np.inf], a))[:, None] + np.concatenate(([-np.inf], b))[None, :]
+    highs = np.concatenate((a, [np.inf]))[:, None] + np.concatenate((b, [np.inf]))[None, :]
+    vals = _pair_vals(T, np.array(F.values)[:, None], np.array(G.values)[None, :], sup)
+    cands = np.unique(a[:, None] + b[None, :])
+    fences = np.concatenate(([-np.inf], cands, [np.inf]))
+    out_vals = np.empty(len(cands) + 1)
+    pick = np.max if sup else np.min
+    for k in range(len(fences) - 1):
+        achievable = (lows <= fences[k]) & (highs >= fences[k + 1])
+        out_vals[k] = pick(vals[achievable])
+    return StepDF(tuple(cands), tuple(out_vals))
 
 
 LEVY_GRID = 1e-5

@@ -87,7 +87,20 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
     x > a_i + b_j and x <= a_{i+1} + b_{j+1}; achievability is constant on
     the interval, so the output value is the max (or min) of pair_vals over
     the achievable set, evaluated once per interval.
+
+    For a fixed F-band i both rows of sums a_i + b_j and a_{i+1} + b_{j+1}
+    are nondecreasing in j (float addition is monotone), so the achievable
+    G-bands of each interval form one contiguous range [lo, hi), found by
+    two searchsorted calls on those same float sums.  The range is reduced
+    with one reduceat per row -- not read off its end, since the conorm grid
+    of PROD is not monotone in floats near 1 -- and the rows are folded by
+    max (or min).  The rows run over the d.f. with fewer breakpoints, so with
+    n <= m and K distinct breakpoint sums the searches cost O((n+1) K log m),
+    against O(n^2 m^2) for a per-interval mask.
     """
+    if len(F.breakpoints) > len(G.breakpoints):
+        # loop over the shorter d.f.; sums commute exactly, so this is a transpose
+        F, G, pair_vals = G, F, pair_vals.T
     a = np.array(F.breakpoints)
     b = np.array(G.breakpoints)
     a_lo = np.concatenate(([-math.inf], a))
@@ -99,11 +112,21 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
 
     cands = np.unique(a[:, None] + b[None, :])
     fences = np.concatenate(([-math.inf], cands, [math.inf]))
-    out_vals = np.empty(len(cands) + 1)
-    pick = np.max if take_max else np.min
-    for k in range(len(fences) - 1):
-        achievable = (lows <= fences[k]) & (highs >= fences[k + 1])
-        out_vals[k] = pick(pair_vals[achievable])
+    fold = np.maximum if take_max else np.minimum
+    pad = -math.inf if take_max else math.inf
+    # column m+1 (the identity of fold) keeps hi == m+1 a valid reduceat index
+    padded = np.concatenate((pair_vals, np.full((len(a) + 1, 1), pad)), axis=1)
+    out_vals = np.full(len(cands) + 1, pad)
+    for i in range(len(a) + 1):
+        hi = np.searchsorted(lows[i], fences[:-1], "right")
+        lo = np.searchsorted(highs[i], fences[1:], "left")
+        # lo < hi always: for the last j with a_i + b_j <= f_k, either j = m
+        # or a_{i+1} + b_{j+1} >= a_i + b_{j+1} > f_k is itself a candidate
+        # sum (or +inf), hence >= f_{k+1}.  reduceat over the interleaved
+        # bounds reduces [lo_k, hi_k) at the even positions; the odd
+        # positions span the gaps and are dropped
+        bounds = np.array((lo, hi)).T.ravel()
+        fold(out_vals, fold.reduceat(padded[i], bounds)[::2], out=out_vals)
     return StepDF(tuple(cands), tuple(out_vals))
 
 

@@ -9,6 +9,7 @@ from probnorm.distfn import (
     LEVY_TOL,
     StepDF,
     StepQuantile,
+    _df_eval_right,
     df_eval,
     df_scale,
     is_proper,
@@ -20,7 +21,7 @@ from probnorm.distfn import (
     quasi_inverse,
     unit_step,
 )
-from probnorm.testkit import gen_stepdf
+from probnorm.testkit import _scan_eval_many, gen_stepdf
 from probnorm.triangle import TNormKind, tau_sup_conv
 
 INF = math.inf
@@ -55,6 +56,18 @@ class TestStepDF:
             StepDF([-1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             StepDF([1.0, 2.0], [0.0, 0.9, 0.5])
+
+    def test_validation_rejects_nan_values(self):
+        with pytest.raises(ValueError):
+            StepDF([1.0], [0.0, math.nan])
+        with pytest.raises(ValueError):
+            StepDF([1.0, 2.0], [0.0, math.nan, 1.0])
+
+    def test_eval_rejects_nan(self):
+        F = StepDF([1.0, 2.0], [0.0, 0.5, 1.0])
+        for evaluate in (df_eval, _df_eval_right):
+            with pytest.raises(ValueError):
+                evaluate(F, math.nan)
 
     def test_canonicalization_drops_flat_jumps(self):
         F = StepDF([1.0, 2.0, 3.0], [0.0, 0.5, 0.5, 1.0])
@@ -129,6 +142,13 @@ class TestQuasiInverse:
         assert qf_eval(Q, 0.8) == INF
         assert qinv_oracle(F, 0.8) == INF
 
+    def test_quantile_validation_rejects_nan(self):
+        with pytest.raises(ValueError):
+            StepQuantile([0.5, 1.0], [math.nan, 2.0])
+        with pytest.raises(ValueError):
+            StepQuantile([math.nan, 1.0], [1.0, 2.0])
+        assert StepQuantile([0.5, 1.0], [1.0, INF]).qvalues == (1.0, INF)
+
     def test_qf_eval_domain(self):
         Q = quasi_inverse(unit_step(1.0))
         for w in (0.0, -0.3, 1.1):
@@ -190,10 +210,11 @@ class TestQuasiInverse:
 
 
 def levy_condition_oracle(F: StepDF, G: StepDF, h: float, res: float = 1e-5) -> bool:
+    # evaluates through testkit's linear scan, independent of df_eval
     xs = np.arange(-1.0 / h + res, 1.0 / h, res)
-    fl = np.array([df_eval(F, x - h) for x in xs])
-    fr = np.array([df_eval(F, x + h) for x in xs])
-    g = np.array([df_eval(G, x) for x in xs])
+    fl = _scan_eval_many(F, xs - h)
+    fr = _scan_eval_many(F, xs + h)
+    g = _scan_eval_many(G, xs)
     return bool(np.all(fl - h <= g) and np.all(g <= fr + h))
 
 

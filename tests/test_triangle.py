@@ -4,9 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probnorm.distfn import StepDF, df_eval, quasi_inverse, qf_add, unit_step
-from probnorm.testkit import OracleConfig, gen_stepdf, oracle_inf_conv, oracle_sup_conv
+from probnorm.testkit import (
+    OracleConfig,
+    gen_stepdf,
+    oracle_conv_dense,
+    oracle_inf_conv,
+    oracle_sup_conv,
+)
 from probnorm.triangle import (
     TNormKind,
     tau_inf_conv,
@@ -208,3 +216,79 @@ class TestInfConv:
                     assert df_eval(C, x) == pytest.approx(
                         oracle_inf_conv(kind, F, G, x, cfg), abs=1e-12
                     )
+
+
+# Values a few ulps from 0 and 1: there the PROD conorm grid is not monotone
+# in floats (at v = 0.1097, u = 1 - 3 ULP gives a larger T* than u = 1 - 2 ULP),
+# so the extremum of an achievable range need not sit at its end.
+ULP = 2.0**-53
+EDGE_VALUES = (
+    0.0,
+    2.0**-55,
+    2.0**-54,
+    3 * 2.0**-55,
+    0.1097,
+    0.5,
+    *(1.0 - k * ULP for k in range(1, 9)),
+    1.0,
+)
+IMPROPER_CAP = 1.0 - 8 * ULP
+
+
+def edge_stepdf(bps, vals, proper: bool) -> StepDF:
+    vals = sorted(vals)
+    if proper:
+        vals[-1] = 1.0
+    else:
+        vals = [min(v, IMPROPER_CAP) for v in vals]
+    return StepDF(bps, (0.0, *vals))
+
+
+def conv_outcome(conv, *args):
+    # identical outputs, or the same rejection of a non-monotone output
+    try:
+        return conv(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def assert_matches_dense(F: StepDF, G: StepDF):
+    for kind in KINDS:
+        for sup, conv in ((True, tau_sup_conv), (False, tau_inf_conv)):
+            got = conv_outcome(conv, kind, F, G)
+            assert got == conv_outcome(oracle_conv_dense, kind, F, G, sup), (kind, sup, F, G)
+
+
+class TestDenseOracleBitwise:
+    def test_lattice_continuous_improper_and_edge_values(self):
+        rng = np.random.default_rng(11)
+        for case in range(160):
+            lattice = case % 2 == 0
+            sizes = rng.integers(1, 13, 2)
+            dfs = []
+            for n, proper in zip(sizes, (True, case % 4 < 2)):
+                if lattice:  # step 1/16: many sums coincide
+                    bps = np.sort(rng.choice(4 * n + 4, n, replace=False)) / 16.0
+                else:
+                    bps = np.unique(rng.uniform(0.0, 5.0, n))
+                pool = EDGE_VALUES if rng.random() < 0.5 else rng.uniform(0.0, 1.0, len(bps))
+                dfs.append(edge_stepdf(bps, rng.choice(pool, len(bps)), proper))
+            assert_matches_dense(*dfs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        lattice = data.draw(st.booleans())
+        if lattice:
+            bps_st = st.lists(st.integers(0, 48), min_size=1, max_size=8, unique=True).map(
+                lambda ks: sorted(k / 16.0 for k in ks)
+            )
+        else:
+            bps_st = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8, unique=True).map(sorted)
+        value_st = st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0)
+        dfs = []
+        for proper in (True, data.draw(st.booleans())):
+            bps = data.draw(bps_st)
+            vals = data.draw(st.lists(value_st, min_size=len(bps), max_size=len(bps)))
+            dfs.append(edge_stepdf(bps, vals, proper))
+        assert_matches_dense(*dfs)
