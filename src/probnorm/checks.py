@@ -370,6 +370,8 @@ _SUITE_FNS = {
 
 
 def run_suites(suite: str, seed: int, cases: int) -> list[CheckRow]:
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     names = SUITES if suite == "all" else (suite,)
     rows: list[CheckRow] = []
     for name in names:

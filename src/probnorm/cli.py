@@ -1,5 +1,10 @@
 """Command-line front end.  Thin shell over the library: parse, dispatch, print.
 
+Each subcommand is one row of COMMANDS (name, help, arguments with their
+loaders, library call, encoder); the parser is built from the table once per
+process.  Rows look library functions up when they run, so a binding patched
+at runtime is seen.
+
 Exit codes: 0 success, 1 validation/input failure (machine-readable error
 object on stdout), 2 usage error.
 """
@@ -7,197 +12,224 @@ object on stdout), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
+from pathlib import Path
+from typing import Callable, NamedTuple
 
-from . import checks, distfn, operators, serialize
+from . import checks, distfn, operators, serialize, triangle
 from .serialize import SchemaError
+
+
+def _read_json(text: str, where: str):
+    """json.loads that rejects NaN, Infinity and numbers beyond the float range."""
+
+    def finite(token: str):
+        if not math.isfinite(float(token)):
+            raise SchemaError(where, f"{token} is not a finite number")
+        return token
+
+    return json.loads(
+        text,
+        parse_constant=lambda token: float(finite(token)),
+        parse_float=lambda token: float(finite(token)),
+        parse_int=lambda token: int(finite(token)),
+    )
 
 
 def _load_json(path: str, where: str):
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise SchemaError(where, f"malformed JSON at line {e.lineno}, column {e.colno}") from e
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as e:
         raise SchemaError(where, str(e)) from e
-
-
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, separators=(",", ":"))
-    sys.stdout.write("\n")
-
-
-def _parse_x(text: str, where: str):
     try:
-        vec = json.loads(text)
+        return _read_json(text, where)
     except json.JSONDecodeError as e:
-        raise SchemaError(where, "expected a JSON list of numbers") from e
-    if not isinstance(vec, list):
+        raise SchemaError(where, f"malformed JSON at line {e.lineno}, column {e.colno}") from e
+
+
+def _stepdf(path: str, where: str):
+    return serialize.stepdf_from_json(_load_json(path, where), where)
+
+
+def _space(path: str, where: str):
+    return serialize.space_from_json(_load_json(path, where), where)
+
+
+def _operator(path: str, where: str):
+    return serialize.operator_from_json(_load_json(path, where), where)
+
+
+def _vector(text: str, where: str) -> list:
+    try:
+        vec = _read_json(text, where)
+    except json.JSONDecodeError:
+        vec = None
+    if not isinstance(vec, list) or not all(isinstance(v, (int, float)) for v in vec):
         raise SchemaError(where, "expected a JSON list of numbers")
     return vec
 
 
-def _cmd_df_eval(args) -> int:
-    F = serialize.stepdf_from_json(_load_json(args.f, "--f"), "--f")
-    x = float(args.x)
-    _emit({"value": distfn.df_eval(F, x)})
-    return 0
+def _seed(seed: int | None, where: str) -> int:
+    # read per call, so PROBNORM_SEED set after the parser was built still counts
+    return int(os.environ.get("PROBNORM_SEED", "0")) if seed is None else seed
 
 
-def _cmd_df_conv(args) -> int:
-    T = serialize.tnorm_from_json(args.tnorm, "--tnorm")
-    F = serialize.stepdf_from_json(_load_json(args.f, "--f"), "--f")
-    G = serialize.stepdf_from_json(_load_json(args.g, "--g"), "--g")
-    from .triangle import tau_inf_conv, tau_sup_conv
-
-    conv = tau_inf_conv if args.kind == "inf" else tau_sup_conv
-    _emit(serialize.stepdf_to_json(conv(T, F, G)))
-    return 0
+def _json_text(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _cmd_df_levy(args) -> int:
-    F = serialize.stepdf_from_json(_load_json(args.f, "--f"), "--f")
-    G = serialize.stepdf_from_json(_load_json(args.g, "--g"), "--g")
-    d = distfn.levy_metric(F, G)
-    _emit({"value": d.value, "tolerance": d.tolerance})
-    return 0
+def _as_json(to_obj: Callable) -> Callable:
+    """Encoder printing to_obj(result) as one line of compact JSON."""
+    return lambda result, args: _json_text(to_obj(result))
 
 
-def _cmd_df_qinv(args) -> int:
-    F = serialize.stepdf_from_json(_load_json(args.f, "--f"), "--f")
-    _emit(serialize.quantile_to_json(distfn.quasi_inverse(F)))
-    return 0
-
-
-def _cmd_space_nu(args) -> int:
-    P = serialize.space_from_json(_load_json(args.space, "--space"), "--space")
-    x = _parse_x(args.x, "--x")
-    _emit(serialize.stepdf_to_json(P.prob_norm(x)))
-    return 0
-
-
-def _cmd_space_norm(args) -> int:
-    P = serialize.space_from_json(_load_json(args.space, "--space"), "--space")
-    x = _parse_x(args.x, "--x")
-    _emit({"value": P.norm_at(x, args.w)})
-    return 0
-
-
-def _cmd_op_norm(args) -> int:
-    T = serialize.operator_from_json(_load_json(args.op, "--op"), "--op")
-    _emit({"value": operators.operator_norm_exact(T, args.w, args.wp)})
-    return 0
-
-
-def _cmd_op_profile(args) -> int:
-    T = serialize.operator_from_json(_load_json(args.op, "--op"), "--op")
-    prof = operators.norm_profile(T)
+def _profile_text(prof, args) -> str:
     if args.csv:
-        sys.stdout.write(prof.to_csv())
-    else:
-        _emit(
-            {
-                "domain_midpoints": list(prof.domain_midpoints),
-                "codomain_midpoints": list(prof.codomain_midpoints),
-                "table": [list(map(float, row)) for row in prof.table],
-            }
-        )
-    return 0
+        return prof.to_csv()
+    return _json_text(
+        {
+            "domain_midpoints": list(prof.domain_midpoints),
+            "codomain_midpoints": list(prof.codomain_midpoints),
+            "table": [list(map(float, row)) for row in prof.table],
+        }
+    )
 
 
-def _cmd_op_delta(args) -> int:
-    T = serialize.operator_from_json(_load_json(args.op, "--op"), "--op")
-    res = operators.open_mapping_delta(T, args.w)
-    _emit({"delta": res.delta, "condition_number": res.condition_number})
-    return 0
+class Arg(NamedTuple):
+    flag: str
+    dest: str  # attribute of the parsed namespace
+    load: Callable  # (parsed value, flag) -> library value
+    options: dict  # keyword arguments of add_argument
 
 
-def _cmd_check(args) -> int:
-    rows = checks.run_suites(args.suite, args.seed, args.cases)
-    sys.stdout.write(checks.format_report(rows))
-    return 0 if all(r.passed for r in rows) else 1
+def _arg(flag: str, load: Callable = lambda value, where: value, **options) -> Arg:
+    """A required option unless options give it a default or an action."""
+    required = not options.keys() & {"default", "action"}
+    return Arg(flag, flag[2:].replace("-", "_"), load, {"required": required, **options})
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class Command(NamedTuple):
+    name: str
+    help: str
+    args: tuple[Arg, ...]
+    call: Callable  # loaded argument values, in order -> result
+    encode: Callable  # (result, parsed args) -> stdout text
+    status: Callable = lambda result: 0  # exit code of a successful call
+
+
+_F, _G = _arg("--f", _stepdf), _arg("--g", _stepdf)
+_SPACE, _OP = _arg("--space", _space), _arg("--op", _operator)
+_W = _arg("--w", type=float)
+_VALUE = _as_json(lambda value: {"value": value})
+_STEPDF_JSON = _as_json(lambda F: serialize.stepdf_to_json(F))
+
+COMMANDS = (
+    Command(
+        "df-eval", "evaluate a step d.f.",
+        (
+            _arg("--f", _stepdf, help="StepDF JSON path (or - for stdin)"),
+            _arg("--x", lambda x, where: float(x), help="abscissa (inf / -inf allowed)"),
+        ),
+        lambda F, x: distfn.df_eval(F, x),
+        _VALUE,
+    ),
+    Command(
+        "df-conv", "triangle-function convolution",
+        (
+            _arg("--tnorm", lambda tag, where: serialize.tnorm_from_json(tag, where),
+                 choices=["W", "prod", "min"]),
+            _arg("--kind", choices=["sup", "inf"], default="sup"),
+            _F,
+            _G,
+        ),
+        lambda T, kind, F, G: (
+            triangle.tau_inf_conv if kind == "inf" else triangle.tau_sup_conv
+        )(T, F, G),
+        _STEPDF_JSON,
+    ),
+    Command(
+        "df-levy", "modified Levy metric", (_F, _G),
+        lambda F, G: distfn.levy_metric(F, G),
+        _as_json(lambda d: {"value": d.value, "tolerance": d.tolerance}),
+    ),
+    Command(
+        "df-qinv", "quasi-inverse of a step d.f.", (_F,),
+        lambda F: distfn.quasi_inverse(F),
+        _as_json(lambda Q: serialize.quantile_to_json(Q)),
+    ),
+    Command(
+        "space-nu", "probabilistic norm nu_x of a vector",
+        (_SPACE, _arg("--x", _vector, help="vector as a JSON list")),
+        lambda P, x: P.prob_norm(x),
+        _STEPDF_JSON,
+    ),
+    Command(
+        "space-norm", "the norm ||x||_w", (_SPACE, _arg("--x", _vector), _W),
+        lambda P, x, w: P.norm_at(x, w),
+        _VALUE,
+    ),
+    Command(
+        "op-norm", "exact operator norm ||T||_(w,w')", (_OP, _W, _arg("--wp", type=float)),
+        lambda T, w, wp: operators.operator_norm_exact(T, w, wp),
+        _VALUE,
+    ),
+    Command(
+        "op-profile", "operator norm over all band pairs",
+        (_OP, _arg("--csv", action="store_true")),
+        lambda T, csv: operators.norm_profile(T),
+        _profile_text,
+    ),
+    Command(
+        "op-delta", "open-mapping ball radius", (_OP, _W),
+        lambda T, w: operators.open_mapping_delta(T, w),
+        _as_json(lambda res: {"delta": res.delta, "condition_number": res.condition_number}),
+    ),
+    Command(
+        "check", "run the property suites",
+        (
+            _arg("--suite", choices=list(checks.SUITES) + ["all"], default="all"),
+            _arg("--seed", _seed, type=int, default=None),
+            _arg("--cases", type=int, default=25),
+        ),
+        lambda suite, seed, cases: checks.run_suites(suite, seed, cases),
+        lambda rows, args: checks.format_report(rows),
+        lambda rows: 0 if all(r.passed for r in rows) else 1,
+    ),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probnorm",
         description="Computable Serstnev probabilistic normed spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("df-eval", help="evaluate a step d.f.")
-    p.add_argument("--f", required=True, help="StepDF JSON path (or - for stdin)")
-    p.add_argument("--x", required=True, help="abscissa (inf / -inf allowed)")
-    p.set_defaults(fn=_cmd_df_eval)
-
-    p = sub.add_parser("df-conv", help="triangle-function convolution")
-    p.add_argument("--tnorm", required=True, choices=["W", "prod", "min"])
-    p.add_argument("--kind", choices=["sup", "inf"], default="sup")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.set_defaults(fn=_cmd_df_conv)
-
-    p = sub.add_parser("df-levy", help="modified Levy metric")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.set_defaults(fn=_cmd_df_levy)
-
-    p = sub.add_parser("df-qinv", help="quasi-inverse of a step d.f.")
-    p.add_argument("--f", required=True)
-    p.set_defaults(fn=_cmd_df_qinv)
-
-    p = sub.add_parser("space-nu", help="probabilistic norm nu_x of a vector")
-    p.add_argument("--space", required=True)
-    p.add_argument("--x", required=True, help="vector as a JSON list")
-    p.set_defaults(fn=_cmd_space_nu)
-
-    p = sub.add_parser("space-norm", help="the norm ||x||_w")
-    p.add_argument("--space", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--w", required=True, type=float)
-    p.set_defaults(fn=_cmd_space_norm)
-
-    p = sub.add_parser("op-norm", help="exact operator norm ||T||_(w,w')")
-    p.add_argument("--op", required=True)
-    p.add_argument("--w", required=True, type=float)
-    p.add_argument("--wp", required=True, type=float)
-    p.set_defaults(fn=_cmd_op_norm)
-
-    p = sub.add_parser("op-profile", help="operator norm over all band pairs")
-    p.add_argument("--op", required=True)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(fn=_cmd_op_profile)
-
-    p = sub.add_parser("op-delta", help="open-mapping ball radius")
-    p.add_argument("--op", required=True)
-    p.add_argument("--w", required=True, type=float)
-    p.set_defaults(fn=_cmd_op_delta)
-
-    p = sub.add_parser("check", help="run the property suites")
-    p.add_argument("--suite", choices=list(checks.SUITES) + ["all"], default="all")
-    p.add_argument(
-        "--seed", type=int, default=int(os.environ.get("PROBNORM_SEED", "0"))
-    )
-    p.add_argument("--cases", type=int, default=25)
-    p.set_defaults(fn=_cmd_check)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.set_defaults(cmd=cmd)
+        for arg in cmd.args:
+            p.add_argument(arg.flag, **arg.options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    cmd = args.cmd
     try:
-        return args.fn(args)
+        values = [a.load(getattr(args, a.dest), a.flag) for a in cmd.args]
+        result = cmd.call(*values)
+        sys.stdout.write(cmd.encode(result, args))
+        return cmd.status(result)
     except SchemaError as e:
-        _emit({"error": {"where": e.where, "message": e.message}})
+        sys.stdout.write(_json_text({"error": {"where": e.where, "message": e.message}}))
         return 1
     except ValueError as e:
-        _emit({"error": {"message": str(e)}})
+        sys.stdout.write(_json_text({"error": {"message": str(e)}}))
         return 1
 
 

@@ -35,6 +35,8 @@ class LinearOperator:
                 f"matrix shape {m.shape} does not match spaces "
                 f"({self.codomain.dimension} x {self.domain.dimension})"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "matrix", m)
 
     def apply(self, x) -> np.ndarray:
@@ -51,25 +53,21 @@ def compose(S: LinearOperator, T: LinearOperator) -> LinearOperator:
     return LinearOperator(S.matrix @ T.matrix, T.domain, S.codomain)
 
 
-def _domain_norm(space: PNSpace, w: float) -> WeightedNorm:
-    norm = space.family.bands[space.family.band_index_left(w)].norm
-    if not isinstance(norm, WeightedNorm):
-        raise ValueError("exact operator norms need a weighted L1/Linf domain band")
-    return norm
-
-
-def _codomain_norm(space: PNSpace, w: float):
+def _band_norm(space: PNSpace, w: float):
+    """The band norm in force at w, as a left limit (the band of norm_at)."""
     return space.family.bands[space.family.band_index_left(w)].norm
 
 
-def _exact_norm(matrix: np.ndarray, dom_norm: WeightedNorm, cod_norm) -> float:
+def _exact_norm(matrix: np.ndarray, dom_norm, cod_norm) -> float:
+    if not isinstance(dom_norm, WeightedNorm):
+        raise ValueError("exact operator norms need a weighted L1/Linf domain band")
     verts = dom_norm.unit_ball_vertices()
     return float(cod_norm.eval_many(verts @ matrix.T).max())
 
 
 def operator_norm_exact(T: LinearOperator, w: float, wp: float) -> float:
     """||T||_(w,w') = sup{||Tx||_w' : ||x||_w <= 1} by vertex enumeration."""
-    return _exact_norm(T.matrix, _domain_norm(T.domain, w), _codomain_norm(T.codomain, wp))
+    return _exact_norm(T.matrix, _band_norm(T.domain, w), _band_norm(T.codomain, wp))
 
 
 def _mc_directions(rng, n: int, samples: int, dom_norm) -> np.ndarray:
@@ -97,8 +95,8 @@ def operator_norm_mc(T: LinearOperator, w: float, wp: float, samples: int, seed:
     Always <= operator_norm_exact.
     """
     n = T.domain.dimension
-    dom_norm = T.domain.family.bands[T.domain.family.band_index_left(w)].norm
-    cod_norm = _codomain_norm(T.codomain, wp)
+    dom_norm = _band_norm(T.domain, w)
+    cod_norm = _band_norm(T.codomain, wp)
     rng = np.random.Generator(np.random.Philox(seed))
     X = _mc_directions(rng, n, samples, dom_norm)
     den = dom_norm.eval_many(X)
@@ -134,8 +132,6 @@ def norm_profile(T: LinearOperator) -> NormProfile:
     cod_bands = T.codomain.family.bands
     table = np.empty((len(dom_bands), len(cod_bands)))
     for i, db in enumerate(dom_bands):
-        if not isinstance(db.norm, WeightedNorm):
-            raise ValueError("exact operator norms need a weighted L1/Linf domain band")
         for j, cb in enumerate(cod_bands):
             table[i, j] = _exact_norm(T.matrix, db.norm, cb.norm)
     return NormProfile(
@@ -184,10 +180,7 @@ def functional_norm(f: LinearOperator, w: float) -> float:
     if not ok:
         raise ValueError("functional_norm needs the 1-dim single-band codomain with weight 1")
     dom = f.domain.family
-    dom_norm = dom.bands[dom.band_index_right(w)].norm
-    if not isinstance(dom_norm, WeightedNorm):
-        raise ValueError("exact operator norms need a weighted L1/Linf domain band")
-    return _exact_norm(f.matrix, dom_norm, cod.bands[0].norm)
+    return _exact_norm(f.matrix, dom.bands[dom.band_index(w)].norm, cod.bands[0].norm)
 
 
 def graph_norm(T: LinearOperator, x, w: float, wp: float) -> float:
@@ -294,12 +287,8 @@ def uniform_bound(family, wp: float, probes=()) -> UniformBoundResult:
     if not family:
         raise ValueError("operator family must be nonempty")
     dom = family[0].domain.family
-    cod_norm = _codomain_norm(family[0].codomain, wp)
-    band_sups = []
-    for band in dom.bands:
-        if not isinstance(band.norm, WeightedNorm):
-            raise ValueError("exact operator norms need a weighted L1/Linf domain band")
-        band_sups.append(max(_exact_norm(T.matrix, band.norm, cod_norm) for T in family))
+    cod_norm = _band_norm(family[0].codomain, wp)
+    band_sups = [max(_exact_norm(T.matrix, b.norm, cod_norm) for T in family) for b in dom.bands]
     best = min(range(len(band_sups)), key=band_sups.__getitem__)
     probe_sups = tuple(
         max(T.codomain.norm_at(T.apply(x), wp) for T in family) for x in probes

@@ -198,10 +198,6 @@ class SeminormFamily:
             return idx - 1
         return idx
 
-    def band_index_right(self, w: float) -> int:
-        """Band carrying the norms just above w (right-limit selection)."""
-        return self.band_index(w)
-
 
 def seminorm_eval(S: SeminormFamily, x: np.ndarray, w: float) -> float:
     """p(x, w): the band norm of x for the band containing w."""
@@ -300,15 +296,6 @@ def product_space(P: PNSpace, Q: PNSpace) -> PNSpace:
         qn = Q.family.bands[bisect_left(Q.family.uptos, u)].norm
         bands.append(Band(u, BlockSumNorm((pn, qn), (P.dimension, Q.dimension))))
     return PNSpace(SeminormFamily(P.dimension + Q.dimension, tuple(bands)))
-
-
-def seminorm_sup(P: PNSpace, vectors) -> list[float]:
-    """Per-band sup of p(., w) over a finite sample set (boundedness report)."""
-    sups = [0.0] * len(P.family.bands)
-    for x in vectors:
-        for k, v in enumerate(P.band_values(x)):
-            sups[k] = max(sups[k], v)
-    return sups
 
 
 @dataclass(frozen=True)

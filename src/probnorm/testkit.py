@@ -21,8 +21,6 @@ from .triangle import TNormKind
 @dataclass(frozen=True)
 class OracleConfig:
     grid_step: float = 1e-4
-    domain_radius: float | None = None  # default: 1 + sum of extreme breakpoints
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_step <= 0:

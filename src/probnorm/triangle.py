@@ -18,44 +18,30 @@ class TNormKind(enum.Enum):
     MIN = "min"  # minimum
 
 
-def _check_unit(a: float, b: float) -> None:
+def _grid_at(grid, T: TNormKind, a: float, b: float) -> float:
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"t-norm arguments must lie in [0, 1], got {a}, {b}")
+    return float(grid(T, np.array([a], dtype=float), np.array([b], dtype=float))[0, 0])
 
 
 def tnorm_eval(T: TNormKind, a: float, b: float) -> float:
-    _check_unit(a, b)
-    if T is TNormKind.W:
-        # boundary cases split off so the unit law T(a, 1) = a is exact
-        if a == 1.0:
-            return b
-        if b == 1.0:
-            return a
-        return max(a + b - 1.0, 0.0)
-    if T is TNormKind.PROD:
-        return a * b
-    return min(a, b)
+    """T(a, b), read off the grid formula used by the convolutions.
+
+    It agrees bit for bit with the scalar closed form of each kind, except
+    for the sign of a zero result when the arguments mix 0.0 and -0.0.
+    """
+    return _grid_at(_tnorm_grid, T, a, b)
 
 
 def tconorm_eval(T: TNormKind, a: float, b: float) -> float:
-    """Dual conorm T*(a, b) = 1 - T(1-a, 1-b), in closed form per kind."""
-    _check_unit(a, b)
-    if T is TNormKind.W:
-        return min(a + b, 1.0)
-    if T is TNormKind.PROD:
-        # boundary cases split off so T*(a, 0) = a and T*(a, 1) = 1 are exact
-        if a == 0.0:
-            return b
-        if b == 0.0:
-            return a
-        if a == 1.0 or b == 1.0:
-            return 1.0
-        return a + b - a * b
-    return max(a, b)
+    """Dual conorm T*(a, b) = 1 - T(1-a, 1-b), read off the grid formula
+    (same zero-sign caveat as tnorm_eval)."""
+    return _grid_at(_tconorm_grid, T, a, b)
 
 
 def _tnorm_grid(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # outer T(v_i, u_j); vectorized twin of tnorm_eval
+    # outer T(v_i, u_j); W's boundary cases are split off so the unit law
+    # T(a, 1) = a is exact
     vv, uu = v[:, None], u[None, :]
     if T is TNormKind.W:
         out = np.maximum(vv + uu - 1.0, 0.0)
@@ -67,6 +53,8 @@ def _tnorm_grid(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _tconorm_grid(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # outer T*(v_i, u_j) in closed form per kind; PROD's boundary cases are
+    # split off so T*(a, 0) = a and T*(a, 1) = 1 are exact
     vv, uu = v[:, None], u[None, :]
     if T is TNormKind.W:
         return np.minimum(vv + uu, 1.0)

@@ -25,6 +25,7 @@ from probnorm.pnspace import (
     PNSpace,
     SeminormFamily,
     WeightedNorm,
+    product_space,
     single_band_space,
 )
 from probnorm.testkit import gen_operator, gen_space, gen_vector
@@ -81,6 +82,11 @@ class TestLinearOperator:
             LinearOperator(np.ones((2, 3)), space_l1([1, 1]), space_l1([1, 1]))
         with pytest.raises(ValueError):
             LinearOperator(np.ones(2), space_l1([1, 1]), space_l1([1, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LinearOperator(np.array([[1.0, bad], [0.0, 1.0]]), space_l1([1, 1]), space_l1([1, 1]))
 
     def test_compose(self):
         A = space_l1([1, 1])
@@ -141,6 +147,22 @@ class TestExactNorm:
         T = LinearOperator(np.eye(21), P, P)
         with pytest.raises(ValueError):
             operator_norm_exact(T, 0.5, 0.5)
+
+    def test_exact_paths_need_a_weighted_domain_band(self):
+        # a product space's bands are block sums, which have no vertex list
+        P = product_space(space_l1([1.0]), space_linf([2.0]))
+        T = LinearOperator(np.eye(2), P, space_l1([1.0, 1.0]))
+        f = LinearOperator(np.ones((1, 2)), P, SCALAR)
+        calls = (
+            lambda: operator_norm_exact(T, 0.5, 0.5),
+            lambda: norm_profile(T),
+            lambda: uniform_bound([T], 0.5),
+            lambda: functional_norm(f, 0.5),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="weighted L1/Linf domain band"):
+                call()
+        assert 0.0 < operator_norm_mc(T, 0.5, 0.5, samples=60, seed=0)
 
     def test_submultiplicative(self):
         rng = np.random.default_rng(2)
@@ -250,7 +272,7 @@ class TestFunctionals:
                 for _ in range(30):
                     x = gen_vector(rng, 3)
                     # |f(x)| <= ||f||_w ||x||_w+ with the band just right of w
-                    idx = dom.family.band_index_right(w)
+                    idx = dom.family.band_index(w)
                     nx = dom.family.bands[idx].norm.eval(x)
                     assert abs(f.apply(x)[0]) <= nf * nx + 1e-9
 

@@ -1,7 +1,5 @@
 """PN-spaces from seminorm families: probabilistic norms, axioms, products."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,6 @@ from probnorm.pnspace import (
     WeightedNorm,
     product_space,
     seminorm_eval,
-    seminorm_sup,
     single_band_space,
     validate_pn_axioms,
 )
@@ -290,11 +287,3 @@ class TestMetricAndBalls:
         assert out[0.5] is not None and out[0.1] is not None
         assert out[0.5] <= out[0.1] <= (out[0.02] if out[0.02] is not None else 50)
 
-    def test_boundedness_report(self):
-        rng = np.random.default_rng(12)
-        P = gen_space(3, 2)
-        vecs = [gen_vector(rng, 2) for _ in range(30)]
-        sups = seminorm_sup(P, vecs)
-        assert len(sups) == len(P.family.bands)
-        assert all(s2 >= s1 for s1, s2 in zip(sups, sups[1:]))
-        assert all(math.isfinite(s) for s in sups)

@@ -1,11 +1,19 @@
 """JSON wire format and the command-line interface."""
 
+import io
 import json
+import math
+import shlex
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from probnorm import serialize
+from probnorm import checks, cli, serialize
 from probnorm.cli import main
 from probnorm.distfn import StepDF, quasi_inverse, unit_step
 from probnorm.serialize import SchemaError
@@ -71,7 +79,7 @@ class TestSerialize:
 def files(tmp_path):
     def write(name, obj):
         p = tmp_path / name
-        p.write_text(json.dumps(obj))
+        p.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         return str(p)
 
     return write
@@ -179,8 +187,6 @@ class TestCLI:
         assert blob["delta"] == pytest.approx(2.0, rel=1e-12)
 
     def test_stdin_input(self, capsys, files, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(H2)))
         code, out = self.run(capsys, "df-eval", "--f", "-", "--x", "3.0")
         assert code == 0
@@ -227,3 +233,187 @@ class TestCLI:
         assert code == 0
         code, out2 = self.run(capsys, "check", "--suite", "triangle", "--seed", "9", "--cases", "2")
         assert out1 == out2
+        # the parser is built once per process; the variable is read per call
+        seeds = []
+        run_suites = checks.run_suites
+
+        def recording(suite, seed, cases):
+            seeds.append(seed)
+            return run_suites(suite, seed, cases)
+
+        monkeypatch.setattr(checks, "run_suites", recording)
+        for env in ("11", "12"):
+            monkeypatch.setenv("PROBNORM_SEED", env)
+            self.run(capsys, "check", "--suite", "operator", "--cases", "1")
+        monkeypatch.delenv("PROBNORM_SEED")
+        self.run(capsys, "check", "--suite", "operator", "--cases", "1")
+        self.run(capsys, "check", "--suite", "operator", "--seed", "5", "--cases", "1")
+        assert seeds == [11, 12, 0, 5]
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_check_needs_a_case(self, capsys, cases):
+        code, out = self.run(capsys, "check", "--suite", "distfn", "--cases", cases)
+        assert code == 1
+        assert json.loads(out) == {"error": {"message": f"cases must be >= 1, got {cases}"}}
+        with pytest.raises(ValueError):
+            checks.run_suites("all", 0, int(cases))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("flag", ["--f", "--f -", "--space", "--op", "--x"])
+    def test_non_finite_json_rejected(self, capsys, files, monkeypatch, flag, token):
+        def payload(obj):
+            return json.dumps(obj).replace('"TOKEN"', token)
+
+        if flag.startswith("--f"):
+            text = payload({"breakpoints": [1.0, "TOKEN"], "values": [0.0, 0.5, 1.0]})
+            if flag == "--f -":
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                argv = ["df-qinv", "--f", "-"]
+            else:
+                argv = ["df-qinv", "--f", files("f.json", text)]
+        elif flag == "--space":
+            bad = {**SPACE, "bands": [{"upto": 1.0, "kind": "l1", "weights": [1.0, "TOKEN"]}]}
+            argv = ["space-nu", "--space", files("s.json", payload(bad)), "--x", "[1.0, 1.0]"]
+        elif flag == "--op":
+            bad = {**OP, "matrix": [[2.0, 0.0], [0.0, "TOKEN"]]}
+            argv = ["op-profile", "--op", files("op.json", payload(bad))]
+        else:
+            space = files("s.json", SPACE)
+            argv = ["space-norm", "--space", space, "--x", f"[1.0, {token}]", "--w", "0.5"]
+        code, out = self.run(capsys, *argv)
+        assert code == 1
+        error = {"where": flag.split()[0], "message": f"{token} is not a finite number"}
+        assert json.loads(out) == {"error": error}
+
+    def test_df_eval_abscissa_may_be_infinite(self, capsys, files):
+        code, out = self.run(capsys, "df-eval", "--f", files("f.json", H2), "--x", "inf")
+        assert code == 0
+        assert json.loads(out) == {"value": 1.0}
+
+
+def test_readme_cli_block_names_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("probnorm ")]
+    named = [cli._parser().parse_args(shlex.split(line)[1:]).command for line in lines]
+    assert set(named) == {cmd.name for cmd in cli.COMMANDS}
+
+
+# One valid call per table row; a dict value is a payload that the fuzz
+# property mutates before it reaches the option (as a file, or as text for --x).
+G2 = {"breakpoints": [0.5, 2.0, 3.0], "values": [0.0, 0.25, 0.75, 1.0]}
+VEC = [1.0, -2.0]
+FUZZ_CALLS = {
+    "df-eval": ["--f", H2, "--x", "2.5"],
+    "df-conv": ["--tnorm", "prod", "--kind", "inf", "--f", G2, "--g", H1],
+    "df-levy": ["--f", G2, "--g", H2],
+    "df-qinv": ["--f", G2],
+    "space-nu": ["--space", SPACE, "--x", VEC],
+    "space-norm": ["--space", SPACE, "--x", VEC, "--w", "0.5"],
+    "op-norm": ["--op", OP, "--w", "0.5", "--wp", "0.5"],
+    "op-profile": ["--op", OP],
+    "op-delta": ["--op", OP, "--w", "0.5"],
+}
+
+
+def test_fuzz_covers_every_command():
+    # check takes no payload; test_cli_fuzz_check_cases fuzzes its integers
+    assert set(FUZZ_CALLS) | {"check"} == {cmd.name for cmd in cli.COMMANDS}
+
+
+def _nodes(obj, path=()):
+    """Every (path, value) inside a JSON value, the root included."""
+    yield path, obj
+    if isinstance(obj, list):
+        obj = dict(enumerate(obj))
+    for key, value in obj.items() if isinstance(obj, dict) else ():
+        yield from _nodes(value, path + (key,))
+
+
+def _replace(obj, path, make):
+    if not path:
+        return make(obj)
+    head, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        return {k: (_replace(v, rest, make) if k == head else v) for k, v in obj.items()}
+    return [(_replace(v, rest, make) if i == head else v) for i, v in enumerate(obj)]
+
+
+_DROP = object()
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+    st.just([]), st.just({}), st.just([[1.0]]), st.just({"x": 1}),
+)
+
+
+@st.composite
+def _mutated(draw, payload):
+    """JSON text of payload after one mutation: a dropped key or element, a value
+    of the wrong type, a NaN / Infinity token, or truncated text."""
+    kind = draw(st.sampled_from(["drop", "retype", "nonfinite", "truncate"]))
+    if kind == "truncate":
+        text = json.dumps(payload)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    paths = [p for p, _ in _nodes(payload) if p or kind != "drop"]
+    path = draw(st.sampled_from(paths))
+    if kind == "drop":
+        parent, key = path[:-1], path[-1]
+
+        def make(container):
+            if isinstance(container, dict):
+                return {k: v for k, v in container.items() if k != key}
+            return [v for i, v in enumerate(container) if i != key]
+
+        return json.dumps(_replace(payload, parent, make))
+    value = draw(_JUNK if kind == "retype" else st.sampled_from([math.nan, math.inf, -math.inf]))
+    return json.dumps(_replace(payload, path, lambda old: value))
+
+
+def _strict_json(text):
+    def reject(token):
+        raise AssertionError(f"non-JSON token {token} on stdout")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_CALLS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exit_0_json_or_exit_1_error(command, data):
+    template = FUZZ_CALLS[command]
+    slots = [i for i, v in enumerate(template) if not isinstance(v, str)]
+    target = data.draw(st.sampled_from(slots))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for i, value in enumerate(template):
+            if isinstance(value, str):
+                argv.append(value)
+                continue
+            text = data.draw(_mutated(value)) if i == target else json.dumps(value)
+            if argv[-1] == "--x":  # joined, so text starting with "-" is not an option
+                argv[-1] = f"--x={text}"
+            else:
+                path = Path(tmp) / f"arg{i}.json"
+                path.write_text(text)
+                argv.append(str(path))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+    if code == 0:
+        _strict_json(out.getvalue())
+    else:
+        assert code == 1
+        blob = _strict_json(out.getvalue())
+        assert set(blob) == {"error"} and isinstance(blob["error"]["message"], str)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cases=st.integers(-2, 1), seed=st.integers(0, 2**31))
+def test_cli_fuzz_check_cases(cases, seed):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["check", "--suite", "pnspace", "--seed", str(seed), "--cases", str(cases)])
+    if cases >= 1:
+        assert code == 0 and out.getvalue().endswith("\n0 failed / 5 properties\n")
+    else:
+        assert code == 1 and "error" in _strict_json(out.getvalue())
