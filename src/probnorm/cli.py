@@ -68,7 +68,7 @@ def _vector(text: str, where: str) -> list:
         vec = _read_json(text, where)
     except json.JSONDecodeError:
         vec = None
-    if not isinstance(vec, list) or not all(isinstance(v, (int, float)) for v in vec):
+    if not isinstance(vec, list) or not all(serialize.is_number(v) for v in vec):
         raise SchemaError(where, "expected a JSON list of numbers")
     return vec
 

@@ -209,6 +209,8 @@ def _check_vector(S: SeminormFamily, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (S.dimension,):
         raise ValueError(f"expected vector of dimension {S.dimension}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("vector entries must be finite")
     return x
 
 
@@ -332,70 +334,63 @@ def _df_jitter_ge(A: StepDF, B: StepDF) -> bool:
 _EXACT_SCALARS = (0.5, 2.0, 4.0, 0.25, -0.5, -2.0, -1.0)
 
 
+def _first_failure(witnesses) -> CheckResult:
+    """FAIL at the first witness, without advancing the generator past it; else PASS."""
+    for witness in witnesses:
+        return CheckResult(False, witness)
+    return CheckResult(True)
+
+
 def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomReport:
     """Sampled checks of N1, N2, N3 (with tau_M), and the scaling law.
 
     Scaling is asserted as exact StepDF equality for power-of-two scalars
     (where float scaling commutes with the norm evaluation) and to 1e-12
-    relative at the seminorm level for general scalars.
+    relative at the seminorm level for general scalars.  One rng is drawn
+    in the order N1, N2, N3, (S).
     """
     rng = np.random.default_rng(seed)
     n = P.dimension
     h0 = unit_step(0.0)
 
-    monotone = CheckResult(*_flip(P.family.monotone_report()))
-
-    n1 = CheckResult(True)
-    if P.prob_norm(np.zeros(n)) != h0:
-        n1 = CheckResult(False, "nu at the null vector is not H_0")
-    else:
+    def n1():
+        if P.prob_norm(np.zeros(n)) != h0:
+            yield "nu at the null vector is not H_0"
+            return
         for _ in range(samples):
             x = _nonzero(rng, n)
             if P.prob_norm(x) == h0:
-                n1 = CheckResult(False, f"nu_x = H_0 at x = {x.tolist()}")
-                break
+                yield f"nu_x = H_0 at x = {x.tolist()}"
 
-    n2 = CheckResult(True)
-    for _ in range(samples):
-        x = _nonzero(rng, n)
-        if P.prob_norm(-x) != P.prob_norm(x):
-            n2 = CheckResult(False, f"nu_-x != nu_x at x = {x.tolist()}")
-            break
+    def n2():
+        for _ in range(samples):
+            x = _nonzero(rng, n)
+            if P.prob_norm(-x) != P.prob_norm(x):
+                yield f"nu_-x != nu_x at x = {x.tolist()}"
 
-    n3 = CheckResult(True)
-    for _ in range(samples):
-        x, y = _nonzero(rng, n), _nonzero(rng, n)
-        lhs = P.prob_norm(x + y)
-        rhs = tau_sup_conv(TNormKind.MIN, P.prob_norm(x), P.prob_norm(y))
-        if not _df_jitter_ge(lhs, rhs):
-            n3 = CheckResult(False, f"N3 fails at x = {x.tolist()}, y = {y.tolist()}")
-            break
+    def n3():
+        for _ in range(samples):
+            x, y = _nonzero(rng, n), _nonzero(rng, n)
+            lhs = P.prob_norm(x + y)
+            rhs = tau_sup_conv(TNormKind.MIN, P.prob_norm(x), P.prob_norm(y))
+            if not _df_jitter_ge(lhs, rhs):
+                yield f"N3 fails at x = {x.tolist()}, y = {y.tolist()}"
 
-    scaling = CheckResult(True)
-    for _ in range(samples):
-        x = _nonzero(rng, n)
-        for alpha in _EXACT_SCALARS:
-            if P.prob_norm(alpha * x) != df_scale(P.prob_norm(x), abs(alpha)):
-                scaling = CheckResult(False, f"(S) fails at alpha = {alpha}")
-                break
-        if not scaling.passed:
-            break
-        alpha = float(rng.uniform(0.1, 5.0)) * float(rng.choice((-1.0, 1.0)))
-        base = P.band_values(x)
-        scaled = P.band_values(alpha * x)
-        for v, sv in zip(base, scaled):
-            if abs(sv - abs(alpha) * v) > 1e-12 * (1.0 + abs(alpha) * v):
-                scaling = CheckResult(False, f"(S) off tolerance at alpha = {alpha}")
-                break
-        if not scaling.passed:
-            break
+    def scaling():
+        for _ in range(samples):
+            x = _nonzero(rng, n)
+            nu = P.prob_norm(x)
+            for alpha in _EXACT_SCALARS:
+                if P.prob_norm(alpha * x) != df_scale(nu, abs(alpha)):
+                    yield f"(S) fails at alpha = {alpha}"
+            alpha = float(rng.uniform(0.1, 5.0)) * float(rng.choice((-1.0, 1.0)))
+            for v, sv in zip(P.band_values(x), P.band_values(alpha * x)):
+                if abs(sv - abs(alpha) * v) > 1e-12 * (1.0 + abs(alpha) * v):
+                    yield f"(S) off tolerance at alpha = {alpha}"
 
-    return PNAxiomReport(monotone, n1, n2, n3, scaling)
-
-
-def _flip(report: tuple[bool, str]) -> tuple[bool, str | None]:
-    ok, msg = report
-    return ok, (None if ok else msg)
+    ok, msg = P.family.monotone_report()
+    monotone = CheckResult(ok, None if ok else msg)
+    return PNAxiomReport(monotone, *map(_first_failure, (n1(), n2(), n3(), scaling())))
 
 
 def _nonzero(rng, n: int) -> np.ndarray:

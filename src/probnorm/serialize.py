@@ -26,8 +26,13 @@ class SchemaError(ValueError):
         self.message = message
 
 
+def is_number(v) -> bool:
+    """A JSON number: int or float, but not bool, which Python counts as an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number_list(obj, where: str) -> list[float]:
-    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) for v in obj):
+    if not isinstance(obj, list) or not all(is_number(v) for v in obj):
         raise SchemaError(where, "expected a list of numbers")
     return [float(v) for v in obj]
 
@@ -67,7 +72,7 @@ def quantile_from_json(obj, where: str = "quantile") -> StepQuantile:
     for v in raw:
         if v == "inf":
             qv.append(math.inf)
-        elif isinstance(v, (int, float)):
+        elif is_number(v):
             qv.append(float(v))
         else:
             raise SchemaError(f"{where}.qvalues", f"bad entry {v!r}")
@@ -98,7 +103,7 @@ def space_to_json(P: PNSpace) -> dict:
 
 def space_from_json(obj, where: str = "space") -> PNSpace:
     dim = _require(obj, "dimension", where)
-    if not isinstance(dim, int) or dim < 1:
+    if not (is_number(dim) and isinstance(dim, int)) or dim < 1:
         raise SchemaError(f"{where}.dimension", "expected a positive integer")
     raw_bands = _require(obj, "bands", where)
     if not isinstance(raw_bands, list) or not raw_bands:
@@ -107,7 +112,7 @@ def space_from_json(obj, where: str = "space") -> PNSpace:
     for i, rb in enumerate(raw_bands):
         bw = f"{where}.bands[{i}]"
         upto = _require(rb, "upto", bw)
-        if not isinstance(upto, (int, float)):
+        if not is_number(upto):
             raise SchemaError(f"{bw}.upto", "expected a number")
         kind = _require(rb, "kind", bw)
         if kind not in ("l1", "linf"):

@@ -94,8 +94,8 @@ def oracle_conv_dense(T: TNormKind, F: StepDF, G: StepDF, sup: bool) -> StepDF:
     The output breakpoints are the distinct sums a_i + b_j; on each interval
     between them every band pair (i, j) is tested against that interval's
     fences with an (n+1) x (m+1) boolean mask, O(n^2 m^2) in all.  It
-    compares the same float sums as the exact convolutions, so it must
-    agree with them bit for bit.
+    compares the same float sums as the exact convolutions and ends with the
+    same running max, so it must agree with them bit for bit.
     """
     a = np.array(F.breakpoints)
     b = np.array(G.breakpoints)
@@ -109,13 +109,13 @@ def oracle_conv_dense(T: TNormKind, F: StepDF, G: StepDF, sup: bool) -> StepDF:
     for k in range(len(fences) - 1):
         achievable = (lows <= fences[k]) & (highs >= fences[k + 1])
         out_vals[k] = pick(vals[achievable])
-    return StepDF(tuple(cands), tuple(out_vals))
+    return StepDF(tuple(cands), tuple(np.maximum.accumulate(out_vals)))
 
 
 LEVY_GRID = 1e-5
 
 
-def oracle_levy(F: StepDF, G: StepDF, cfg: OracleConfig | None = None) -> float:
+def oracle_levy(F: StepDF, G: StepDF) -> float:
     """Smallest h on the 1e-5 grid over (0, 1] satisfying both exact conditions.
 
     Located by binary search over the grid, which is valid for the same

@@ -85,6 +85,12 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
     max (or min).  The rows run over the d.f. with fewer breakpoints, so with
     n <= m and K distinct breakpoint sums the searches cost O((n+1) K log m),
     against O(n^2 m^2) for a per-interval mask.
+
+    The exact extrema are nondecreasing in x, but their floats need not be:
+    PROD's conorm a + b - ab is not monotone a few ulps below 1, so one
+    interval's minimum can fall below the previous one's.  A running max
+    repairs that; it changes no value of an output that was already
+    nondecreasing.
     """
     if len(F.breakpoints) > len(G.breakpoints):
         # loop over the shorter d.f.; sums commute exactly, so this is a transpose
@@ -115,7 +121,7 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
         # positions span the gaps and are dropped
         bounds = np.array((lo, hi)).T.ravel()
         fold(out_vals, fold.reduceat(padded[i], bounds)[::2], out=out_vals)
-    return StepDF(tuple(cands), tuple(out_vals))
+    return StepDF(tuple(cands), tuple(np.maximum.accumulate(out_vals)))
 
 
 def tau_sup_conv(T: TNormKind, F: StepDF, G: StepDF) -> StepDF:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from probnorm import checks, operators
 from probnorm.operators import (
     LinearOperator,
     bound_check,
@@ -76,6 +77,12 @@ class TestLinearOperator:
         assert np.array_equal(T.apply([1.0, 1.0]), [2.0, 3.0])
         with pytest.raises(ValueError):
             T.apply([1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_apply_rejects_non_finite_vectors(self, bad):
+        T = LinearOperator(np.eye(2), space_l1([1, 1]), space_l1([1, 1]))
+        with pytest.raises(ValueError, match="finite"):
+            T.apply([1.0, bad])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -174,6 +181,17 @@ class TestExactNorm:
                 lhs = operator_norm_exact(compose(S, T), w, w)
                 rhs = operator_norm_exact(S, w, w) * operator_norm_exact(T, w, w)
                 assert lhs <= rhs + 1e-9
+
+    def test_check_submultiplicative_reads_the_profiles(self, monkeypatch):
+        # the check property compares three norm_profile tables, so it needs
+        # no single (w, w') norm
+        def refuse(*args):
+            raise AssertionError("operator_norm_exact called")
+
+        monkeypatch.setattr(operators, "operator_norm_exact", refuse)
+        for seed in range(5):
+            T = gen_operator(seed, gen_space(seed, 3), gen_space(seed + 50, 2))
+            assert checks._submultiplicative(T, seed) is True
 
 
 class TestMonteCarlo:
@@ -334,6 +352,26 @@ class TestEquivalenceAndUniformBound:
         assert rep.forward.table[0, 0] == 2.0
         assert rep.backward.table[0, 0] == 0.5
         assert rep.passed
+
+    def test_equivalence_matches_per_pair_norms(self):
+        # reference: the violation of every band pair from norm_at at the midpoints
+        for seed in range(20):
+            P1, P2 = gen_space(seed, 3), gen_space(seed + 900, 3)
+            rep = norm_equivalence_constants(P1, P2, trials=5, seed=seed)
+            rng = np.random.Generator(np.random.Philox(seed))
+            worst = 0.0
+            for _ in range(5):
+                x = rng.uniform(-3.0, 3.0, 3)
+                for i, w in enumerate(P1.family.midpoints()):
+                    for j, wp in enumerate(P2.family.midpoints()):
+                        nx1, nx2 = P1.norm_at(x, w), P2.norm_at(x, wp)
+                        worst = max(
+                            worst,
+                            nx2 - rep.forward.table[i, j] * nx1,
+                            nx1 - rep.backward.table[j, i] * nx2,
+                        )
+            assert rep.max_violation == worst
+            assert type(rep.max_violation) is float and type(rep.passed) is bool
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -183,6 +183,26 @@ class TestProbNorm:
             report = validate_pn_axioms(gen_space(seed, 3), samples=20, seed=seed)
             assert report.ok, report
 
+    def test_axioms_compute_each_nu_once(self, monkeypatch):
+        # per sample: N1 1 call, N2 2, N3 3, scaling 1 + 7 scalars = 8
+        calls = []
+        prob_norm = PNSpace.prob_norm
+        monkeypatch.setattr(PNSpace, "prob_norm", lambda P, x: calls.append(1) or prob_norm(P, x))
+        assert validate_pn_axioms(gen_space(4, 3), samples=6, seed=4).ok
+        assert len(calls) == 1 + (1 + 2 + 3 + 8) * 6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        P = gen_space(2, 2)
+        calls = (
+            lambda x: P.norm_at(x, 0.5),
+            P.band_values,
+            P.prob_norm,
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call([bad, 1.0])
+
     def test_axioms_flag_nonmonotone(self):
         n1 = WeightedNorm(NormKind.L1, (2.0,))
         weaker = WeightedNorm(NormKind.L1, (1.0,))

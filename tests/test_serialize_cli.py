@@ -1,5 +1,6 @@
 """JSON wire format and the command-line interface."""
 
+import hashlib
 import io
 import json
 import math
@@ -60,6 +61,15 @@ class TestSerialize:
         with pytest.raises(SchemaError):
             serialize.tnorm_from_json("lukasiewicz")
 
+    @pytest.mark.parametrize("token", [True, False])
+    def test_quantile_booleans_are_not_numbers(self, token):
+        for obj in (
+            {"wbreaks": [0.5, token], "qvalues": [0.0, 1.0]},
+            {"wbreaks": [0.5, 1.0], "qvalues": [0.0, token]},
+        ):
+            with pytest.raises(SchemaError, match="quantile"):
+                serialize.quantile_from_json(obj)
+
     def test_invalid_payloads_fail_as_schema_errors(self):
         with pytest.raises(SchemaError):
             serialize.stepdf_from_json({"breakpoints": [2.0, 1.0], "values": [0, 0.5, 1]})
@@ -99,6 +109,11 @@ OP = {
     "domain": {"dimension": 2, "bands": [{"upto": 1.0, "kind": "l1", "weights": [1.0, 1.0]}]},
     "codomain": {"dimension": 2, "bands": [{"upto": 1.0, "kind": "l1", "weights": [1.0, 1.0]}]},
 }
+
+
+def with_token(obj, token: str) -> str:
+    """JSON text of obj with each "TOKEN" string replaced by a raw token."""
+    return json.dumps(obj).replace('"TOKEN"', token)
 
 
 class TestCLI:
@@ -261,11 +276,8 @@ class TestCLI:
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
     @pytest.mark.parametrize("flag", ["--f", "--f -", "--space", "--op", "--x"])
     def test_non_finite_json_rejected(self, capsys, files, monkeypatch, flag, token):
-        def payload(obj):
-            return json.dumps(obj).replace('"TOKEN"', token)
-
         if flag.startswith("--f"):
-            text = payload({"breakpoints": [1.0, "TOKEN"], "values": [0.0, 0.5, 1.0]})
+            text = with_token({"breakpoints": [1.0, "TOKEN"], "values": [0.0, 0.5, 1.0]}, token)
             if flag == "--f -":
                 monkeypatch.setattr("sys.stdin", io.StringIO(text))
                 argv = ["df-qinv", "--f", "-"]
@@ -273,10 +285,11 @@ class TestCLI:
                 argv = ["df-qinv", "--f", files("f.json", text)]
         elif flag == "--space":
             bad = {**SPACE, "bands": [{"upto": 1.0, "kind": "l1", "weights": [1.0, "TOKEN"]}]}
-            argv = ["space-nu", "--space", files("s.json", payload(bad)), "--x", "[1.0, 1.0]"]
+            space = files("s.json", with_token(bad, token))
+            argv = ["space-nu", "--space", space, "--x", "[1.0, 1.0]"]
         elif flag == "--op":
             bad = {**OP, "matrix": [[2.0, 0.0], [0.0, "TOKEN"]]}
-            argv = ["op-profile", "--op", files("op.json", payload(bad))]
+            argv = ["op-profile", "--op", files("op.json", with_token(bad, token))]
         else:
             space = files("s.json", SPACE)
             argv = ["space-norm", "--space", space, "--x", f"[1.0, {token}]", "--w", "0.5"]
@@ -284,6 +297,42 @@ class TestCLI:
         assert code == 1
         error = {"where": flag.split()[0], "message": f"{token} is not a finite number"}
         assert json.loads(out) == {"error": error}
+
+    @pytest.mark.parametrize("token", ["true", "false"])
+    @pytest.mark.parametrize(
+        "field",
+        ["breakpoints", "values", "dimension", "upto", "weights", "matrix", "--x"],
+    )
+    def test_booleans_are_not_numbers(self, capsys, files, field, token):
+        band = {"upto": 1.0, "kind": "l1", "weights": [1.0, 1.0]}
+        if field in ("breakpoints", "values"):
+            bad = {**H2, field: ["TOKEN"] if field == "breakpoints" else [0.0, "TOKEN"]}
+            argv = ["df-qinv", "--f", files("f.json", with_token(bad, token))]
+        elif field == "dimension":
+            bad = {"dimension": "TOKEN", "bands": [{**band, "weights": [1.0]}]}
+            argv = ["space-nu", "--space", files("b.json", with_token(bad, token)), "--x", "[1.0]"]
+        elif field in ("upto", "weights"):
+            band[field] = "TOKEN" if field == "upto" else [1.0, "TOKEN"]
+            bad = {"dimension": 2, "bands": [band]}
+            space = files("b.json", with_token(bad, token))
+            argv = ["space-nu", "--space", space, "--x", "[1.0, 1.0]"]
+        elif field == "matrix":
+            bad = {**OP, "matrix": [[2.0, 0.0], [0.0, "TOKEN"]]}
+            argv = ["op-profile", "--op", files("op.json", with_token(bad, token))]
+        else:
+            space = files("s.json", SPACE)
+            argv = ["space-norm", "--space", space, "--x", f"[1.0, {token}]", "--w", "0.5"]
+        code, out = self.run(capsys, *argv)
+        assert code == 1
+        assert set(json.loads(out)) == {"error"}
+
+    def test_check_report_is_pinned(self, capsys):
+        # pinned across versions: a change to any suite's instances,
+        # properties or formatting changes this digest
+        code, out = self.run(capsys, "check", "--suite", "all", "--seed", "42")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "e4b546cabc93053fb0e5ac3867875b399e1de61f4cb1ac8728a44446df0929af"
 
     def test_df_eval_abscissa_may_be_infinite(self, capsys, files):
         code, out = self.run(capsys, "df-eval", "--f", files("f.json", H2), "--x", "inf")
@@ -346,15 +395,25 @@ _JUNK = st.one_of(
 )
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @st.composite
 def _mutated(draw, payload):
-    """JSON text of payload after one mutation: a dropped key or element, a value
-    of the wrong type, a NaN / Infinity token, or truncated text."""
-    kind = draw(st.sampled_from(["drop", "retype", "nonfinite", "truncate"]))
+    """(kind, JSON text) of payload after one mutation: a dropped key or element,
+    a value of the wrong type, a number turned into a boolean, a NaN / Infinity
+    token, or truncated text."""
+    kind = draw(st.sampled_from(["drop", "retype", "boolean", "nonfinite", "truncate"]))
     if kind == "truncate":
         text = json.dumps(payload)
-        return text[: draw(st.integers(0, len(text) - 1))]
-    paths = [p for p, _ in _nodes(payload) if p or kind != "drop"]
+        return kind, text[: draw(st.integers(0, len(text) - 1))]
+    nodes = _nodes(payload)
+    if kind == "boolean":
+        path = draw(st.sampled_from([p for p, v in nodes if _is_number(v)]))
+        value = draw(st.booleans())
+        return kind, json.dumps(_replace(payload, path, lambda old: value))
+    paths = [p for p, _ in nodes if p or kind != "drop"]
     path = draw(st.sampled_from(paths))
     if kind == "drop":
         parent, key = path[:-1], path[-1]
@@ -364,9 +423,9 @@ def _mutated(draw, payload):
                 return {k: v for k, v in container.items() if k != key}
             return [v for i, v in enumerate(container) if i != key]
 
-        return json.dumps(_replace(payload, parent, make))
+        return kind, json.dumps(_replace(payload, parent, make))
     value = draw(_JUNK if kind == "retype" else st.sampled_from([math.nan, math.inf, -math.inf]))
-    return json.dumps(_replace(payload, path, lambda old: value))
+    return kind, json.dumps(_replace(payload, path, lambda old: value))
 
 
 def _strict_json(text):
@@ -389,7 +448,9 @@ def test_cli_fuzz_exit_0_json_or_exit_1_error(command, data):
             if isinstance(value, str):
                 argv.append(value)
                 continue
-            text = data.draw(_mutated(value)) if i == target else json.dumps(value)
+            text = json.dumps(value)
+            if i == target:
+                kind, text = data.draw(_mutated(value))
             if argv[-1] == "--x":  # joined, so text starting with "-" is not an option
                 argv[-1] = f"--x={text}"
             else:
@@ -400,6 +461,7 @@ def test_cli_fuzz_exit_0_json_or_exit_1_error(command, data):
         with redirect_stdout(out):
             code = main(argv)
     if code == 0:
+        assert kind != "boolean", argv  # every number in a payload is a numeric field
         _strict_json(out.getvalue())
     else:
         assert code == 1
