@@ -215,23 +215,19 @@ def levy_condition(F: StepDF, G: StepDF, h: float) -> bool:
         raise ValueError("h must lie in (0, 1]")
     lo, hi = -1.0 / h, 1.0 / h
 
-    def holds_left(x: float) -> bool:
-        g = df_eval(G, x)
-        return df_eval(F, x - h) - h <= g <= df_eval(F, x + h) + h
-
-    def holds_right(x: float) -> bool:
-        g = _df_eval_right(G, x)
-        return _df_eval_right(F, x - h) - h <= g <= _df_eval_right(F, x + h) + h
+    def holds(x: float, at) -> bool:
+        g = at(G, x)
+        return at(F, x - h) - h <= g <= at(F, x + h) + h
 
     events = set(G.breakpoints)
     for t in F.breakpoints:
         events.add(t - h)
         events.add(t + h)
     inside = sorted(e for e in events if lo < e < hi)
-    if not all(holds_left(e) for e in inside):
+    if not all(holds(e, df_eval) for e in inside):
         return False
     # open subintervals to the right of each event, and (lo, first event)
-    return all(holds_right(e) for e in [lo, *inside])
+    return all(holds(e, _df_eval_right) for e in [lo, *inside])
 
 
 LEVY_TOL = 1e-9

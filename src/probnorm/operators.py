@@ -3,7 +3,9 @@ open-mapping / norm-equivalence / uniform-boundedness computations.
 
 Exact operator norms rely on the band norms' unit balls being polytopes: the
 sup of a convex function over a polytope sits at a vertex, so a weighted-L1
-domain needs 2n evaluations and a weighted-Linf domain 2^n (capped).
+domain needs 2n evaluations and a weighted-Linf domain 2^n (capped).  Every
+exact quantity is read from `_norm_table`, which enumerates one domain band's
+vertices and returns a table over matrices x codomain bands.
 """
 
 from __future__ import annotations
@@ -56,16 +58,25 @@ def _band_norm(space: PNSpace, w: float):
     return space.family.bands[space.family.band_index_left(w)].norm
 
 
-def _exact_norm(matrix: np.ndarray, dom_norm, cod_norm) -> float:
+def _norm_table(dom_norm, matrices, cod_norms) -> np.ndarray:
+    """Exact norms from one domain band: entry (i, j) is the sup of
+    cod_norms[j] over matrices[i] applied to the unit ball of dom_norm.
+
+    The vertices are enumerated once and each matrix's images formed once.
+    A weighted-L1 ball's vertices are +-e_j / w_j, so from an L1 domain the
+    norm is the best of n columns scaled by 1 / w_j.
+    """
     if not isinstance(dom_norm, WeightedNorm):
         raise ValueError("exact operator norms need a weighted L1/Linf domain band")
     verts = dom_norm.unit_ball_vertices()
-    return float(cod_norm.eval_many(verts @ matrix.T).max())
+    images = (verts @ matrix.T for matrix in matrices)
+    return np.array([[cod.eval_many(im).max() for cod in cod_norms] for im in images])
 
 
 def operator_norm_exact(T: LinearOperator, w: float, wp: float) -> float:
     """||T||_(w,w') = sup{||Tx||_w' : ||x||_w <= 1} by vertex enumeration."""
-    return _exact_norm(T.matrix, _band_norm(T.domain, w), _band_norm(T.codomain, wp))
+    dom_norm, cod_norm = _band_norm(T.domain, w), _band_norm(T.codomain, wp)
+    return float(_norm_table(dom_norm, (T.matrix,), (cod_norm,))[0, 0])
 
 
 def _mc_directions(rng, n: int, samples: int, dom_norm) -> np.ndarray:
@@ -126,12 +137,10 @@ class NormProfile:
 
 
 def norm_profile(T: LinearOperator) -> NormProfile:
-    dom_bands = T.domain.family.bands
-    cod_bands = T.codomain.family.bands
-    table = np.empty((len(dom_bands), len(cod_bands)))
-    for i, db in enumerate(dom_bands):
-        for j, cb in enumerate(cod_bands):
-            table[i, j] = _exact_norm(T.matrix, db.norm, cb.norm)
+    cod_norms = [b.norm for b in T.codomain.family.bands]
+    table = np.concatenate(
+        [_norm_table(b.norm, (T.matrix,), cod_norms) for b in T.domain.family.bands]
+    )
     return NormProfile(
         T.domain.family.midpoints(), T.codomain.family.midpoints(), table
     )
@@ -141,7 +150,6 @@ def norm_profile(T: LinearOperator) -> NormProfile:
 class BoundCheckReport:
     bound: float
     max_ratio: float
-    trials: int
     passed: bool
 
 
@@ -158,7 +166,7 @@ def bound_check(T: LinearOperator, w: float, wp: float, trials: int, seed: int) 
         if nx == 0.0:
             continue
         max_ratio = max(max_ratio, T.codomain.norm_at(T.apply(x), wp) / nx)
-    return BoundCheckReport(bound, max_ratio, trials, max_ratio <= bound + 1e-9)
+    return BoundCheckReport(bound, max_ratio, max_ratio <= bound + 1e-9)
 
 
 def functional_norm(f: LinearOperator, w: float) -> float:
@@ -178,7 +186,8 @@ def functional_norm(f: LinearOperator, w: float) -> float:
     if not ok:
         raise ValueError("functional_norm needs the 1-dim single-band codomain with weight 1")
     dom = f.domain.family
-    return _exact_norm(f.matrix, dom.bands[dom.band_index(w)].norm, cod.bands[0].norm)
+    dom_norm = dom.bands[dom.band_index(w)].norm
+    return float(_norm_table(dom_norm, (f.matrix,), (cod.bands[0].norm,))[0, 0])
 
 
 def graph_norm(T: LinearOperator, x, w: float, wp: float) -> float:
@@ -267,7 +276,6 @@ def norm_equivalence_constants(
 class UniformBoundResult:
     w: float
     bound: float
-    band_midpoints: tuple[float, ...]
     band_sups: tuple[float, ...]
     probe_sups: tuple[float, ...]
 
@@ -283,11 +291,10 @@ def uniform_bound(family, wp: float, probes=()) -> UniformBoundResult:
         raise ValueError("operator family must be nonempty")
     dom = family[0].domain.family
     cod_norm = _band_norm(family[0].codomain, wp)
-    band_sups = [max(_exact_norm(T.matrix, b.norm, cod_norm) for T in family) for b in dom.bands]
+    matrices = [T.matrix for T in family]
+    band_sups = [float(_norm_table(b.norm, matrices, (cod_norm,)).max()) for b in dom.bands]
     best = min(range(len(band_sups)), key=band_sups.__getitem__)
     probe_sups = tuple(
         max(T.codomain.norm_at(T.apply(x), wp) for T in family) for x in probes
     )
-    return UniformBoundResult(
-        dom.midpoints()[best], band_sups[best], dom.midpoints(), tuple(band_sups), probe_sups
-    )
+    return UniformBoundResult(dom.midpoints()[best], band_sups[best], tuple(band_sups), probe_sups)

@@ -151,11 +151,13 @@ class SeminormFamily:
             raise ValueError("dimension must be >= 1")
         if not bands:
             raise ValueError("at least one band required")
-        uptos = [b.upto for b in bands]
+        uptos = tuple(b.upto for b in bands)
         if any(u2 <= u1 for u1, u2 in zip(uptos, uptos[1:])) or uptos[-1] != 1.0:
             raise ValueError("band ends must be strictly increasing and finish at 1")
         if any(not 0.0 < u <= 1.0 for u in uptos):
             raise ValueError("band ends must lie in (0, 1]")
+        # kept for every band lookup; not a dataclass field, so not in == or repr
+        object.__setattr__(self, "uptos", uptos)
         for b in bands:
             if b.norm.dimension != self.dimension:
                 raise ValueError("band norm dimension mismatch")
@@ -169,10 +171,6 @@ class SeminormFamily:
             if not self.bands[k + 1].norm.dominates(self.bands[k].norm):
                 return False, f"band {k + 1} does not dominate band {k}"
         return True, "monotone"
-
-    @property
-    def uptos(self) -> tuple[float, ...]:
-        return tuple(b.upto for b in self.bands)
 
     def starts(self) -> tuple[float, ...]:
         return (0.0,) + self.uptos[:-1]

@@ -37,6 +37,14 @@ def _number_list(obj, where: str) -> list[float]:
     return [float(v) for v in obj]
 
 
+def _built(where: str, make, *args):
+    """make(*args), with a constructor's ValueError reported as a SchemaError at where."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise SchemaError(where, str(e)) from e
+
+
 def _require(obj, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(where, f"missing key {key!r}")
@@ -50,10 +58,7 @@ def stepdf_to_json(F: StepDF) -> dict:
 def stepdf_from_json(obj, where: str = "stepdf") -> StepDF:
     bps = _number_list(_require(obj, "breakpoints", where), f"{where}.breakpoints")
     vals = _number_list(_require(obj, "values", where), f"{where}.values")
-    try:
-        return StepDF(bps, vals)
-    except ValueError as e:
-        raise SchemaError(where, str(e)) from e
+    return _built(where, StepDF, bps, vals)
 
 
 def quantile_to_json(Q: StepQuantile) -> dict:
@@ -76,10 +81,7 @@ def quantile_from_json(obj, where: str = "quantile") -> StepQuantile:
             qv.append(float(v))
         else:
             raise SchemaError(f"{where}.qvalues", f"bad entry {v!r}")
-    try:
-        return StepQuantile(wb, qv)
-    except ValueError as e:
-        raise SchemaError(where, str(e)) from e
+    return _built(where, StepQuantile, wb, qv)
 
 
 def tnorm_from_json(tag, where: str = "tnorm") -> TNormKind:
@@ -118,14 +120,8 @@ def space_from_json(obj, where: str = "space") -> PNSpace:
         if kind not in ("l1", "linf"):
             raise SchemaError(f"{bw}.kind", f"unknown kind {kind!r} (use l1 | linf)")
         weights = _number_list(_require(rb, "weights", bw), f"{bw}.weights")
-        try:
-            bands.append(Band(float(upto), WeightedNorm(kind, weights)))
-        except ValueError as e:
-            raise SchemaError(bw, str(e)) from e
-    try:
-        return PNSpace(SeminormFamily(dim, tuple(bands)))
-    except ValueError as e:
-        raise SchemaError(where, str(e)) from e
+        bands.append(Band(float(upto), _built(bw, WeightedNorm, kind, weights)))
+    return PNSpace(_built(where, SeminormFamily, dim, tuple(bands)))
 
 
 def operator_to_json(T: LinearOperator) -> dict:
@@ -145,7 +141,4 @@ def operator_from_json(obj, where: str = "operator") -> LinearOperator:
         raise SchemaError(f"{where}.matrix", "rows must have equal length")
     domain = space_from_json(_require(obj, "domain", where), f"{where}.domain")
     codomain = space_from_json(_require(obj, "codomain", where), f"{where}.codomain")
-    try:
-        return LinearOperator(matrix, domain, codomain)
-    except ValueError as e:
-        raise SchemaError(where, str(e)) from e
+    return _built(where, LinearOperator, matrix, domain, codomain)

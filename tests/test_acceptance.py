@@ -5,12 +5,15 @@ tolerance; `pytest -s tests/test_acceptance.py` shows the verdict lines live.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import probnorm
 from probnorm.distfn import (
     LEVY_TOL,
     StepDF,
@@ -305,8 +308,12 @@ def test_08_section4_demonstrations(capsys):
 
 def test_09_cli_determinism(capsys):
     cmd = [sys.executable, "-m", "probnorm.cli", "check", "--suite", "all", "--seed", "42"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the subprocess imports the probnorm under test, installed or not
+    src = str(Path(probnorm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

@@ -191,7 +191,108 @@ class TestExactNorm:
         monkeypatch.setattr(operators, "operator_norm_exact", refuse)
         for seed in range(5):
             T = gen_operator(seed, gen_space(seed, 3), gen_space(seed + 50, 2))
-            assert checks._submultiplicative(T, seed) is True
+            assert checks._submultiplicative(T, norm_profile(T).table, seed) is True
+
+    def test_operator_suite_profiles_each_operator_once(self, monkeypatch):
+        # 25 operators, each profiled once and shared by profile-finite-monotone
+        # and submultiplicative, plus ST and S in submultiplicative: 75 profiles;
+        # every exact norm enumerates a domain band's vertices once
+        counts = {"profile": 0, "vertices": 0}
+        profile, vertices = operators.norm_profile, WeightedNorm.unit_ball_vertices
+
+        def counted_profile(T):
+            counts["profile"] += 1
+            return profile(T)
+
+        def counted_vertices(self):
+            counts["vertices"] += 1
+            return vertices(self)
+
+        monkeypatch.setattr(operators, "norm_profile", counted_profile)
+        monkeypatch.setattr(WeightedNorm, "unit_ball_vertices", counted_vertices)
+        rows = checks.run_suites("operator", 42, 25)
+        assert all(r.passed for r in rows)
+        assert counts["profile"] == 75
+        assert counts["vertices"] <= 409
+
+
+def banded(kind, seed, n, nbands):
+    """A monotone family of nbands weighted norms of one kind on R^n."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 2.0, n)
+    bands = []
+    for k in range(nbands):
+        bands.append(Band((k + 1) / nbands, WeightedNorm(kind, tuple(weights))))
+        weights = weights * rng.uniform(1.0, 1.5, n)
+    return PNSpace(SeminormFamily(n, tuple(bands)))
+
+
+def per_pair(matrix, dom_norm, cod_norm):
+    """One exact norm from its own vertex list: the formula every exact path computes."""
+    return float(cod_norm.eval_many(dom_norm.unit_ball_vertices() @ matrix.T).max())
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestKernelAgainstPerPairFormula:
+    """Every exact quantity equals the per-pair formula bit for bit."""
+
+    @staticmethod
+    def cases(dom_kind, cod_kind):
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            dom = banded(dom_kind, seed, n, 1 + seed % 4)
+            if cod_kind == "product":
+                cod = product_space(
+                    banded(NormKind.L1, seed + 100, m, 2), banded(NormKind.LINF, seed + 200, 2, 3)
+                )
+            else:
+                cod = banded(NormKind(cod_kind), seed + 100, m, 1 + seed % 3)
+            yield seed, dom, cod
+
+    @pytest.mark.parametrize("dom_kind", [NormKind.L1, NormKind.LINF])
+    @pytest.mark.parametrize("cod_kind", ["l1", "linf", "product"])
+    def test_profile_and_single_norms(self, dom_kind, cod_kind):
+        for seed, dom, cod in self.cases(dom_kind, cod_kind):
+            T = gen_operator(seed, dom, cod)
+            expected = [
+                [per_pair(T.matrix, db.norm, cb.norm) for cb in cod.family.bands]
+                for db in dom.family.bands
+            ]
+            assert bits(norm_profile(T).table) == bits(expected)
+            for i, w in enumerate(dom.family.midpoints()):
+                for j, wp in enumerate(cod.family.midpoints()):
+                    value = operator_norm_exact(T, w, wp)
+                    assert type(value) is float and bits(value) == bits(expected[i][j])
+
+    @pytest.mark.parametrize("dom_kind", [NormKind.L1, NormKind.LINF])
+    def test_functional_norm(self, dom_kind):
+        for seed, dom, _ in self.cases(dom_kind, "l1"):
+            f = gen_operator(seed, dom, SCALAR)
+            for band, w in zip(dom.family.bands, dom.family.midpoints()):
+                value = functional_norm(f, w)
+                expected = per_pair(f.matrix, band.norm, SCALAR.family.bands[0].norm)
+                assert type(value) is float and bits(value) == bits(expected)
+
+    @pytest.mark.parametrize("dom_kind", [NormKind.L1, NormKind.LINF])
+    @pytest.mark.parametrize("cod_kind", ["l1", "linf", "product"])
+    def test_uniform_bound(self, dom_kind, cod_kind):
+        for seed, dom, cod in self.cases(dom_kind, cod_kind):
+            family = [gen_operator(seed + 10 * k, dom, cod) for k in range(3)]
+            for cb, wp in zip(cod.family.bands, cod.family.midpoints()):
+                res = uniform_bound(family, wp)
+                sups = [
+                    max(per_pair(T.matrix, db.norm, cb.norm) for T in family)
+                    for db in dom.family.bands
+                ]
+                best = sups.index(min(sups))
+                assert all(type(v) is float for v in res.band_sups)
+                assert bits(res.band_sups) == bits(sups)
+                assert bits(res.bound) == bits(sups[best])
+                assert res.w == dom.family.midpoints()[best]
 
 
 class TestMonteCarlo:

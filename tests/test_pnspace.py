@@ -1,5 +1,7 @@
 """PN-spaces from seminorm families: probabilistic norms, axioms, products."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,15 @@ class TestSeminormFamily:
         assert fam.band_index_left(1.0) == 1
         assert seminorm_eval(fam, [1.0, 1.0], 0.3) == 3.0
         assert seminorm_eval(fam, [1.0, 1.0], 0.9) == 6.0
+
+    def test_band_ends_are_built_once_outside_the_fields(self):
+        fam = TWO_BAND.family
+        assert fam.uptos == (0.5, 1.0)
+        assert fam.uptos is fam.uptos
+        # not a field: == and repr see only the dimension and the bands
+        assert [f.name for f in dataclasses.fields(fam)] == ["dimension", "bands"]
+        assert "uptos" not in repr(fam)
+        assert fam == SeminormFamily(fam.dimension, fam.bands)
 
 
 class TestProbNorm:

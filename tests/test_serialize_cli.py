@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from probnorm import checks, cli, serialize
 from probnorm.cli import main
-from probnorm.distfn import StepDF, quasi_inverse, unit_step
+from probnorm.distfn import StepDF, StepQuantile, quasi_inverse, unit_step
+from probnorm.operators import LinearOperator
+from probnorm.pnspace import Band, PNSpace, SeminormFamily, WeightedNorm
 from probnorm.serialize import SchemaError
 from probnorm.testkit import gen_operator, gen_space, gen_stepdf
 
@@ -83,6 +85,123 @@ class TestSerialize:
                     ],
                 }
             )
+
+    def test_constructor_errors_are_located(self):
+        # a constructor's ValueError becomes a SchemaError at the payload's own place
+        space = {"dimension": 1, "bands": [{"upto": 1.0, "kind": "l1", "weights": [1.0]}]}
+        cases = (
+            (serialize.stepdf_from_json, {"breakpoints": [1.0], "values": [0.5, 1.0]}, "f"),
+            (serialize.quantile_from_json, {"wbreaks": [0.5], "qvalues": [1.0]}, "q"),
+            (
+                serialize.space_from_json,
+                {"dimension": 1, "bands": [{"upto": 1.0, "kind": "l1", "weights": [0.0]}]},
+                "s.bands[0]",
+            ),
+            (
+                serialize.space_from_json,
+                {"dimension": 1, "bands": [{"upto": 0.5, "kind": "l1", "weights": [1.0]}]},
+                "s",
+            ),
+            (
+                serialize.operator_from_json,
+                {"matrix": [[1.0, 2.0]], "domain": space, "codomain": space},
+                "op",
+            ),
+        )
+        for load, obj, where in cases:
+            with pytest.raises(SchemaError) as e:
+                load(obj, where.split(".")[0])
+            assert e.value.where == where
+            assert isinstance(e.value.__cause__, ValueError)
+            assert e.value.message == str(e.value.__cause__)
+
+
+def _via_json_text(obj):
+    """The wire path of a payload: JSON text, then the CLI's one JSON reader."""
+    return cli._read_json(json.dumps(obj), "payload")
+
+
+def _sorted_unique(elements, min_size, max_size):
+    return st.lists(elements, min_size=min_size, max_size=max_size, unique=True).map(sorted)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_INSIDE_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _stepdfs(draw):
+    bps = draw(_sorted_unique(st.floats(min_value=0.0, allow_infinity=False), 1, 6))
+    vals = draw(st.lists(st.floats(0.0, 1.0), min_size=len(bps), max_size=len(bps)))
+    return StepDF(bps, [0.0, *sorted(vals)])
+
+
+@st.composite
+def _improper_quantiles(draw):
+    inner = draw(_sorted_unique(_INSIDE_UNIT, 0, 5))
+    finite = draw(
+        st.lists(
+            st.floats(min_value=0.0, allow_infinity=False),
+            min_size=len(inner),
+            max_size=len(inner),
+        )
+    )
+    return StepQuantile([*inner, 1.0], [*sorted(finite), math.inf])
+
+
+@st.composite
+def _spaces(draw):
+    n = draw(st.integers(1, 4))
+    uptos = [*draw(_sorted_unique(_INSIDE_UNIT, 0, 4)), 1.0]
+    kind = draw(st.sampled_from(["l1", "linf"]))
+    rows = st.lists(_POSITIVE, min_size=n, max_size=n)
+    weights = draw(st.lists(rows, min_size=len(uptos), max_size=len(uptos)))
+    bands = tuple(
+        Band(u, WeightedNorm(kind, w))
+        for u, w in zip(uptos, np.maximum.accumulate(np.array(weights), axis=0))
+    )
+    return PNSpace(SeminormFamily(n, bands))
+
+
+@st.composite
+def _operators(draw):
+    domain, codomain = draw(_spaces()), draw(_spaces())
+    shape = (codomain.dimension, domain.dimension)
+    row = st.lists(_FINITE, min_size=shape[1], max_size=shape[1])
+    rows = draw(st.lists(row, min_size=shape[0], max_size=shape[0]))
+    return LinearOperator(np.array(rows), domain, codomain)
+
+
+class TestJsonRoundTrip:
+    """Each wire type survives JSON text and the CLI's reader unchanged."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(F=_stepdfs())
+    def test_stepdf(self, F):
+        back = serialize.stepdf_from_json(_via_json_text(serialize.stepdf_to_json(F)))
+        assert back == F and repr(back) == repr(F)
+
+    @settings(max_examples=60, deadline=None)
+    @given(Q=_improper_quantiles())
+    def test_quantile_with_inf_tail(self, Q):
+        back = serialize.quantile_from_json(_via_json_text(serialize.quantile_to_json(Q)))
+        assert back == Q and repr(back) == repr(Q)
+        assert back.qvalues[-1] == math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(P=_spaces())
+    def test_space(self, P):
+        back = serialize.space_from_json(_via_json_text(serialize.space_to_json(P)))
+        assert back == P and repr(back) == repr(P)
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=_operators())
+    def test_operator(self, T):
+        back = serialize.operator_from_json(_via_json_text(serialize.operator_to_json(T)))
+        assert back.matrix.shape == T.matrix.shape
+        assert back.matrix.tobytes() == T.matrix.tobytes()
+        assert back.domain == T.domain and back.codomain == T.codomain
 
 
 @pytest.fixture
@@ -333,6 +452,19 @@ class TestCLI:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "e4b546cabc93053fb0e5ac3867875b399e1de61f4cb1ac8728a44446df0929af"
+
+    def test_operator_check_reports_are_pinned(self, capsys):
+        # every seed and case count the operator suite runs with in the cli
+        # benchmark workload, plus the default count
+        digest = hashlib.sha256()
+        for seed in range(6):
+            for cases in (1, 2, 25):
+                code, out = self.run(
+                    capsys, "check", "--suite", "operator", "--seed", str(seed), "--cases", str(cases)
+                )
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == "27b4315838c7400f478b6ccabb38fe15eb86740ceb78689e2284d133d146fda3"
 
     def test_df_eval_abscissa_may_be_infinite(self, capsys, files):
         code, out = self.run(capsys, "df-eval", "--f", files("f.json", H2), "--x", "inf")
