@@ -285,10 +285,13 @@ def uniform_bound(family, wp: float, probes=()) -> UniformBoundResult:
 
     Returns the domain band (midpoint) minimizing the family sup, plus the
     pointwise premise sup_n ||T_n x||_w' for any supplied probe vectors.
+    The members must share one domain and one codomain.
     """
     family = list(family)
     if not family:
         raise ValueError("operator family must be nonempty")
+    if any(T.domain != family[0].domain or T.codomain != family[0].codomain for T in family):
+        raise ValueError("operator family members must share a domain and a codomain")
     dom = family[0].domain.family
     cod_norm = _band_norm(family[0].codomain, wp)
     matrices = [T.matrix for T in family]

@@ -17,8 +17,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .distfn import StepDF, df_eval, df_scale, unit_step
-from .triangle import TNormKind, tau_sup_conv
+from .distfn import StepDF, StepQuantile, df_eval, df_scale, qf_add, qf_eval, quasi_inverse, unit_step
 
 
 class NormKind(enum.Enum):
@@ -319,12 +318,16 @@ class PNAxiomReport:
         )
 
 
-def _df_jitter_ge(A: StepDF, B: StepDF) -> bool:
-    # A >= B at every breakpoint of both sides, with a 1e-12-relative abscissa
-    # guard for jumps that coincide only up to rounding
-    for t in sorted(set(A.breakpoints) | set(B.breakpoints)):
-        eps = 1e-12 * (1.0 + abs(t))
-        if df_eval(A, t + eps) < df_eval(B, t - eps):
+def _hat_le(Q1: StepQuantile, Q2: StepQuantile) -> bool:
+    """Q1 <= Q2 on (0, 1], up to 1e-12 relative to Q2 for sums that differ by rounding.
+
+    Both are constant on each band between consecutive wbreaks of either, so
+    the wbreaks cover every band.  For left-continuous d.f.s, F >= G
+    everywhere iff hat F <= hat G, so this decides F >= G on their hats.
+    """
+    for w in set(Q1.wbreaks) | set(Q2.wbreaks):
+        q2 = qf_eval(Q2, w)
+        if qf_eval(Q1, w) > q2 + 1e-12 * (1.0 + q2):
             return False
     return True
 
@@ -341,6 +344,10 @@ def _first_failure(witnesses) -> CheckResult:
 
 def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomReport:
     """Sampled checks of N1, N2, N3 (with tau_M), and the scaling law.
+
+    N3 is decided on hats, with no convolution: hat tau_M(F, G) = hat F +
+    hat G, and nu_{x+y} >= tau_M(nu_x, nu_y) iff hat nu_{x+y} <= hat nu_x +
+    hat nu_y on (0, 1].
 
     Scaling is asserted as exact StepDF equality for power-of-two scalars
     (where float scaling commutes with the norm evaluation) and to 1e-12
@@ -369,9 +376,9 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
     def n3():
         for _ in range(samples):
             x, y = _nonzero(rng, n), _nonzero(rng, n)
-            lhs = P.prob_norm(x + y)
-            rhs = tau_sup_conv(TNormKind.MIN, P.prob_norm(x), P.prob_norm(y))
-            if not _df_jitter_ge(lhs, rhs):
+            lhs = quasi_inverse(P.prob_norm(x + y))
+            rhs = qf_add(quasi_inverse(P.prob_norm(x)), quasi_inverse(P.prob_norm(y)))
+            if not _hat_le(lhs, rhs):
                 yield f"N3 fails at x = {x.tolist()}, y = {y.tolist()}"
 
     def scaling():

@@ -8,6 +8,7 @@ check and only replaces the continuum bisection with a fixed 1e-5 grid).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,21 @@ def oracle_conv_dense(T: TNormKind, F: StepDF, G: StepDF, sup: bool) -> StepDF:
     return StepDF(tuple(cands), tuple(np.maximum.accumulate(out_vals)))
 
 
+def oracle_operator_norm(matrix: np.ndarray, dom_norm: WeightedNorm, cod_norm) -> float:
+    """sup of cod_norm(matrix x) over dom_norm's unit ball, from the weights alone.
+
+    An L1 domain: the best column, scaled by 1 / w_j.  An Linf domain: brute
+    force over the sign hypercube, x = signs / weights.
+    """
+    weights = np.array(dom_norm.weights)
+    if dom_norm.kind is NormKind.L1:
+        return max(cod_norm.eval(matrix[:, j] / w) for j, w in enumerate(weights))
+    return max(
+        cod_norm.eval(matrix @ (np.array(signs) / weights))
+        for signs in itertools.product((-1.0, 1.0), repeat=len(weights))
+    )
+
+
 LEVY_GRID = 1e-5
 
 
@@ -183,38 +199,3 @@ def gen_operator(seed: int, domain: PNSpace, codomain: PNSpace) -> LinearOperato
 
 def gen_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-3.0, 3.0, n)
-
-
-# ---------------------------------------------------------------------------
-# finite-prefix sequence helpers (strong convergence / Cauchy, Def-style)
-
-
-def strong_convergence_index(P: PNSpace, seq, limit, t_grid) -> dict[float, int | None]:
-    """For each t, the first index from which the whole remaining prefix sits
-    in the neighborhood N_limit(t); None if the prefix never settles."""
-    out: dict[float, int | None] = {}
-    for t in t_grid:
-        inside = [P.neighborhood_contains(limit, t, p) for p in seq]
-        settled = None
-        for m in range(len(seq)):
-            if all(inside[m:]):
-                settled = m
-                break
-        out[t] = settled
-    return out
-
-
-def strong_cauchy_index(P: PNSpace, seq, t_grid) -> dict[float, int | None]:
-    """For each t, the first N with nu_{p_n - p_m}(t) > 1 - t for all m, n > N."""
-    out: dict[float, int | None] = {}
-    for t in t_grid:
-        settled = None
-        for N in range(len(seq)):
-            tail = seq[N + 1 :]
-            if all(
-                P.neighborhood_contains(a, t, b) for i, a in enumerate(tail) for b in tail[i:]
-            ):
-                settled = N
-                break
-        out[t] = settled
-    return out

@@ -41,7 +41,7 @@ from probnorm.pnspace import (
     product_space,
     single_band_space,
     validate_pn_axioms,
-    _df_jitter_ge,
+    _hat_le,
 )
 from probnorm.testkit import (
     OracleConfig,
@@ -214,9 +214,9 @@ def test_06_product_spaces(capsys):
         if not np.array_equal(p, q):
             ok &= Fpq != h0  # PM2
         ok &= Fpq == R.pm_distance(q, p)  # PM3
-        lhs = R.pm_distance(p, r)
-        rhs = tau_sup_conv(TNormKind.MIN, Fpq, R.pm_distance(q, r))
-        ok &= _df_jitter_ge(lhs, rhs)  # PM4 under tau_M
+        lhs = quasi_inverse(R.pm_distance(p, r))
+        rhs = qf_add(quasi_inverse(Fpq), quasi_inverse(R.pm_distance(q, r)))
+        ok &= _hat_le(lhs, rhs)  # PM4 under tau_M, on hats
     verdict(capsys, 6, ok, "product hats add exactly (200 pairs); PM1-PM4 on 500 triples")
 
 

@@ -1,7 +1,5 @@
 """Operator norms: exact vertex enumeration, MC lower bounds, open mapping."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,7 @@ from probnorm.pnspace import (
     product_space,
     single_band_space,
 )
-from probnorm.testkit import gen_operator, gen_space, gen_vector
+from probnorm.testkit import gen_operator, gen_space, gen_vector, oracle_operator_norm
 
 
 def space_l1(weights):
@@ -38,24 +36,6 @@ def space_l1(weights):
 
 def space_linf(weights):
     return single_band_space(WeightedNorm(NormKind.LINF, tuple(weights)))
-
-
-def l1_domain_oracle(matrix, dom_weights, cod_norm):
-    """||T|| from an L1 domain: best column, scaled by its weight."""
-    best = 0.0
-    for j, wj in enumerate(dom_weights):
-        best = max(best, cod_norm.eval(matrix[:, j] / wj))
-    return best
-
-
-def linf_domain_oracle(matrix, dom_weights, cod_norm):
-    """||T|| from an Linf domain: brute force over the sign hypercube."""
-    n = len(dom_weights)
-    best = 0.0
-    for signs in itertools.product((-1.0, 1.0), repeat=n):
-        x = np.array(signs) / np.array(dom_weights)
-        best = max(best, cod_norm.eval(matrix @ x))
-    return best
 
 
 TWO_BAND_DOMAIN = PNSpace(
@@ -133,7 +113,7 @@ class TestExactNorm:
             cod_norm = WeightedNorm(kind, tuple(rng.uniform(0.5, 2.0, m)))
             T = LinearOperator(rng.uniform(-2, 2, (m, n)), dom, single_band_space(cod_norm))
             assert operator_norm_exact(T, 0.5, 0.5) == pytest.approx(
-                l1_domain_oracle(T.matrix, dw, cod_norm), rel=1e-12
+                oracle_operator_norm(T.matrix, dom.family.bands[0].norm, cod_norm), rel=1e-12
             )
 
     def test_linf_domain_matches_oracle(self):
@@ -146,7 +126,7 @@ class TestExactNorm:
             cod_norm = WeightedNorm(kind, tuple(rng.uniform(0.5, 2.0, m)))
             T = LinearOperator(rng.uniform(-2, 2, (m, n)), dom, single_band_space(cod_norm))
             assert operator_norm_exact(T, 0.5, 0.5) == pytest.approx(
-                linf_domain_oracle(T.matrix, dw, cod_norm), rel=1e-12
+                oracle_operator_norm(T.matrix, dom.family.bands[0].norm, cod_norm), rel=1e-12
             )
 
     def test_linf_dimension_cap(self):
@@ -196,7 +176,8 @@ class TestExactNorm:
     def test_operator_suite_profiles_each_operator_once(self, monkeypatch):
         # 25 operators, each profiled once and shared by profile-finite-monotone
         # and submultiplicative, plus ST and S in submultiplicative: 75 profiles;
-        # every exact norm enumerates a domain band's vertices once
+        # every exact norm enumerates a domain band's vertices once, and
+        # uniform-bound-dominates checks its members with the weights-only oracle
         counts = {"profile": 0, "vertices": 0}
         profile, vertices = operators.norm_profile, WeightedNorm.unit_ball_vertices
 
@@ -213,7 +194,7 @@ class TestExactNorm:
         rows = checks.run_suites("operator", 42, 25)
         assert all(r.passed for r in rows)
         assert counts["profile"] == 75
-        assert counts["vertices"] <= 409
+        assert counts["vertices"] <= 289
 
 
 def banded(kind, seed, n, nbands):
@@ -509,3 +490,12 @@ class TestEquivalenceAndUniformBound:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             uniform_bound([], 0.5)
+
+    def test_uniform_bound_rejects_mixed_spaces(self):
+        # measured in A's norms, I: B -> A would read 1.0, but its norm is 100.0
+        A, B = space_l1([1.0, 1.0]), space_l1([0.01, 0.01])
+        eye = np.eye(2)
+        assert operator_norm_exact(LinearOperator(eye, B, A), 0.5, 0.5) == 100.0
+        for other in (LinearOperator(eye, B, A), LinearOperator(eye, A, B)):
+            with pytest.raises(ValueError, match="share a domain and a codomain"):
+                uniform_bound([LinearOperator(eye, A, A), other], 0.5)

@@ -1,10 +1,14 @@
 """PN-spaces from seminorm families: probabilistic norms, axioms, products."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from probnorm import checks
 from probnorm.distfn import (
     StepDF,
     df_eval,
@@ -24,10 +28,13 @@ from probnorm.pnspace import (
     product_space,
     seminorm_eval,
     single_band_space,
+    _hat_le,
     validate_pn_axioms,
 )
-from probnorm.testkit import gen_space, gen_vector, strong_convergence_index
+from probnorm.testkit import _scan_eval_many, gen_space, gen_vector
 from probnorm.triangle import TNormKind, tau_sup_conv
+
+from prefix_limits import strong_convergence_index
 
 
 def measure_oracle(P: PNSpace, x, t: float, step: float = 1e-5) -> float:
@@ -47,6 +54,20 @@ def measure_oracle(P: PNSpace, x, t: float, step: float = 1e-5) -> float:
     ws = np.arange(step / 2, 1.0, step)
     idx = np.searchsorted(np.array(P.family.uptos), ws, side="right")
     return float(np.count_nonzero(np.array(vals)[idx] < t)) * step
+
+
+class SquaredL1:
+    """(sum |x_i|)^2: homogeneous of degree 2 and superadditive, so not a norm."""
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+
+    def eval(self, x) -> float:
+        return float(np.abs(x).sum()) ** 2
+
+
+def squared_l1_space(n: int) -> PNSpace:
+    return PNSpace(SeminormFamily(n, (Band(1.0, SquaredL1(n)),)))
 
 
 TWO_BAND = PNSpace(
@@ -222,6 +243,14 @@ class TestProbNorm:
         assert not report.monotone.passed
         assert report.monotone.witness
 
+    def test_n3_fails_on_a_superadditive_band(self):
+        # p(x + y) = 4 > p(x) + p(y) = 2 at x = e1, y = e2: nu_{x+y} lags
+        # tau_M(nu_x, nu_y) by a whole interval
+        report = validate_pn_axioms(squared_l1_space(2), 50, 0)
+        assert report.n1.passed and report.n2.passed
+        assert not report.n3.passed
+        assert report.n3.witness.startswith("N3 fails at x = ")
+
     def test_n3_equality_for_colinear(self):
         rng = np.random.default_rng(7)
         for seed in range(10):
@@ -280,6 +309,12 @@ class TestMetricAndBalls:
             if not np.array_equal(p, q):
                 assert P.pm_distance(p, q) != unit_step(0.0)
 
+    def test_pm_axioms_check_catches_a_lagging_distance(self):
+        # p, q, r = 0, 1, 2: F_pr = H_4 lags tau_M(F_pq, F_qr) = tau_M(H_1, H_1) = H_2
+        points = iter(([0.0], [1.0], [2.0]))
+        rng = types.SimpleNamespace(uniform=lambda lo, hi, n: np.array(next(points)))
+        assert not checks._pm_axioms(squared_l1_space(1), rng)
+
     def test_neighborhood_examples(self):
         P = single_band_space(WeightedNorm(NormKind.L1, (1.0,)))
         # nu_{p-q} = H_{0.2}: in N_p(t) iff t > 0.2
@@ -318,3 +353,40 @@ class TestMetricAndBalls:
         assert out[0.5] is not None and out[0.1] is not None
         assert out[0.5] <= out[0.1] <= (out[0.02] if out[0.02] is not None else 50)
 
+
+def lattice_stepdf(draw) -> StepDF:
+    """Breakpoints on the 1/16 lattice; values on the 1/8 lattice or anywhere in
+    [0, 1]; proper or not."""
+    bps = sorted(draw(st.lists(st.integers(0, 24), min_size=1, max_size=6, unique=True)))
+    value = st.integers(0, 8).map(lambda k: k / 8.0) | st.floats(0.0, 1.0)
+    vals = sorted(draw(st.lists(value, min_size=len(bps), max_size=len(bps))))
+    if draw(st.booleans()):
+        vals[-1] = 1.0
+    return StepDF([k / 16.0 for k in bps], [0.0, *vals])
+
+
+def df_ge_everywhere(A: StepDF, B: StepDF) -> bool:
+    """A >= B by linear scans at every breakpoint, just right of each, and in the tail."""
+    bps = np.array(sorted(set(A.breakpoints) | set(B.breakpoints)))
+    xs = np.concatenate((bps, bps + 1.0 / 32.0, [bps[-1] + 1.0]))
+    return bool(np.all(_scan_eval_many(A, xs) >= _scan_eval_many(B, xs)))
+
+
+class TestHatOrder:
+    def test_unit_steps(self):
+        # H_2 lags H_1 by one interval: H_2 >= H_1 fails at every t in (1, 2]
+        assert not _hat_le(quasi_inverse(unit_step(2.0)), quasi_inverse(unit_step(1.0)))
+        assert _hat_le(quasi_inverse(unit_step(1.0)), quasi_inverse(unit_step(2.0)))
+        assert _hat_le(quasi_inverse(unit_step(1.0)), quasi_inverse(unit_step(1.0)))
+
+    def test_rounding_slack(self):
+        # sums that differ by rounding pass; a gap of 1e-9 does not
+        lhs = quasi_inverse(unit_step(0.1 + 0.2))
+        assert _hat_le(lhs, quasi_inverse(unit_step(0.3)))
+        assert not _hat_le(quasi_inverse(unit_step(0.3 + 1e-9)), quasi_inverse(unit_step(0.3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_decides_df_order(self, data):
+        A, B = lattice_stepdf(data.draw), lattice_stepdf(data.draw)
+        assert _hat_le(quasi_inverse(A), quasi_inverse(B)) == df_ge_everywhere(A, B)

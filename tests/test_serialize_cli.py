@@ -453,18 +453,26 @@ class TestCLI:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "e4b546cabc93053fb0e5ac3867875b399e1de61f4cb1ac8728a44446df0929af"
 
-    def test_operator_check_reports_are_pinned(self, capsys):
-        # every seed and case count the operator suite runs with in the cli
-        # benchmark workload, plus the default count
+    def suite_digest(self, capsys, suite):
+        # every seed and case count a suite runs with in the cli benchmark
+        # workload, plus the default count
         digest = hashlib.sha256()
         for seed in range(6):
             for cases in (1, 2, 25):
                 code, out = self.run(
-                    capsys, "check", "--suite", "operator", "--seed", str(seed), "--cases", str(cases)
+                    capsys, "check", "--suite", suite, "--seed", str(seed), "--cases", str(cases)
                 )
                 assert code == 0
                 digest.update(out.encode())
-        assert digest.hexdigest() == "27b4315838c7400f478b6ccabb38fe15eb86740ceb78689e2284d133d146fda3"
+        return digest.hexdigest()
+
+    def test_operator_check_reports_are_pinned(self, capsys):
+        digest = self.suite_digest(capsys, "operator")
+        assert digest == "27b4315838c7400f478b6ccabb38fe15eb86740ceb78689e2284d133d146fda3"
+
+    def test_pnspace_check_reports_are_pinned(self, capsys):
+        digest = self.suite_digest(capsys, "pnspace")
+        assert digest == "751631aee9a0c2f0cfd056375a822648a2862d4f64b7af5ebc16cfc9aec66020"
 
     def test_df_eval_abscissa_may_be_infinite(self, capsys, files):
         code, out = self.run(capsys, "df-eval", "--f", files("f.json", H2), "--x", "inf")

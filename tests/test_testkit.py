@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from probnorm import operators
 from probnorm.distfn import df_eval, is_proper, levy_metric, unit_step
-from probnorm.pnspace import validate_pn_axioms
+from probnorm.pnspace import NormKind, WeightedNorm, validate_pn_axioms
 from probnorm.testkit import (
     OracleConfig,
     gen_operator,
@@ -13,12 +14,13 @@ from probnorm.testkit import (
     gen_vector,
     oracle_inf_conv,
     oracle_levy,
+    oracle_operator_norm,
     oracle_sup_conv,
     scan_eval,
-    strong_cauchy_index,
-    strong_convergence_index,
 )
 from probnorm.triangle import TNormKind
+
+from prefix_limits import strong_cauchy_index, strong_convergence_index
 
 
 class TestOracles:
@@ -50,6 +52,19 @@ class TestOracles:
         for seed in range(20):
             F, G = gen_stepdf(seed), gen_stepdf(seed + 100)
             assert oracle_levy(F, G) == pytest.approx(levy_metric(F, G).value, abs=1.1e-5)
+
+    def test_operator_norm_reads_only_the_weights(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact operator-norm path called")
+
+        monkeypatch.setattr(WeightedNorm, "unit_ball_vertices", refuse)
+        monkeypatch.setattr(operators, "_norm_table", refuse)
+        M = np.array([[1.0, -2.0], [3.0, 0.5]])
+        cod = WeightedNorm(NormKind.L1, (1.0, 1.0))
+        # L1 domain: columns (1, 3) / 1 and (-2, 0.5) / 0.5 give 4 and 5
+        assert oracle_operator_norm(M, WeightedNorm(NormKind.L1, (1.0, 0.5)), cod) == 5.0
+        # Linf domain: M (1, -1) = (3, 2.5) is the largest of the four sign images
+        assert oracle_operator_norm(M, WeightedNorm(NormKind.LINF, (1.0, 1.0)), cod) == 5.5
 
     def test_grid_config_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probnorm import checks
 from probnorm.distfn import StepDF, df_eval, quasi_inverse, qf_add, unit_step
 from probnorm.testkit import (
     OracleConfig,
@@ -303,3 +304,10 @@ class TestDenseOracleBitwise:
             vals = data.draw(st.lists(value_st, min_size=len(bps), max_size=len(bps)))
             dfs.append(edge_stepdf(bps, vals, proper))
         assert_matches_dense(*dfs)
+
+
+def test_check_df_order_compares_the_tail():
+    # equal up to the last breakpoint; they differ only on (1, inf)
+    full, half = StepDF((1.0,), (0.0, 1.0)), StepDF((1.0,), (0.0, 0.5))
+    assert not checks._df_le(full, half)
+    assert checks._df_le(half, full)
