@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distfn, operators, pnspace, testkit, triangle
+from . import distfn, operators, pnspace, testkit
 from .distfn import (
     df_eval,
     df_scale,
@@ -348,6 +348,12 @@ def _uniform_bound_ok(T, seed: int) -> bool:
     res = operators.uniform_bound(members, wp, probes)
     dom_norm = operators._band_norm(T.domain, res.w)
     cod_norm = operators._band_norm(T.codomain, wp)
+    # the pointwise premise sup_n ||T_n x||_w' <= bound ||x||_w on each probe
+    if any(
+        s > res.bound * dom_norm.eval(x) * (1.0 + 1e-12)
+        for s, x in zip(res.probe_sups, probes)
+    ):
+        return False
     return all(
         testkit.oracle_operator_norm(M.matrix, dom_norm, cod_norm) <= res.bound + 1e-12
         for M in members

@@ -67,24 +67,92 @@ def _tconorm_grid(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF:
-    """Shared exact convolution machinery.
+    """Shared exact convolution: sup (take_max) or inf of pair_vals over the
+    achievable band pairs, by one sort of all band pairs.
 
     F splits the line into bands (a_i, a_{i+1}] with value v_i (a_0 = -inf,
-    a_{n+1} = +inf), likewise G.  For x in an open interval between candidate
-    output breakpoints (sums a_i + b_j), the pair (i, j) is achievable iff
-    x > a_i + b_j and x <= a_{i+1} + b_{j+1}; achievability is constant on
-    the interval, so the output value is the max (or min) of pair_vals over
-    the achievable set, evaluated once per interval.
+    a_{n+1} = +inf), likewise G with bands (b_j, b_{j+1}].  The output
+    breakpoints are the K distinct sums a_i + b_j.  For x in an open interval
+    (f_k, f_{k+1}) between consecutive fences (-inf, the sums, +inf), the pair
+    (i, j) is achievable iff its low sum a_i + b_j <= f_k and its high sum
+    a_{i+1} + b_{j+1} >= f_{k+1}, and the output there is the max (or min) of
+    pair_vals over the achievable pairs.
+
+    sup: every pair with low sum <= f_k is dominated by an achievable one.  If
+    (i, j) is not achievable its high sum is a finite sum, so <= f_k, and
+    i < n.  Then (i+1, j) has low sum a_{i+1} + b_j <= a_{i+1} + b_{j+1} <= f_k
+    (float addition is monotone) and value >= that of (i, j); repeat until
+    the high sum passes f_k, which it does by i = n.  So the output is the max
+    over all pairs whose low sum is <= f_k: a running max in the order of the
+    low sums, read at the last pair <= f_k.
+
+    inf, the mirror image: every pair with high sum >= f_{k+1} is dominated by
+    an achievable one, found by stepping i down: if (i, j) is not achievable
+    its low sum is a finite sum, so >= f_{k+1}, and i > 0; then (i-1, j) has
+    high sum a_i + b_{j+1} >= a_i + b_j >= f_{k+1} and value <= that of (i, j).
+    The output is a suffix min in the order of the high sums, read at the
+    first pair >= f_{k+1}.
+
+    Both steps move along F's axis alone, so they need pair_vals nondecreasing
+    in i for each j, in floats and not just in exact arithmetic.  That holds
+    for every t-norm grid and for the W and MIN conorm grids, but PROD's conorm
+    a + b - ab is not monotone a few ulps below 1, so the premise is tested on
+    the grid itself, in O(nm).  A grid that fails it goes to _conv_range,
+    which needs no monotonicity.  The sort costs O(nm log nm), against
+    O((n+1) K log m) for the range-reduce.
+    """
+    if not (pair_vals[1:] >= pair_vals[:-1]).all():
+        return _conv_range(F, G, pair_vals, take_max)
+    a_lo, a_hi, b_lo, b_hi, cands = _band_ends(F, G)
+    fences = np.concatenate(([-math.inf], cands, [math.inf]))
+    if take_max:
+        keys = (a_lo[:, None] + b_lo[None, :]).ravel()
+        order = np.argsort(keys)
+        best = np.maximum.accumulate(pair_vals.ravel()[order])
+        at = np.searchsorted(keys[order], fences[:-1], "right") - 1
+    else:
+        keys = (a_hi[:, None] + b_hi[None, :]).ravel()
+        order = np.argsort(keys)
+        best = np.minimum.accumulate(pair_vals.ravel()[order][::-1])[::-1]
+        at = np.searchsorted(keys[order], fences[1:], "left")
+    return _step_df(cands, best[at])
+
+
+def _band_ends(F: StepDF, G: StepDF):
+    # low and high band ends of F, then of G, and the distinct sums a_i + b_j
+    a = np.array(F.breakpoints)
+    b = np.array(G.breakpoints)
+    return (
+        np.concatenate(([-math.inf], a)),
+        np.concatenate((a, [math.inf])),
+        np.concatenate(([-math.inf], b)),
+        np.concatenate((b, [math.inf])),
+        np.unique(a[:, None] + b[None, :]),
+    )
+
+
+def _step_df(cands: np.ndarray, out_vals: np.ndarray) -> StepDF:
+    # out_vals is nondecreasing.  StepDF drops the sums that carry no jump, one
+    # Python step per sum, and most carry none, so they go here first; the
+    # first sum stays so that an all-zero result keeps its mute breakpoint.
+    # Adding 0.0 turns the -0.0 that an input's values[0] = -0.0 can leave
+    # into 0.0, so the sign of a zero does not depend on the order of ties
+    keep = out_vals[1:] > out_vals[:-1]
+    keep[0] = True
+    vals = np.concatenate((out_vals[:1], out_vals[1:][keep])) + 0.0
+    return StepDF(cands[keep].tolist(), vals.tolist())
+
+
+def _conv_range(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF:
+    """The convolution of _conv by range-reduce, which needs no monotone grid.
 
     For a fixed F-band i both rows of sums a_i + b_j and a_{i+1} + b_{j+1}
     are nondecreasing in j (float addition is monotone), so the achievable
     G-bands of each interval form one contiguous range [lo, hi), found by
     two searchsorted calls on those same float sums.  The range is reduced
-    with one reduceat per row -- not read off its end, since the conorm grid
-    of PROD is not monotone in floats near 1 -- and the rows are folded by
-    max (or min).  The rows run over the d.f. with fewer breakpoints, so with
-    n <= m and K distinct breakpoint sums the searches cost O((n+1) K log m),
-    against O(n^2 m^2) for a per-interval mask.
+    with one reduceat per row -- not read off its end, since the grid need
+    not be monotone -- and the rows are folded by max (or min).  The rows run
+    over the d.f. with fewer breakpoints.
 
     The exact extrema are nondecreasing in x, but their floats need not be:
     PROD's conorm a + b - ab is not monotone a few ulps below 1, so one
@@ -95,23 +163,16 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
     if len(F.breakpoints) > len(G.breakpoints):
         # loop over the shorter d.f.; sums commute exactly, so this is a transpose
         F, G, pair_vals = G, F, pair_vals.T
-    a = np.array(F.breakpoints)
-    b = np.array(G.breakpoints)
-    a_lo = np.concatenate(([-math.inf], a))
-    a_hi = np.concatenate((a, [math.inf]))
-    b_lo = np.concatenate(([-math.inf], b))
-    b_hi = np.concatenate((b, [math.inf]))
+    a_lo, a_hi, b_lo, b_hi, cands = _band_ends(F, G)
     lows = a_lo[:, None] + b_lo[None, :]
     highs = a_hi[:, None] + b_hi[None, :]
-
-    cands = np.unique(a[:, None] + b[None, :])
     fences = np.concatenate(([-math.inf], cands, [math.inf]))
     fold = np.maximum if take_max else np.minimum
     pad = -math.inf if take_max else math.inf
     # column m+1 (the identity of fold) keeps hi == m+1 a valid reduceat index
-    padded = np.concatenate((pair_vals, np.full((len(a) + 1, 1), pad)), axis=1)
+    padded = np.concatenate((pair_vals, np.full((len(a_lo), 1), pad)), axis=1)
     out_vals = np.full(len(cands) + 1, pad)
-    for i in range(len(a) + 1):
+    for i in range(len(a_lo)):
         hi = np.searchsorted(lows[i], fences[:-1], "right")
         lo = np.searchsorted(highs[i], fences[1:], "left")
         # lo < hi always: for the last j with a_i + b_j <= f_k, either j = m
@@ -121,7 +182,7 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
         # positions span the gaps and are dropped
         bounds = np.array((lo, hi)).T.ravel()
         fold(out_vals, fold.reduceat(padded[i], bounds)[::2], out=out_vals)
-    return StepDF(tuple(cands), tuple(np.maximum.accumulate(out_vals)))
+    return _step_df(cands, np.maximum.accumulate(out_vals))
 
 
 def tau_sup_conv(T: TNormKind, F: StepDF, G: StepDF) -> StepDF:

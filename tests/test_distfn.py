@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probnorm.distfn import (
     LEVY_TOL,
@@ -292,3 +294,70 @@ class TestLevy:
             checked += 1
             assert (df_eval(F, t) > 1 - t) == (d < t)
         assert checked > 150
+
+
+# each list is either clean (sorted floats in [0, 1]), which makes valid
+# inputs likely, or mixes in any float, NaN and the infinities, in any order
+CLEAN_FLOAT = st.floats(0.0, 1.0)
+FUZZ_FLOAT = CLEAN_FLOAT | st.floats() | st.sampled_from((-0.0, math.nan, INF, -INF))
+
+
+def fuzz_list(data, min_size: int, max_size: int) -> list:
+    clean = data.draw(st.booleans())
+    elements = CLEAN_FLOAT if clean else FUZZ_FLOAT
+    xs = data.draw(st.lists(elements, min_size=min_size, max_size=max_size))
+    return sorted(xs) if clean or data.draw(st.booleans()) else xs
+
+
+def mostly(data) -> bool:
+    return data.draw(st.integers(0, 3)) > 0
+
+
+class TestConstructorFuzz:
+    """Any floats either raise ValueError or give an object that meets its own
+    invariants and that a second construction leaves unchanged."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_stepdf(self, data):
+        n = data.draw(st.integers(0, 5))
+        bps, vals = fuzz_list(data, n, n), fuzz_list(data, n, n + 2)
+        if mostly(data):  # values[0] = 0 and one more value than breakpoints
+            vals = [0.0, *vals[:n]]
+        try:
+            F = StepDF(bps, vals)
+        except ValueError:
+            return
+        bp, vs = F.breakpoints, F.values
+        assert all(type(x) is float for x in bp + vs)
+        assert len(bp) >= 1 and len(vs) == len(bp) + 1
+        assert all(math.isfinite(b) and b >= 0.0 for b in bp)
+        assert all(b1 < b2 for b1, b2 in zip(bp, bp[1:]))
+        assert vs[0] == 0.0 and all(0.0 <= v <= 1.0 for v in vs)
+        # canonical: every breakpoint carries a jump, or one mute breakpoint
+        jumps = all(v1 < v2 for v1, v2 in zip(vs, vs[1:]))
+        assert jumps or (len(bp) == 1 and vs == (0.0, 0.0))
+        assert repr(StepDF(bp, vs)) == repr(F)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_step_quantile(self, data):
+        n = data.draw(st.integers(1, 5))
+        wbreaks, qvalues = fuzz_list(data, n, n), fuzz_list(data, n, n + 1)
+        if mostly(data):
+            wbreaks[-1] = 1.0
+        if data.draw(st.booleans()):  # an improper tail
+            qvalues = [*qvalues[: n - 1], INF]
+        try:
+            Q = StepQuantile(wbreaks, qvalues)
+        except ValueError:
+            return
+        wb, qv = Q.wbreaks, Q.qvalues
+        assert all(type(x) is float for x in wb + qv)
+        assert len(wb) == len(qv) >= 1
+        assert all(0.0 < w <= 1.0 for w in wb) and wb[-1] == 1.0
+        assert all(w1 < w2 for w1, w2 in zip(wb, wb[1:]))
+        # canonical: adjacent bands differ, and only the tail may be +inf
+        assert all(q >= 0.0 for q in qv)
+        assert all(q1 < q2 for q1, q2 in zip(qv, qv[1:]))
+        assert repr(StepQuantile(wb, qv)) == repr(Q)

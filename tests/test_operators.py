@@ -1,5 +1,7 @@
 """Operator norms: exact vertex enumeration, MC lower bounds, open mapping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -490,6 +492,28 @@ class TestEquivalenceAndUniformBound:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             uniform_bound([], 0.5)
+
+    def test_check_reads_the_probe_sups(self, monkeypatch):
+        # a patched uniform_bound reports probe sups just above (or at) the
+        # premise bound * ||x||_w; its bound and norms stay exact, so only the
+        # probe check can tell
+        T = gen_operator(3, gen_space(1, 2), gen_space(2, 2))
+        assert checks._uniform_bound_ok(T, 5)
+        real = operators.uniform_bound
+
+        def patched(scale):
+            def bound_with_probes(family, wp, probes=()):
+                res = real(family, wp, probes)
+                dom_norm = operators._band_norm(family[0].domain, res.w)
+                sups = tuple(res.bound * dom_norm.eval(x) * scale for x in probes)
+                return dataclasses.replace(res, probe_sups=sups)
+
+            return bound_with_probes
+
+        monkeypatch.setattr(operators, "uniform_bound", patched(1.0))
+        assert checks._uniform_bound_ok(T, 5)
+        monkeypatch.setattr(operators, "uniform_bound", patched(1.001))
+        assert not checks._uniform_bound_ok(T, 5)
 
     def test_uniform_bound_rejects_mixed_spaces(self):
         # measured in A's norms, I: B -> A would read 1.0, but its norm is 100.0

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from probnorm import checks, cli, serialize
 from probnorm.cli import main
-from probnorm.distfn import StepDF, StepQuantile, quasi_inverse, unit_step
+from probnorm.distfn import StepDF, StepQuantile, quasi_inverse
 from probnorm.operators import LinearOperator
 from probnorm.pnspace import Band, PNSpace, SeminormFamily, WeightedNorm
 from probnorm.serialize import SchemaError

@@ -1,13 +1,14 @@
 """t-norms, t-conorms, and exact sup/inf convolutions against grid oracles."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probnorm import checks
+from probnorm import checks, triangle
 from probnorm.distfn import StepDF, df_eval, quasi_inverse, qf_add, unit_step
 from probnorm.testkit import (
     OracleConfig,
@@ -18,6 +19,10 @@ from probnorm.testkit import (
 )
 from probnorm.triangle import (
     TNormKind,
+    _conv,
+    _conv_range,
+    _tconorm_grid,
+    _tnorm_grid,
     tau_inf_conv,
     tau_sup_conv,
     tconorm_eval,
@@ -220,8 +225,8 @@ class TestInfConv:
 
 
 # Values a few ulps from 0 and 1: there the PROD conorm grid is not monotone
-# in floats (at v = 0.1097, u = 1 - 3 ULP gives a larger T* than u = 1 - 2 ULP),
-# so the extremum of an achievable range need not sit at its end.
+# in floats (see TestSortOnce.test_prod_conorm_grid_is_not_monotone), so the
+# extremum of an achievable range need not sit at its end.
 ULP = 2.0**-53
 EDGE_VALUES = (
     0.0,
@@ -304,6 +309,100 @@ class TestDenseOracleBitwise:
             vals = data.draw(st.lists(value_st, min_size=len(bps), max_size=len(bps)))
             dfs.append(edge_stepdf(bps, vals, proper))
         assert_matches_dense(*dfs)
+
+
+# 0, then 1 - k ULP for k = 12 down to 0: the values where float rounding
+# could break a grid's monotonicity
+GRID_VALUES = np.array((0.0, *(1.0 - k * ULP for k in range(12, -1, -1))))
+
+
+def grid_is_monotone(grid: np.ndarray) -> bool:
+    return bool((grid[1:] >= grid[:-1]).all() and (grid[:, 1:] >= grid[:, :-1]).all())
+
+
+def df_bytes(D: StepDF) -> bytes:
+    return struct.pack(f"{len(D.breakpoints) + len(D.values)}d", *D.breakpoints, *D.values)
+
+
+def spy_conv_range(monkeypatch) -> list:
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _conv_range(*args)
+
+    monkeypatch.setattr(triangle, "_conv_range", spy)
+    return calls
+
+
+class TestSortOnce:
+    """The sort-once kernel of _conv, its monotone-grid premise and its fallback."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_tnorm_grids_are_monotone(self, kind):
+        assert grid_is_monotone(_tnorm_grid(kind, GRID_VALUES, GRID_VALUES))
+
+    @pytest.mark.parametrize("kind", (TNormKind.W, TNormKind.MIN))
+    def test_w_and_min_conorm_grids_are_monotone(self, kind):
+        assert grid_is_monotone(_tconorm_grid(kind, GRID_VALUES, GRID_VALUES))
+
+    def test_prod_conorm_grid_is_not_monotone(self):
+        # the reason for the fallback: u < u' but T*(v, u) > T*(v, u')
+        v, u, u2 = 1.0 - 12 * ULP, 1.0 - 12 * ULP, 1.0 - 11 * ULP
+        assert tconorm_eval(TNormKind.PROD, v, u) == 1.0
+        assert tconorm_eval(TNormKind.PROD, v, u2) == 1.0 - ULP
+        assert not grid_is_monotone(_tconorm_grid(TNormKind.PROD, GRID_VALUES, GRID_VALUES))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_range_reduce_bytewise(self, data):
+        lattice = data.draw(st.booleans())
+        if lattice:
+            bps_st = st.lists(st.integers(0, 160), min_size=1, max_size=40, unique=True).map(
+                lambda ks: sorted(k / 16.0 for k in ks)
+            )
+        else:
+            bps_st = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40, unique=True)
+            bps_st = bps_st.map(sorted)
+        value_st = st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0)
+        dfs = []
+        for proper in (True, data.draw(st.booleans())):
+            bps = data.draw(bps_st)
+            vals = data.draw(st.lists(value_st, min_size=len(bps), max_size=len(bps)))
+            dfs.append(edge_stepdf(bps, vals, proper))
+        F, G = dfs
+        v, u = np.array(F.values), np.array(G.values)
+        for kind in KINDS:
+            for grid, take_max in ((_tnorm_grid, True), (_tconorm_grid, False)):
+                pair_vals = grid(kind, v, u)
+                got = _conv(F, G, pair_vals, take_max)
+                assert df_bytes(got) == df_bytes(_conv_range(F, G, pair_vals, take_max))
+
+    def test_range_reduce_runs_for_the_near_one_prod_pair(self, monkeypatch):
+        calls = spy_conv_range(monkeypatch)
+        TestDenseOracleBitwise().test_prod_inf_near_one_stays_a_df()
+        # PROD's conorm grid only: once in the test's own tau_inf_conv call and
+        # once in its comparison of every kind with the dense oracle
+        assert [take_max for *_, take_max in calls] == [False, False]
+
+    def test_signed_zero_input_gives_a_positive_zero(self):
+        # StepDF keeps a values[0] of -0.0; no output value may take that sign,
+        # whichever argument comes first
+        F, G = StepDF((1.0,), (-0.0, 1.0)), StepDF((2.0, 3.0), (0.0, 0.5, 1.0))
+        for kind in KINDS:
+            for conv in (tau_sup_conv, tau_inf_conv):
+                FG, GF = conv(kind, F, G), conv(kind, G, F)
+                assert df_bytes(FG) == df_bytes(GF)
+                assert not np.signbit(FG.values).any()
+
+    def test_range_reduce_never_runs_on_uniform_values(self, monkeypatch):
+        calls = spy_conv_range(monkeypatch)
+        for seed in range(40):
+            F, G = gen_stepdf(seed, 12), gen_stepdf(seed + 500, 12, proper=seed % 2 == 0)
+            for kind in KINDS:
+                tau_sup_conv(kind, F, G)
+                tau_inf_conv(kind, F, G)
+        assert calls == []
 
 
 def test_check_df_order_compares_the_tail():
