@@ -17,7 +17,8 @@ INF = math.inf
 
 
 def _as_float_tuple(xs) -> tuple[float, ...]:
-    return tuple(float(x) for x in xs)
+    # -0.0 is falsy, so it becomes 0.0 and equal d.f.s print the same
+    return tuple(float(x) or 0.0 for x in xs)
 
 
 @dataclass(frozen=True)

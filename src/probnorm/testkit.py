@@ -1,9 +1,12 @@
 """Brute-force oracles and seeded random generators for the property suites.
 
 The oracles evaluate step semantics by their own linear scan and dense grids;
-they never call the exact code paths they are used to validate (the one
-deliberate exception: the Levy oracle reuses the exact per-h feasibility
-check and only replaces the continuum bisection with a fixed 1e-5 grid).
+they never call the exact code paths they are used to validate, with two
+deliberate exceptions.  The convolution oracles take each pair value from
+triangle's t-norm and conorm formulas, so grid and exact extrema share floats;
+the formulas themselves are checked against exact Fraction arithmetic in the
+tests.  The Levy oracle reuses the exact per-h feasibility check and only
+replaces the continuum bisection with a fixed 1e-5 grid.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .distfn import StepDF, levy_condition
 from .pnspace import Band, NormKind, PNSpace, SeminormFamily, WeightedNorm
 from .operators import LinearOperator
-from .triangle import TNormKind
+from .triangle import TNormKind, _tconorm, _tnorm
 
 
 @dataclass(frozen=True)
@@ -53,29 +56,11 @@ def _s_grid(F: StepDF, G: StepDF, x: float, cfg: OracleConfig) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _pair_vals(T: TNormKind, fs: np.ndarray, gt: np.ndarray, sup: bool) -> np.ndarray:
-    # boundary arguments (0 and 1) are split off exactly, mirroring the
-    # production t-norm conventions so grid and exact maxima share floats
-    if T is TNormKind.W:
-        if sup:
-            vals = np.maximum(fs + gt - 1.0, 0.0)
-            vals = np.where(fs == 1.0, gt, vals)
-            return np.where(gt == 1.0, fs, vals)
-        return np.minimum(fs + gt, 1.0)
-    if T is TNormKind.PROD:
-        if sup:
-            return fs * gt
-        vals = fs + gt - fs * gt
-        vals = np.where(fs == 0.0, gt, vals)
-        vals = np.where(gt == 0.0, fs, vals)
-        return np.where((fs == 1.0) | (gt == 1.0), 1.0, vals)
-    return np.minimum(fs, gt) if sup else np.maximum(fs, gt)
-
-
 def _oracle_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg, sup: bool) -> float:
     cfg = cfg or OracleConfig()
     s = _s_grid(F, G, x, cfg)
-    vals = _pair_vals(T, _scan_eval_many(F, s), _scan_eval_many(G, x - s), sup)
+    pair = _tnorm if sup else _tconorm
+    vals = pair(T, _scan_eval_many(F, s), _scan_eval_many(G, x - s))
     return float(vals.max() if sup else vals.min())
 
 
@@ -87,30 +72,6 @@ def oracle_sup_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg: OracleCon
 def oracle_inf_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg: OracleConfig | None = None) -> float:
     """Dense-grid inf of T*(F(s), G(x-s))."""
     return _oracle_conv(T, F, G, x, cfg, sup=False)
-
-
-def oracle_conv_dense(T: TNormKind, F: StepDF, G: StepDF, sup: bool) -> StepDF:
-    """tau_T (sup) or tau_{T*} (inf) of F and G by a per-interval dense mask.
-
-    The output breakpoints are the distinct sums a_i + b_j; on each interval
-    between them every band pair (i, j) is tested against that interval's
-    fences with an (n+1) x (m+1) boolean mask, O(n^2 m^2) in all.  It
-    compares the same float sums as the exact convolutions and ends with the
-    same running max, so it must agree with them bit for bit.
-    """
-    a = np.array(F.breakpoints)
-    b = np.array(G.breakpoints)
-    lows = np.concatenate(([-np.inf], a))[:, None] + np.concatenate(([-np.inf], b))[None, :]
-    highs = np.concatenate((a, [np.inf]))[:, None] + np.concatenate((b, [np.inf]))[None, :]
-    vals = _pair_vals(T, np.array(F.values)[:, None], np.array(G.values)[None, :], sup)
-    cands = np.unique(a[:, None] + b[None, :])
-    fences = np.concatenate(([-np.inf], cands, [np.inf]))
-    out_vals = np.empty(len(cands) + 1)
-    pick = np.max if sup else np.min
-    for k in range(len(fences) - 1):
-        achievable = (lows <= fences[k]) & (highs >= fences[k + 1])
-        out_vals[k] = pick(vals[achievable])
-    return StepDF(tuple(cands), tuple(np.maximum.accumulate(out_vals)))
 
 
 def oracle_operator_norm(matrix: np.ndarray, dom_norm: WeightedNorm, cod_norm) -> float:

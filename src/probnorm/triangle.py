@@ -18,52 +18,49 @@ class TNormKind(enum.Enum):
     MIN = "min"  # minimum
 
 
-def _grid_at(grid, T: TNormKind, a: float, b: float) -> float:
+def _eval_at(formula, T: TNormKind, a: float, b: float) -> float:
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError(f"t-norm arguments must lie in [0, 1], got {a}, {b}")
-    return float(grid(T, np.array([a], dtype=float), np.array([b], dtype=float))[0, 0])
+    return float(formula(T, np.float64(a), np.float64(b)))
 
 
 def tnorm_eval(T: TNormKind, a: float, b: float) -> float:
-    """T(a, b), read off the grid formula used by the convolutions.
+    """T(a, b), by the formula the convolutions use.
 
     It agrees bit for bit with the scalar closed form of each kind, except
     for the sign of a zero result when the arguments mix 0.0 and -0.0.
     """
-    return _grid_at(_tnorm_grid, T, a, b)
+    return _eval_at(_tnorm, T, a, b)
 
 
 def tconorm_eval(T: TNormKind, a: float, b: float) -> float:
-    """Dual conorm T*(a, b) = 1 - T(1-a, 1-b), read off the grid formula
-    (same zero-sign caveat as tnorm_eval)."""
-    return _grid_at(_tconorm_grid, T, a, b)
+    """Dual conorm T*(a, b) = 1 - T(1-a, 1-b), by the formula the
+    convolutions use; PROD's a + b - ab is computed as hi + lo (1 - hi)."""
+    return _eval_at(_tconorm, T, a, b)
 
 
-def _tnorm_grid(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # outer T(v_i, u_j); W's boundary cases are split off so the unit law
-    # T(a, 1) = a is exact
-    vv, uu = v[:, None], u[None, :]
+def _tnorm(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # T(v, u) elementwise, broadcasting; W's boundary cases are split off so
+    # the unit law T(a, 1) = a is exact
     if T is TNormKind.W:
-        out = np.maximum(vv + uu - 1.0, 0.0)
-        out = np.where(vv == 1.0, uu, out)
-        return np.where(uu == 1.0, np.broadcast_to(vv, out.shape), out)
+        out = np.maximum(v + u - 1.0, 0.0)
+        out = np.where(v == 1.0, u, out)
+        return np.where(u == 1.0, v, out)
     if T is TNormKind.PROD:
-        return vv * uu
-    return np.minimum(vv, uu)
+        return v * u
+    return np.minimum(v, u)
 
 
-def _tconorm_grid(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # outer T*(v_i, u_j) in closed form per kind; PROD's boundary cases are
-    # split off so T*(a, 0) = a and T*(a, 1) = 1 are exact
-    vv, uu = v[:, None], u[None, :]
+def _tconorm(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # T*(v, u) elementwise, broadcasting.  PROD's a + b - ab is computed as
+    # hi + lo (1 - hi), hi = max and lo = min: in floats it is symmetric,
+    # exact at 0 and 1, and monotone in each argument (see _conv)
     if T is TNormKind.W:
-        return np.minimum(vv + uu, 1.0)
+        return np.minimum(v + u, 1.0)
     if T is TNormKind.PROD:
-        out = vv + uu - vv * uu
-        out = np.where(vv == 0.0, uu, out)
-        out = np.where(uu == 0.0, np.broadcast_to(vv, out.shape), out)
-        return np.where((vv == 1.0) | (uu == 1.0), 1.0, out)
-    return np.maximum(vv, uu)
+        hi = np.maximum(v, u)
+        return hi + np.minimum(v, u) * (1.0 - hi)
+    return np.maximum(v, u)
 
 
 def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF:
@@ -94,15 +91,31 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
     first pair >= f_{k+1}.
 
     Both steps move along F's axis alone, so they need pair_vals nondecreasing
-    in i for each j, in floats and not just in exact arithmetic.  That holds
-    for every t-norm grid and for the W and MIN conorm grids, but PROD's conorm
-    a + b - ab is not monotone a few ulps below 1, so the premise is tested on
-    the grid itself, in O(nm).  A grid that fails it goes to _conv_range,
-    which needs no monotonicity.  The sort costs O(nm log nm), against
-    O((n+1) K log m) for the range-reduce.
+    in v = v_i for each u = v_j, in floats and not just in exact arithmetic.
+    Rounding is monotone, and each kind keeps the premise:
+
+    - PROD's t-norm v * u and MIN's min(v, u), and MIN's conorm max(v, u),
+      are one monotone operation each; so is W's conorm min(v + u, 1).
+    - W's t-norm max(v + u - 1, 0) is a rounded sum, a shift by 1 and a
+      max, each monotone.  Its split rows keep the order: at v = 1 it gives u, and
+      v + u - 1 <= u in exact arithmetic, so its rounding is <= u too.
+    - PROD's conorm hi + lo (1 - hi), whose two cases below meet at v = u.
+      Where v is lo, hi is fixed and the product and the sum each round
+      monotonically.  Where v is hi >= 1/2,
+      1 - hi is exact and the sum lies in [hi, 1], on the grid of step
+      2**-53 that hi lies on.  One ulp more in hi adds 2**-53; for the sum
+      to fall, the rounded product would have to drop across two midpoints
+      of that grid (both floats), a drop of more than 2**-53, while the
+      exact product drops by lo 2**-53.  The shortfall (1 - lo) 2**-53 is
+      at least the product's rounding error, at most 2**-53 (1 - hi), and
+      where it is only just met, at a tie, both sums are the same real.
+      Where v is hi < 1/2, one ulp more in hi lowers 1 - hi by at most one
+      of its own ulps, 2**-53, so the exact product falls by at most
+      lo 2**-53 < ulp(hi); the tests probe this case on the values where
+      1 - hi steps.
+
+    The sort costs O(nm log nm).
     """
-    if not (pair_vals[1:] >= pair_vals[:-1]).all():
-        return _conv_range(F, G, pair_vals, take_max)
     a_lo, a_hi, b_lo, b_hi, cands = _band_ends(F, G)
     fences = np.concatenate(([-math.inf], cands, [math.inf]))
     if take_max:
@@ -134,64 +147,20 @@ def _band_ends(F: StepDF, G: StepDF):
 def _step_df(cands: np.ndarray, out_vals: np.ndarray) -> StepDF:
     # out_vals is nondecreasing.  StepDF drops the sums that carry no jump, one
     # Python step per sum, and most carry none, so they go here first; the
-    # first sum stays so that an all-zero result keeps its mute breakpoint.
-    # Adding 0.0 turns the -0.0 that an input's values[0] = -0.0 can leave
-    # into 0.0, so the sign of a zero does not depend on the order of ties
+    # first sum stays so that an all-zero result keeps its mute breakpoint
     keep = out_vals[1:] > out_vals[:-1]
     keep[0] = True
-    vals = np.concatenate((out_vals[:1], out_vals[1:][keep])) + 0.0
+    vals = np.concatenate((out_vals[:1], out_vals[1:][keep]))
     return StepDF(cands[keep].tolist(), vals.tolist())
-
-
-def _conv_range(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF:
-    """The convolution of _conv by range-reduce, which needs no monotone grid.
-
-    For a fixed F-band i both rows of sums a_i + b_j and a_{i+1} + b_{j+1}
-    are nondecreasing in j (float addition is monotone), so the achievable
-    G-bands of each interval form one contiguous range [lo, hi), found by
-    two searchsorted calls on those same float sums.  The range is reduced
-    with one reduceat per row -- not read off its end, since the grid need
-    not be monotone -- and the rows are folded by max (or min).  The rows run
-    over the d.f. with fewer breakpoints.
-
-    The exact extrema are nondecreasing in x, but their floats need not be:
-    PROD's conorm a + b - ab is not monotone a few ulps below 1, so one
-    interval's minimum can fall below the previous one's.  A running max
-    repairs that; it changes no value of an output that was already
-    nondecreasing.
-    """
-    if len(F.breakpoints) > len(G.breakpoints):
-        # loop over the shorter d.f.; sums commute exactly, so this is a transpose
-        F, G, pair_vals = G, F, pair_vals.T
-    a_lo, a_hi, b_lo, b_hi, cands = _band_ends(F, G)
-    lows = a_lo[:, None] + b_lo[None, :]
-    highs = a_hi[:, None] + b_hi[None, :]
-    fences = np.concatenate(([-math.inf], cands, [math.inf]))
-    fold = np.maximum if take_max else np.minimum
-    pad = -math.inf if take_max else math.inf
-    # column m+1 (the identity of fold) keeps hi == m+1 a valid reduceat index
-    padded = np.concatenate((pair_vals, np.full((len(a_lo), 1), pad)), axis=1)
-    out_vals = np.full(len(cands) + 1, pad)
-    for i in range(len(a_lo)):
-        hi = np.searchsorted(lows[i], fences[:-1], "right")
-        lo = np.searchsorted(highs[i], fences[1:], "left")
-        # lo < hi always: for the last j with a_i + b_j <= f_k, either j = m
-        # or a_{i+1} + b_{j+1} >= a_i + b_{j+1} > f_k is itself a candidate
-        # sum (or +inf), hence >= f_{k+1}.  reduceat over the interleaved
-        # bounds reduces [lo_k, hi_k) at the even positions; the odd
-        # positions span the gaps and are dropped
-        bounds = np.array((lo, hi)).T.ravel()
-        fold(out_vals, fold.reduceat(padded[i], bounds)[::2], out=out_vals)
-    return _step_df(cands, np.maximum.accumulate(out_vals))
 
 
 def tau_sup_conv(T: TNormKind, F: StepDF, G: StepDF) -> StepDF:
     """tau_T(F, G)(x) = sup{T(F(s), G(t)) : s + t = x}, exactly."""
-    vals = _tnorm_grid(T, np.array(F.values), np.array(G.values))
+    vals = _tnorm(T, np.array(F.values)[:, None], np.array(G.values))
     return _conv(F, G, vals, take_max=True)
 
 
 def tau_inf_conv(T: TNormKind, F: StepDF, G: StepDF) -> StepDF:
     """tau_{T*}(F, G)(x) = inf{T*(F(s), G(t)) : s + t = x}, exactly."""
-    vals = _tconorm_grid(T, np.array(F.values), np.array(G.values))
+    vals = _tconorm(T, np.array(F.values)[:, None], np.array(G.values))
     return _conv(F, G, vals, take_max=False)

@@ -26,6 +26,8 @@ from probnorm.distfn import (
 from probnorm.testkit import _scan_eval_many, gen_stepdf
 from probnorm.triangle import TNormKind, tau_sup_conv
 
+from fuzz import fuzz_list, mostly
+
 INF = math.inf
 
 
@@ -294,23 +296,6 @@ class TestLevy:
             checked += 1
             assert (df_eval(F, t) > 1 - t) == (d < t)
         assert checked > 150
-
-
-# each list is either clean (sorted floats in [0, 1]), which makes valid
-# inputs likely, or mixes in any float, NaN and the infinities, in any order
-CLEAN_FLOAT = st.floats(0.0, 1.0)
-FUZZ_FLOAT = CLEAN_FLOAT | st.floats() | st.sampled_from((-0.0, math.nan, INF, -INF))
-
-
-def fuzz_list(data, min_size: int, max_size: int) -> list:
-    clean = data.draw(st.booleans())
-    elements = CLEAN_FLOAT if clean else FUZZ_FLOAT
-    xs = data.draw(st.lists(elements, min_size=min_size, max_size=max_size))
-    return sorted(xs) if clean or data.draw(st.booleans()) else xs
-
-
-def mostly(data) -> bool:
-    return data.draw(st.integers(0, 3)) > 0
 
 
 class TestConstructorFuzz:

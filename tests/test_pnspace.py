@@ -1,6 +1,7 @@
 """PN-spaces from seminorm families: probabilistic norms, axioms, products."""
 
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -34,6 +35,7 @@ from probnorm.pnspace import (
 from probnorm.testkit import _scan_eval_many, gen_space, gen_vector
 from probnorm.triangle import TNormKind, tau_sup_conv
 
+from fuzz import fuzz_list, mostly
 from prefix_limits import strong_convergence_index
 
 
@@ -165,6 +167,56 @@ class TestSeminormFamily:
         assert [f.name for f in dataclasses.fields(fam)] == ["dimension", "bands"]
         assert "uptos" not in repr(fam)
         assert fam == SeminormFamily(fam.dimension, fam.bands)
+
+
+class TestConstructorFuzz:
+    """Any floats, NaN and the infinities as weights and band ends either raise
+    ValueError or give an object that meets its own invariants and that a
+    second construction leaves unchanged."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_weighted_norm(self, data):
+        kind = data.draw(st.sampled_from((*NormKind, "l1", "linf", "l2")))
+        weights = fuzz_list(data, 0, 5)
+        try:
+            N = WeightedNorm(kind, weights)
+        except ValueError:
+            return
+        w = N.weights
+        assert isinstance(N.kind, NormKind) and N.dimension == len(weights) >= 1
+        assert all(type(x) is float and math.isfinite(x) and x > 0.0 for x in w)
+        assert N.eval(np.zeros(N.dimension)) == 0.0
+        assert repr(WeightedNorm(N.kind, w)) == repr(N)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_seminorm_family(self, data):
+        n = data.draw(st.integers(0, 3))
+        uptos = fuzz_list(data, 1, 4)
+        if mostly(data):
+            uptos[-1] = 1.0
+        # per-band weights, sorted per coordinate when mostly(): a monotone family
+        rows = [data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)) for _ in uptos]
+        if mostly(data):
+            rows = [list(col) for col in zip(*map(sorted, zip(*rows)))] or rows
+        kind = data.draw(st.sampled_from(NormKind))
+        enforce = data.draw(st.booleans())
+        try:
+            bands = tuple(Band(u, WeightedNorm(kind, row)) for u, row in zip(uptos, rows))
+            S = SeminormFamily(n, bands, enforce_monotone=enforce)
+        except ValueError:
+            return
+        ends = S.uptos
+        assert S.dimension >= 1 and ends == tuple(b.upto for b in S.bands)
+        assert all(0.0 < u <= 1.0 for u in ends) and ends[-1] == 1.0
+        assert all(u1 < u2 for u1, u2 in zip(ends, ends[1:]))
+        assert all(b.norm.dimension == S.dimension for b in S.bands)
+        assert S.monotone_report()[0] or not enforce
+        for k, (start, mid, end) in enumerate(zip(S.starts(), S.midpoints(), ends)):
+            if start < mid < end:
+                assert S.band_index(mid) == k
+        assert repr(SeminormFamily(S.dimension, S.bands, enforce_monotone=enforce)) == repr(S)
 
 
 class TestProbNorm:

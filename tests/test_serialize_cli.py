@@ -320,6 +320,16 @@ class TestCLI:
         blob = json.loads(out)
         assert blob["delta"] == pytest.approx(2.0, rel=1e-12)
 
+    def test_df_eval_prints_no_negative_zero(self, capsys, files):
+        # construction turns -0.0 into 0.0, so d.f.s equal under == print alike
+        f = files("f.json", '{"breakpoints": [1.0], "values": [-0.0, 1.0]}')
+        code, out = self.run(capsys, "df-eval", "--f", f, "--x", "0.5")
+        assert code == 0
+        assert out.strip() == '{"value":0.0}'
+        F = StepDF([-0.0, 1.0], [-0.0, 0.5, 1.0])
+        Q = StepQuantile([0.5, 1.0], [-0.0, 2.0])
+        assert not np.signbit(F.breakpoints + F.values + Q.wbreaks + Q.qvalues).any()
+
     def test_stdin_input(self, capsys, files, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(H2)))
         code, out = self.run(capsys, "df-eval", "--f", "-", "--x", "3.0")

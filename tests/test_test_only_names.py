@@ -1,0 +1,71 @@
+"""Every top-level name in src/probnorm is used outside its own definition.
+
+A name counts as used when some other top-level statement in src/ reads it,
+when the package __init__ exports it, or when the benchmark in bench/ reads
+it (the tracer names functions as "module.name" strings).  A name that only
+the tests read belongs in tests/.  Like test_unused_imports.py, this scans
+the syntax trees itself.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "probnorm"
+
+
+def defined_names(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def read_names(node, strings: bool = False) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(sub.value.split("."))
+    return names
+
+
+def unread_names(sources: dict[str, str], init: str, outside: set[str]) -> list[str]:
+    """module.name for each top-level name of sources (module -> text) that no
+    other top-level statement reads, init does not export, and outside lacks."""
+    statements = [(mod, node) for mod, text in sources.items() for node in ast.parse(text).body]
+    reads = [read_names(node) for _, node in statements]
+    used = read_names(ast.parse(init)) | outside
+    found = []
+    for k, (mod, node) in enumerate(statements):
+        for name in defined_names(node):
+            elsewhere = any(name in r for i, r in enumerate(reads) if i != k)
+            if not (elsewhere or name in used or name.startswith("__")):
+                found.append(f"{mod}.{name}")
+    return found
+
+
+def test_scanner_flags_only_unread_names():
+    sources = {
+        "a": "import b\nX = 1\ndef f():\n    return f()\ndef g():\n    return b.h()\n",
+        "b": "def h():\n    return X\nclass K:\n    pass\n",
+    }
+    assert unread_names(sources, "from .a import g\n", {"K"}) == ["a.f"]
+
+
+def test_no_test_only_names_in_src():
+    sources = {
+        path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+    }
+    bench = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        bench |= read_names(ast.parse(path.read_text()), strings=True)
+    assert unread_names(sources, (PACKAGE / "__init__.py").read_text(), bench) == []

@@ -1,32 +1,37 @@
 """t-norms, t-conorms, and exact sup/inf convolutions against grid oracles."""
 
 import itertools
+import math
 import struct
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probnorm import checks, triangle
+from probnorm import checks
 from probnorm.distfn import StepDF, df_eval, quasi_inverse, qf_add, unit_step
-from probnorm.testkit import (
-    OracleConfig,
-    gen_stepdf,
-    oracle_conv_dense,
-    oracle_inf_conv,
-    oracle_sup_conv,
-)
+from probnorm.testkit import OracleConfig, gen_stepdf, oracle_inf_conv, oracle_sup_conv
 from probnorm.triangle import (
     TNormKind,
     _conv,
-    _conv_range,
-    _tconorm_grid,
-    _tnorm_grid,
+    _tconorm,
+    _tnorm,
     tau_inf_conv,
     tau_sup_conv,
     tconorm_eval,
     tnorm_eval,
+)
+
+from conv_oracles import (
+    conv_range,
+    exact_conv_values,
+    exact_tconorm,
+    exact_tnorm,
+    oracle_conv_dense,
+    ulps_off,
 )
 
 KINDS = (TNormKind.W, TNormKind.PROD, TNormKind.MIN)
@@ -224,9 +229,10 @@ class TestInfConv:
                     )
 
 
-# Values a few ulps from 0 and 1: there the PROD conorm grid is not monotone
-# in floats (see TestSortOnce.test_prod_conorm_grid_is_not_monotone), so the
-# extremum of an achievable range need not sit at its end.
+# Values a few ulps from 0 and 1, where float rounding is coarsest against
+# the step between neighbouring values: there the a + b - ab form of PROD's
+# conorm was not monotone, and TestSortOnce and TestRationalGroundTruth check
+# the formulas on them.
 ULP = 2.0**-53
 EDGE_VALUES = (
     0.0,
@@ -259,9 +265,9 @@ def assert_matches_dense(F: StepDF, G: StepDF):
 
 class TestDenseOracleBitwise:
     def test_prod_inf_near_one_stays_a_df(self):
-        # the float conorm a + b - ab dips a few ulps below 1, so the raw
-        # per-interval minima of this pair decrease; the running max keeps
-        # the output a nondecreasing d.f.
+        # the a + b - ab form of the conorm dipped a few ulps below 1 on this
+        # pair, so its raw per-interval minima decreased; the dense oracle
+        # takes no running max, so it checks that hi + lo (1 - hi) does not
         F = StepDF(
             (0.8988560760921316, 4.793556749261263, 4.799012304864572),
             (0.0, 0.9999999999999991, 0.9999999999999994, 1.0),
@@ -324,34 +330,58 @@ def df_bytes(D: StepDF) -> bytes:
     return struct.pack(f"{len(D.breakpoints) + len(D.values)}d", *D.breakpoints, *D.values)
 
 
-def spy_conv_range(monkeypatch) -> list:
-    calls = []
+def one_minus_steps(rng, count: int):
+    """Pairs (hi, the next float up) with hi < 1/2, in binades 2**-40 to
+    2**-2, across which fl(1 - hi) steps down by 2**-53.
 
-    def spy(*args):
-        calls.append(args)
-        return _conv_range(*args)
-
-    monkeypatch.setattr(triangle, "_conv_range", spy)
-    return calls
+    1 - hi rounds to a multiple of 2**-53, so it steps where it crosses an odd
+    multiple of 2**-54; each hi is moved onto one, and the pair on either
+    side of it that steps is kept."""
+    hi = np.ldexp(rng.uniform(1.0, 2.0, count), rng.integers(-40, -1, count))
+    mid = (2.0 * np.floor(hi * 2.0**53) + 1.0) * 2.0**-54
+    below, above = np.nextafter(mid, 0.0), np.nextafter(mid, 1.0)
+    lo_side, hi_side = np.concatenate((below, mid)), np.concatenate((mid, above))
+    steps = (1.0 - lo_side) != (1.0 - hi_side)
+    return lo_side[steps], hi_side[steps]
 
 
 class TestSortOnce:
-    """The sort-once kernel of _conv, its monotone-grid premise and its fallback."""
+    """The sort-once kernel of _conv and its monotone-grid premise."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_tnorm_grids_are_monotone(self, kind):
-        assert grid_is_monotone(_tnorm_grid(kind, GRID_VALUES, GRID_VALUES))
+        assert grid_is_monotone(_tnorm(kind, GRID_VALUES[:, None], GRID_VALUES))
 
     @pytest.mark.parametrize("kind", (TNormKind.W, TNormKind.MIN))
     def test_w_and_min_conorm_grids_are_monotone(self, kind):
-        assert grid_is_monotone(_tconorm_grid(kind, GRID_VALUES, GRID_VALUES))
+        assert grid_is_monotone(_tconorm(kind, GRID_VALUES[:, None], GRID_VALUES))
 
-    def test_prod_conorm_grid_is_not_monotone(self):
-        # the reason for the fallback: u < u' but T*(v, u) > T*(v, u')
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_conorm_grids_are_monotone(self, kind):
+        # the a + b - ab form of PROD's conorm gave T*(v, u) = 1 > T*(v, u')
+        # on this triple, though u < u'
         v, u, u2 = 1.0 - 12 * ULP, 1.0 - 12 * ULP, 1.0 - 11 * ULP
-        assert tconorm_eval(TNormKind.PROD, v, u) == 1.0
-        assert tconorm_eval(TNormKind.PROD, v, u2) == 1.0 - ULP
-        assert not grid_is_monotone(_tconorm_grid(TNormKind.PROD, GRID_VALUES, GRID_VALUES))
+        assert tconorm_eval(kind, v, u) <= tconorm_eval(kind, v, u2)
+        rng = np.random.default_rng(13)
+        tiny = np.ldexp(rng.uniform(1.0, 2.0, 40), rng.integers(-80, -20, 40))
+        values = np.unique(
+            np.concatenate(
+                (GRID_VALUES, EDGE_VALUES, *one_minus_steps(rng, 40), rng.uniform(0.0, 1.0, 60), tiny)
+            )
+        )
+        assert grid_is_monotone(_tconorm(kind, values[:, None], values))
+
+    def test_prod_conorm_is_monotone_in_hi(self):
+        # one ulp up in hi, with lo <= hi fixed: the cases of the _conv
+        # docstring, hi < 1/2 where 1 - hi steps and hi >= 1/2 anywhere
+        rng = np.random.default_rng(17)
+        below, above = one_minus_steps(rng, 50_000)
+        upper = rng.uniform(0.5, 1.0, 50_000)
+        for v, v2 in ((below, above), (upper, np.nextafter(upper, 1.0))):
+            lows = [v * rng.uniform(f, 1.0, len(v)) for f in (0.0, 0.5, 0.9, 0.999)]
+            lows += [v - k * np.spacing(v) for k in range(0, 40, 3)]
+            for u in lows:
+                assert (_tconorm(TNormKind.PROD, v2, u) >= _tconorm(TNormKind.PROD, v, u)).all()
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -371,23 +401,16 @@ class TestSortOnce:
             vals = data.draw(st.lists(value_st, min_size=len(bps), max_size=len(bps)))
             dfs.append(edge_stepdf(bps, vals, proper))
         F, G = dfs
-        v, u = np.array(F.values), np.array(G.values)
+        v, u = np.array(F.values)[:, None], np.array(G.values)
         for kind in KINDS:
-            for grid, take_max in ((_tnorm_grid, True), (_tconorm_grid, False)):
-                pair_vals = grid(kind, v, u)
+            for formula, take_max in ((_tnorm, True), (_tconorm, False)):
+                pair_vals = formula(kind, v, u)
                 got = _conv(F, G, pair_vals, take_max)
-                assert df_bytes(got) == df_bytes(_conv_range(F, G, pair_vals, take_max))
-
-    def test_range_reduce_runs_for_the_near_one_prod_pair(self, monkeypatch):
-        calls = spy_conv_range(monkeypatch)
-        TestDenseOracleBitwise().test_prod_inf_near_one_stays_a_df()
-        # PROD's conorm grid only: once in the test's own tau_inf_conv call and
-        # once in its comparison of every kind with the dense oracle
-        assert [take_max for *_, take_max in calls] == [False, False]
+                assert df_bytes(got) == df_bytes(conv_range(F, G, pair_vals, take_max))
 
     def test_signed_zero_input_gives_a_positive_zero(self):
-        # StepDF keeps a values[0] of -0.0; no output value may take that sign,
-        # whichever argument comes first
+        # StepDF turns a values[0] of -0.0 into 0.0; no output value may
+        # carry that sign, whichever argument comes first
         F, G = StepDF((1.0,), (-0.0, 1.0)), StepDF((2.0, 3.0), (0.0, 0.5, 1.0))
         for kind in KINDS:
             for conv in (tau_sup_conv, tau_inf_conv):
@@ -395,14 +418,96 @@ class TestSortOnce:
                 assert df_bytes(FG) == df_bytes(GF)
                 assert not np.signbit(FG.values).any()
 
-    def test_range_reduce_never_runs_on_uniform_values(self, monkeypatch):
-        calls = spy_conv_range(monkeypatch)
-        for seed in range(40):
-            F, G = gen_stepdf(seed, 12), gen_stepdf(seed + 500, 12, proper=seed % 2 == 0)
-            for kind in KINDS:
-                tau_sup_conv(kind, F, G)
-                tau_inf_conv(kind, F, G)
-        assert calls == []
+
+def formula_args(rng) -> np.ndarray:
+    # the edge values, near 1, tiny and uniform
+    near_one = 1.0 - rng.integers(0, 2**20, 20) * ULP
+    tiny = np.ldexp(rng.uniform(1.0, 2.0, 20), rng.integers(-80, -1, 20))
+    return np.concatenate((EDGE_VALUES, near_one, tiny, rng.uniform(0.0, 1.0, 30)))
+
+
+def value_pool(rng, kind: str, size: int) -> np.ndarray:
+    if kind == "near-one":
+        return 1.0 - rng.integers(0, 13, size) * ULP
+    if kind == "tiny":
+        return np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-60, -20, size))
+    if kind == "mixed":
+        return np.where(rng.random(size) < 0.5, rng.choice(EDGE_VALUES, size), rng.uniform(0.0, 1.0, size))
+    return rng.uniform(0.0, 1.0, size)
+
+
+def interval_values(D: StepDF, cands: np.ndarray) -> list:
+    # D's value on each interval between the sums cands, its breakpoints
+    # being some of them
+    return [D.values[0], *(D.values[bisect_right(D.breakpoints, c)] for c in cands)]
+
+
+def within_contract(kind: TNormKind, sup: bool, got: float, exact: Fraction) -> bool:
+    # the ulp contract: W's t-norm rounds v + u and then subtracts 1, so its
+    # bound is absolute; PROD's conorm is within 1 ulp; the rest, 0.5 ulp
+    if sup and kind is TNormKind.W:
+        return abs(Fraction(got) - exact) <= Fraction(ULP)
+    return ulps_off(got, exact) <= (1 if kind is TNormKind.PROD and not sup else Fraction(1, 2))
+
+
+SIDES = [
+    pytest.param(kind, sup, id=f"{kind.name}-{'sup' if sup else 'inf'}")
+    for kind in KINDS
+    for sup in (True, False)
+]
+
+
+class TestRationalGroundTruth:
+    """Each formula, and each convolution output, against the exact rational
+    value of its float arguments, in ulps of the exact value."""
+
+    @pytest.mark.parametrize("kind, sup", SIDES)
+    def test_formulas(self, kind, sup):
+        args = formula_args(np.random.default_rng(19))
+        got = (_tnorm if sup else _tconorm)(kind, args[:, None], args)
+        exact = exact_tnorm if sup else exact_tconorm
+        for (i, a), (j, b) in itertools.product(enumerate(args), repeat=2):
+            assert within_contract(kind, sup, got[i, j], exact(kind, a, b)), (a, b)
+
+    @pytest.mark.parametrize("kind, sup", SIDES)
+    def test_conv_outputs(self, kind, sup):
+        # the extremum of correctly rounded values is the correctly rounded
+        # extremum, so each output keeps its formula's bound
+        conv = tau_sup_conv if sup else tau_inf_conv
+        rng = np.random.default_rng(29)
+        pools = ("near-one", "mixed", "uniform", "tiny")
+        for case in range(320):
+            dfs = []
+            for proper in (True, case % 3 > 0):
+                n = int(rng.integers(1, 13))
+                bps = np.sort(rng.choice(64, n, replace=False)) / 16.0 if case % 2 else rng.uniform(0.0, 5.0, n)
+                vals = value_pool(rng, pools[case % 4], len(np.unique(bps)))
+                dfs.append(edge_stepdf(np.unique(bps), vals, proper))
+            F, G = dfs
+            got = conv(kind, F, G)
+            assert df_bytes(got) == df_bytes(conv(kind, G, F))
+            exact = exact_conv_values(kind, F, G, sup)
+            cands = np.unique(np.add.outer(F.breakpoints, G.breakpoints))
+            for value, want in zip(interval_values(got, cands), exact):
+                assert within_contract(kind, sup, value, want), (F, G)
+
+
+VALUE_ST = st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUE_ST, VALUE_ST)
+@example(1.0 - ULP, 0.42268722119765845)  # a + b - ab gave 1 - 2 ULP < max
+@example(0.5, 1.0 - ULP)
+def test_kinds_are_ordered_pointwise(a, b):
+    # conorms: max <= PROD* <= W* <= 1, in floats.  t-norms: PROD <= MIN in
+    # floats, and W <= PROD up to W's rounding of a + b (2**-53) and PROD's
+    # half ulp: W(0.5, 1 - 2**-53) is 0.5, PROD of it 0.5 - 2**-54
+    w, p, m = (tnorm_eval(kind, a, b) for kind in KINDS)
+    assert w <= p + ULP + math.ulp(p) / 2
+    assert p <= m
+    ws, ps, ms = (tconorm_eval(kind, a, b) for kind in KINDS)
+    assert ms == max(a, b) <= ps <= ws <= 1.0
 
 
 def test_check_df_order_compares_the_tail():
