@@ -10,7 +10,6 @@ norms downstream exactly computable.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass
@@ -26,6 +25,7 @@ class NormKind(enum.Enum):
 
 
 LINF_VERTEX_DIM_CAP = 20
+_MASK_CELLS = 2**16  # cells of one block of prob_norm's non-monotone mask
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,9 @@ class WeightedNorm:
     def __init__(self, kind, weights):
         kind = NormKind(kind)
         w = tuple(float(x) for x in weights)
-        if not w or any(x <= 0 or not math.isfinite(x) for x in w):
-            raise ValueError("weights must be finite and > 0")
+        # 1 / w is a unit-ball vertex coordinate, so it must be finite too
+        if not w or any(not 0.0 < x < math.inf or 1.0 / x == math.inf for x in w):
+            raise ValueError("weights must be finite and > 0, with finite reciprocals")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "weights", w)
 
@@ -65,7 +66,11 @@ class WeightedNorm:
         )
 
     def unit_ball_vertices(self) -> np.ndarray:
-        """Vertices of the closed unit ball (the polytope {x : norm(x) <= 1})."""
+        """Vertices of the closed unit ball (the polytope {x : norm(x) <= 1}).
+
+        Linf vertices come in itertools.product((1, -1), repeat=n) order: row
+        r has sign -1 at coordinate j iff bit n-1-j of r is set.
+        """
         n = self.dimension
         inv = 1.0 / np.array(self.weights)
         if self.kind is NormKind.L1:
@@ -75,8 +80,8 @@ class WeightedNorm:
                 f"Linf vertex enumeration rejected for n = {n} > {LINF_VERTEX_DIM_CAP}; "
                 "use the Monte-Carlo bound instead"
             )
-        signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-        return signs * inv
+        minus = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        return np.where(minus, -inv, inv)
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,67 @@ class Band:
     norm: object
 
 
+def _frozen(rows) -> np.ndarray:
+    arr = np.array(rows, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _stack(norms) -> tuple:
+    """Band norms of one dimension, grouped for evaluation in one pass.
+
+    Returns (count, groups), one group (rows, key, data) per key: weighted
+    norms of one kind share a read-only (rows x n) weight array, block sums
+    of one split share one stack per part, and any other norm is kept and
+    evaluated by its own eval.  rows is slice(None) when there is one group.
+    """
+    groups = {}
+    for k, norm in enumerate(norms):
+        if type(norm) is WeightedNorm:
+            key = norm.kind
+        elif type(norm) is BlockSumNorm:
+            key = norm.dims
+        else:
+            key = None
+        groups.setdefault(key, []).append(k)
+    out = []
+    for key, rows in groups.items():
+        members = [norms[k] for k in rows]
+        if isinstance(key, NormKind):
+            data = _frozen([m.weights for m in members])
+        elif key is None:
+            data = tuple(members)
+        else:
+            data = tuple(_stack([m.parts[i] for m in members]) for i in range(len(key)))
+        out.append((np.array(rows) if len(groups) > 1 else slice(None), key, data))
+    return len(norms), tuple(out)
+
+
+def _stack_eval(stack, x: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """Every norm of the stack at x (ax = |x|), each bit for bit its own eval.
+
+    numpy reduces each row of a C-contiguous array along its last axis the
+    way it reduces one vector (pairwise for the sum), and block sums add
+    their parts left to right from 0.0, as sum() does.
+    """
+    count, groups = stack
+    out = np.empty(count)
+    for rows, key, data in groups:
+        if key is NormKind.L1:
+            vals = (ax * data).sum(axis=1)
+        elif key is NormKind.LINF:
+            vals = (ax * data).max(axis=1)
+        elif key is None:
+            vals = [norm.eval(x) for norm in data]
+        else:
+            vals, off = 0.0, 0
+            for part, d in zip(data, key):
+                vals = vals + _stack_eval(part, x[off : off + d], ax[off : off + d])
+                off += d
+        out[rows] = vals
+    return out
+
+
 @dataclass(frozen=True)
 class SeminormFamily:
     """Partition of (0, 1) into bands, each carrying a norm on R^n.
@@ -155,15 +221,26 @@ class SeminormFamily:
             raise ValueError("band ends must be strictly increasing and finish at 1")
         if any(not 0.0 < u <= 1.0 for u in uptos):
             raise ValueError("band ends must lie in (0, 1]")
-        # kept for every band lookup; not a dataclass field, so not in == or repr
-        object.__setattr__(self, "uptos", uptos)
         for b in bands:
             if b.norm.dimension != self.dimension:
                 raise ValueError("band norm dimension mismatch")
+        # built once for every band lookup and evaluation; not dataclass
+        # fields, so not in ==, repr or hash
+        object.__setattr__(self, "uptos", uptos)
+        object.__setattr__(self, "_ends", _frozen(uptos))
+        object.__setattr__(self, "_stack", _stack([b.norm for b in bands]))
         if enforce_monotone:
             ok, msg = self.monotone_report()
             if not ok:
                 raise ValueError(msg)
+
+    def __reduce__(self):
+        # pickle the fields alone; the arrays are rebuilt, read-only again
+        return type(self), (self.dimension, self.bands, False)
+
+    def band_values(self, x: np.ndarray) -> np.ndarray:
+        """p(x, w) on every band, in band order, for a checked vector x."""
+        return _stack_eval(self._stack, x, np.abs(x))
 
     def monotone_report(self) -> tuple[bool, str]:
         for k in range(len(self.bands) - 1):
@@ -222,8 +299,7 @@ class PNSpace:
         return self.family.dimension
 
     def band_values(self, x) -> list[float]:
-        x = _check_vector(self.family, x)
-        return [b.norm.eval(x) for b in self.family.bands]
+        return self.family.band_values(_check_vector(self.family, x)).tolist()
 
     def prob_norm(self, x) -> StepDF:
         """nu_x(t) = m({w in (0,1) : p(x, w) < t}), exactly.
@@ -232,24 +308,23 @@ class PNSpace:
         band end itself, so the step d.f. is assembled from the family's own
         floats with no summation error.
         """
-        vals = self.band_values(x)
-        uptos = self.family.uptos
-        if all(v2 >= v1 for v1, v2 in zip(vals, vals[1:])):
-            bps, dfv = [], [0.0]
-            for k, v in enumerate(vals):
-                if k + 1 == len(vals) or vals[k + 1] > v:
-                    bps.append(v)
-                    dfv.append(uptos[k])
-            return StepDF(tuple(bps), tuple(dfv))
-        # non-monotone families (diagnostic path): accumulate band lengths per value
-        lengths = [u - s for s, u in zip(self.family.starts(), uptos)]
-        distinct = sorted(set(vals))
-        bps, dfv = [], [0.0]
-        for c in distinct:
-            bps.append(c)
-            dfv.append(sum(l for v, l in zip(vals, lengths) if v <= c))
+        vals = self.family.band_values(_check_vector(self.family, x))
+        if (vals[1:] >= vals[:-1]).all():
+            # the last band of each distinct value ends where nu_x reaches it
+            last = np.append(vals[1:] > vals[:-1], True)
+            return StepDF(vals[last].tolist(), [0.0, *self.family._ends[last].tolist()])
+        # non-monotone families (diagnostic path): per distinct value c, the
+        # lengths of the bands with p <= c, summed in band order; a running
+        # sum adds them in the order sum() would, a block of values at a time
+        lengths = np.diff(self.family._ends, prepend=0.0)
+        distinct = np.unique(vals)
+        step = max(1, _MASK_CELLS // len(vals))
+        dfv = np.concatenate([
+            np.cumsum(np.where(vals <= c[:, None], lengths, 0.0), axis=1)[:, -1]
+            for c in (distinct[i : i + step] for i in range(0, len(distinct), step))
+        ])
         dfv[-1] = 1.0
-        return StepDF(tuple(bps), tuple(dfv))
+        return StepDF(distinct.tolist(), [0.0, *dfv.tolist()])
 
     def norm_at(self, x, w: float) -> float:
         """The left-limit band norm ||x||_w = sup_{w' < w} p(x, w')."""

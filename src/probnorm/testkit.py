@@ -12,7 +12,6 @@ replaces the continuum bisection with a fixed 1e-5 grid.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +19,6 @@ from .distfn import StepDF, levy_condition
 from .pnspace import Band, NormKind, PNSpace, SeminormFamily, WeightedNorm
 from .operators import LinearOperator
 from .triangle import TNormKind, _tconorm, _tnorm
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    grid_step: float = 1e-4
-
-    def __post_init__(self):
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be > 0")
 
 
 def scan_eval(breakpoints, values, x: float) -> float:
@@ -46,8 +36,9 @@ def _scan_eval_many(F: StepDF, xs: np.ndarray) -> np.ndarray:
     return np.array(F.values)[counts]
 
 
-def _s_grid(F: StepDF, G: StepDF, x: float, cfg: OracleConfig) -> np.ndarray:
-    step = cfg.grid_step
+def _s_grid(F: StepDF, G: StepDF, x: float, step: float) -> np.ndarray:
+    if not step > 0:
+        raise ValueError("grid_step must be > 0")
     pts = [np.arange(-step, x + 2.0 * step, step)]
     for a in F.breakpoints:
         pts.append(np.array([a - step, a, a + step]))
@@ -56,22 +47,21 @@ def _s_grid(F: StepDF, G: StepDF, x: float, cfg: OracleConfig) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _oracle_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg, sup: bool) -> float:
-    cfg = cfg or OracleConfig()
-    s = _s_grid(F, G, x, cfg)
+def _oracle_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, grid_step: float, sup: bool) -> float:
+    s = _s_grid(F, G, x, grid_step)
     pair = _tnorm if sup else _tconorm
     vals = pair(T, _scan_eval_many(F, s), _scan_eval_many(G, x - s))
     return float(vals.max() if sup else vals.min())
 
 
-def oracle_sup_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg: OracleConfig | None = None) -> float:
+def oracle_sup_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, *, grid_step: float = 1e-4) -> float:
     """Dense-grid sup of T(F(s), G(x-s)) with breakpoint neighborhoods included."""
-    return _oracle_conv(T, F, G, x, cfg, sup=True)
+    return _oracle_conv(T, F, G, x, grid_step, sup=True)
 
 
-def oracle_inf_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, cfg: OracleConfig | None = None) -> float:
+def oracle_inf_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, *, grid_step: float = 1e-4) -> float:
     """Dense-grid inf of T*(F(s), G(x-s))."""
-    return _oracle_conv(T, F, G, x, cfg, sup=False)
+    return _oracle_conv(T, F, G, x, grid_step, sup=False)
 
 
 def oracle_operator_norm(matrix: np.ndarray, dom_norm: WeightedNorm, cod_norm) -> float:

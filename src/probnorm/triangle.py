@@ -27,8 +27,9 @@ def _eval_at(formula, T: TNormKind, a: float, b: float) -> float:
 def tnorm_eval(T: TNormKind, a: float, b: float) -> float:
     """T(a, b), by the formula the convolutions use.
 
-    It agrees bit for bit with the scalar closed form of each kind, except
-    for the sign of a zero result when the arguments mix 0.0 and -0.0.
+    W's max(a + b - 1, 0) is computed as max(hi - 1 + lo, 0), correctly
+    rounded.  PROD and MIN agree bit for bit with their scalar closed forms,
+    except for the sign of a zero result when the arguments mix 0.0 and -0.0.
     """
     return _eval_at(_tnorm, T, a, b)
 
@@ -40,12 +41,12 @@ def tconorm_eval(T: TNormKind, a: float, b: float) -> float:
 
 
 def _tnorm(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # T(v, u) elementwise, broadcasting; W's boundary cases are split off so
-    # the unit law T(a, 1) = a is exact
+    # T(v, u) elementwise, broadcasting.  W's max(a + b - 1, 0) is computed as
+    # max(hi - 1 + lo, 0), hi = max and lo = min: hi - 1 is exact for
+    # hi >= 1/2 and the sum is then rounded once, so it is correctly rounded
+    # (hence <= PROD's correctly rounded a b) and T(a, 1) = a exactly
     if T is TNormKind.W:
-        out = np.maximum(v + u - 1.0, 0.0)
-        out = np.where(v == 1.0, u, out)
-        return np.where(u == 1.0, v, out)
+        return np.maximum(np.maximum(v, u) - 1.0 + np.minimum(v, u), 0.0)
     if T is TNormKind.PROD:
         return v * u
     return np.minimum(v, u)
@@ -96,9 +97,9 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
 
     - PROD's t-norm v * u and MIN's min(v, u), and MIN's conorm max(v, u),
       are one monotone operation each; so is W's conorm min(v + u, 1).
-    - W's t-norm max(v + u - 1, 0) is a rounded sum, a shift by 1 and a
-      max, each monotone.  Its split rows keep the order: at v = 1 it gives u, and
-      v + u - 1 <= u in exact arithmetic, so its rounding is <= u too.
+    - W's t-norm max(hi - 1 + lo, 0), whose two cases meet at v = u.  Where
+      v is lo, hi - 1 is fixed and the sum rounds monotonically; where v is
+      hi, hi - 1 and then the sum each round monotonically.
     - PROD's conorm hi + lo (1 - hi), whose two cases below meet at v = u.
       Where v is lo, hi is fixed and the product and the sum each round
       monotonically.  Where v is hi >= 1/2,

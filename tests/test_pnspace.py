@@ -1,7 +1,9 @@
 """PN-spaces from seminorm families: probabilistic norms, axioms, products."""
 
 import dataclasses
+import itertools
 import math
+import pickle
 import types
 
 import numpy as np
@@ -58,11 +60,11 @@ def measure_oracle(P: PNSpace, x, t: float, step: float = 1e-5) -> float:
     return float(np.count_nonzero(np.array(vals)[idx] < t)) * step
 
 
+@dataclasses.dataclass(frozen=True)
 class SquaredL1:
     """(sum |x_i|)^2: homogeneous of degree 2 and superadditive, so not a norm."""
 
-    def __init__(self, dimension: int):
-        self.dimension = dimension
+    dimension: int
 
     def eval(self, x) -> float:
         return float(np.abs(x).sum()) ** 2
@@ -70,6 +72,38 @@ class SquaredL1:
 
 def squared_l1_space(n: int) -> PNSpace:
     return PNSpace(SeminormFamily(n, (Band(1.0, SquaredL1(n)),)))
+
+
+def reference_band_values(P: PNSpace, x) -> list:
+    """The per-band loop: each band norm evaluated by its own eval."""
+    return [b.norm.eval(x) for b in P.family.bands]
+
+
+def reference_prob_norm(P: PNSpace, x) -> StepDF:
+    """nu_x from the per-band loop's values, by plain Python loops."""
+    vals = reference_band_values(P, x)
+    uptos = P.family.uptos
+    if all(v2 >= v1 for v1, v2 in zip(vals, vals[1:])):
+        last = [k + 1 == len(vals) or vals[k + 1] > v for k, v in enumerate(vals)]
+        return StepDF(
+            [v for v, keep in zip(vals, last) if keep],
+            [0.0, *(u for u, keep in zip(uptos, last) if keep)],
+        )
+    lengths = [u - s for s, u in zip(P.family.starts(), uptos)]
+    bps = sorted(set(vals))
+    dfv = [0.0, *(sum(l for v, l in zip(vals, lengths) if v <= c) for c in bps)]
+    dfv[-1] = 1.0
+    return StepDF(bps, dfv)
+
+
+def stacked_arrays(stack):
+    """Every weight array of a family's stack, parts of block sums included."""
+    for _, key, data in stack[1]:
+        if isinstance(key, NormKind):
+            yield data
+        elif key is not None:
+            for part in data:
+                yield from stacked_arrays(part)
 
 
 TWO_BAND = PNSpace(
@@ -101,6 +135,10 @@ class TestWeightedNorm:
             WeightedNorm(NormKind.L1, (1.0, 0.0))
         with pytest.raises(ValueError):
             WeightedNorm(NormKind.L1, (1.0, -2.0))
+        # 1 / 5e-324 overflows, so the unit ball would have infinite vertices
+        with pytest.raises(ValueError, match="reciprocals"):
+            WeightedNorm(NormKind.L1, (5e-324, 1.0))
+        assert WeightedNorm(NormKind.L1, (2.0**-1022,)).unit_ball_vertices()[0, 0] == 2.0**1022
 
     def test_norm_axioms_sampled(self):
         rng = np.random.default_rng(0)
@@ -128,6 +166,16 @@ class TestWeightedNorm:
         big = WeightedNorm(NormKind.LINF, tuple([1.0] * 21))
         with pytest.raises(ValueError):
             big.unit_ball_vertices()
+
+    def test_linf_vertices_in_product_order(self):
+        # the sign rows are built from bit patterns; the bytes are those of
+        # the itertools.product construction
+        rng = np.random.default_rng(11)
+        for n in range(1, 17):
+            norm = WeightedNorm(NormKind.LINF, tuple(rng.uniform(0.5, 2.0, n)))
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+            want = signs * (1.0 / np.array(norm.weights))
+            assert norm.unit_ball_vertices().tobytes() == want.tobytes(), n
 
 
 class TestSeminormFamily:
@@ -168,6 +216,33 @@ class TestSeminormFamily:
         assert "uptos" not in repr(fam)
         assert fam == SeminormFamily(fam.dimension, fam.bands)
 
+    @pytest.mark.parametrize("monotone", [True, False])
+    def test_band_weights_are_stacked_once_outside_the_fields(self, monotone):
+        if monotone:
+            fam = product_space(gen_space(1, 2), product_space(gen_space(2, 3), gen_space(3, 1))).family
+        else:
+            l1, linf = WeightedNorm(NormKind.L1, (2.0, 1.0)), WeightedNorm(NormKind.LINF, (1.0, 3.0))
+            bands = (Band(0.25, l1), Band(0.5, linf), Band(0.75, SquaredL1(2)), Band(1.0, l1))
+            fam = SeminormFamily(2, bands, enforce_monotone=False)
+        arrays = [fam._ends, *stacked_arrays(fam._stack)]
+        assert len(arrays) == (4 if monotone else 3)
+        for a in arrays:
+            assert not a.flags.writeable and a.flags.c_contiguous
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        if monotone:
+            # one (bands x d) array per part of the block sums
+            assert [a.shape for a in arrays[1:]] == [(len(fam.bands), d) for d in (2, 3, 1)]
+        # not fields: ==, repr and hash see only the dimension and the bands
+        assert [f.name for f in dataclasses.fields(fam)] == ["dimension", "bands"]
+        assert "_stack" not in repr(fam) and "_ends" not in repr(fam)
+        assert hash(fam) == hash((fam.dimension, fam.bands))
+        back = pickle.loads(pickle.dumps(fam))
+        assert back == fam and repr(back) == repr(fam) and hash(back) == hash(fam)
+        assert not any(a.flags.writeable for a in (back._ends, *stacked_arrays(back._stack)))
+        x = np.array([0.5, -2.0, 0.0, 1.0, 3.0, -1.0][: fam.dimension])
+        assert PNSpace(back).prob_norm(x) == PNSpace(fam).prob_norm(x)
+
 
 class TestConstructorFuzz:
     """Any floats, NaN and the infinities as weights and band ends either raise
@@ -186,6 +261,8 @@ class TestConstructorFuzz:
         w = N.weights
         assert isinstance(N.kind, NormKind) and N.dimension == len(weights) >= 1
         assert all(type(x) is float and math.isfinite(x) and x > 0.0 for x in w)
+        assert all(math.isfinite(1.0 / x) for x in w)
+        assert np.isfinite(N.unit_ball_vertices()).all()
         assert N.eval(np.zeros(N.dimension)) == 0.0
         assert repr(WeightedNorm(N.kind, w)) == repr(N)
 
@@ -217,6 +294,92 @@ class TestConstructorFuzz:
             if start < mid < end:
                 assert S.band_index(mid) == k
         assert repr(SeminormFamily(S.dimension, S.bands, enforce_monotone=enforce)) == repr(S)
+
+
+def _ends(rng, bands: int) -> list[float]:
+    # cubes, so that band lengths are rounded and their sums depend on order
+    cuts = np.unique(rng.uniform(0.0, 1.0, bands - 1) ** 3)
+    return [*cuts[cuts > 0.0].tolist(), 1.0]
+
+
+def _weights(rng, n: int) -> np.ndarray:
+    return rng.uniform(0.01, 100.0, n)
+
+
+def _monotone(rng, bands: int, n: int, kind: NormKind) -> PNSpace:
+    # some bands repeat the last weights, so equal consecutive values occur
+    w, out = _weights(rng, n), []
+    for u in _ends(rng, bands):
+        out.append(Band(u, WeightedNorm(kind, w)))
+        if rng.random() < 0.7:
+            w = w * rng.uniform(1.0, 1.5, n)
+    return PNSpace(SeminormFamily(n, tuple(out)))
+
+
+def _any_norm(rng, n: int, depth: int = 0):
+    # a weighted norm of either kind, the duck-typed SquaredL1, or a block sum
+    # of two or three such norms, nested up to two levels
+    pick = rng.integers(4 if depth < 2 and n > 1 else 3)
+    if pick == 3:
+        cuts = np.unique(rng.integers(1, n, 2))
+        dims = tuple(np.diff([0, *cuts, n]).tolist())
+        return BlockSumNorm(tuple(_any_norm(rng, d, depth + 1) for d in dims), dims)
+    return SquaredL1(n) if pick == 2 else WeightedNorm(NormKind(("l1", "linf")[pick]), _weights(rng, n))
+
+
+SHAPES = ("l1", "linf", "mixed", "duck", "product-right", "product-left", "blocks")
+
+
+@st.composite
+def stacked_cases(draw):
+    """A space of 1-300 bands in dimension 1-40 and a vector with zero entries."""
+    shape = draw(st.sampled_from(SHAPES))
+    n = draw(st.integers(1, 40))
+    bands = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape in ("l1", "linf"):
+        P = _monotone(rng, bands, n, NormKind(shape))
+    elif shape.startswith("product"):
+        # P x (Q x R) and (P x Q) x R: block sums nested both ways
+        dims = [max(1, d) for d in (n // 3, n // 3, n - 2 * (n // 3))]
+        P, Q, R = (_monotone(rng, max(1, bands // 3), d, NormKind(rng.choice(["l1", "linf"]))) for d in dims)
+        P = product_space(P, product_space(Q, R)) if shape == "product-right" else product_space(product_space(P, Q), R)
+    else:
+        # non-monotone: fresh weights per band, kinds mixed, duck-typed bands
+        def norm():
+            if shape == "blocks":
+                return _any_norm(rng, n)
+            if shape == "duck" and rng.random() < 0.3:
+                return SquaredL1(n)
+            kind = NormKind.L1 if shape != "mixed" or rng.random() < 0.5 else NormKind.LINF
+            return WeightedNorm(kind, _weights(rng, n))
+
+        family = tuple(Band(u, norm()) for u in _ends(rng, bands))
+        P = PNSpace(SeminormFamily(n, family, enforce_monotone=False))
+    x = rng.uniform(-3.0, 3.0, P.dimension) * (rng.random(P.dimension) < draw(st.sampled_from((0.0, 0.5, 0.9, 1.0))))
+    return P, x
+
+
+class TestStackedBands:
+    """The stacked band weights give the per-band loop's values bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_cases())
+    def test_matches_the_per_band_loop(self, case):
+        P, x = case
+        got, want = P.band_values(x), reference_band_values(P, x)
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+        assert repr(P.prob_norm(x)) == repr(reference_prob_norm(P, x))
+
+    def test_duck_typed_norms_use_their_own_eval(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(SquaredL1, "eval", lambda self, x: calls.append(1) or 7.0)
+        l1 = WeightedNorm(NormKind.L1, (1.0, 1.0))
+        inner = BlockSumNorm((SquaredL1(1), WeightedNorm(NormKind.LINF, (2.0,))), (1, 1))
+        bands = (Band(0.5, SquaredL1(2)), Band(0.75, l1), Band(1.0, inner))
+        P = PNSpace(SeminormFamily(2, bands, enforce_monotone=False))
+        assert P.band_values([1.0, -1.0]) == [7.0, 2.0, 9.0]
+        assert len(calls) == 2
 
 
 class TestProbNorm:

@@ -126,7 +126,8 @@ def _sorted_unique(elements, min_size, max_size):
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# weights down to the least normal float: every reciprocal is finite
+_WEIGHT = st.floats(min_value=2.0**-1022, allow_infinity=False)
 _INSIDE_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
@@ -155,7 +156,7 @@ def _spaces(draw):
     n = draw(st.integers(1, 4))
     uptos = [*draw(_sorted_unique(_INSIDE_UNIT, 0, 4)), 1.0]
     kind = draw(st.sampled_from(["l1", "linf"]))
-    rows = st.lists(_POSITIVE, min_size=n, max_size=n)
+    rows = st.lists(_WEIGHT, min_size=n, max_size=n)
     weights = draw(st.lists(rows, min_size=len(uptos), max_size=len(uptos)))
     bands = tuple(
         Band(u, WeightedNorm(kind, w))
@@ -426,6 +427,17 @@ class TestCLI:
         assert code == 1
         error = {"where": flag.split()[0], "message": f"{token} is not a finite number"}
         assert json.loads(out) == {"error": error}
+
+    def test_subnormal_weight_exit_1(self, capsys, files):
+        # 1 / 5e-324 overflows: the unit-ball vertices would hold inf and the
+        # exact norm would come out nan
+        domain = {"dimension": 2, "bands": [{"upto": 1.0, "kind": "l1", "weights": [5e-324, 1.0]}]}
+        op = files("op.json", {**OP, "domain": domain})
+        code, out = self.run(capsys, "op-norm", "--op", op, "--w", "0.5", "--wp", "0.5")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["where"] == "--op.domain.bands[0]"
+        assert "finite reciprocals" in error["message"]
 
     @pytest.mark.parametrize("token", ["true", "false"])
     @pytest.mark.parametrize(

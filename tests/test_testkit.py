@@ -7,7 +7,6 @@ from probnorm import operators
 from probnorm.distfn import df_eval, is_proper, levy_metric, unit_step
 from probnorm.pnspace import NormKind, WeightedNorm, validate_pn_axioms
 from probnorm.testkit import (
-    OracleConfig,
     gen_operator,
     gen_space,
     gen_stepdf,
@@ -67,8 +66,10 @@ class TestOracles:
         assert oracle_operator_norm(M, WeightedNorm(NormKind.LINF, (1.0, 1.0)), cod) == 5.5
 
     def test_grid_config_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(grid_step=0.0)
+        F = gen_stepdf(0)
+        for oracle in (oracle_sup_conv, oracle_inf_conv):
+            with pytest.raises(ValueError):
+                oracle(TNormKind.MIN, F, F, 1.0, grid_step=0.0)
 
 
 class TestGenerators:
