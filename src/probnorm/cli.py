@@ -25,25 +25,29 @@ from .serialize import SchemaError
 
 
 def _read_json(text: str, where: str):
-    """json.loads that rejects NaN, Infinity and numbers beyond the float range."""
+    """json.loads that rejects NaN, Infinity, numbers beyond the float range
+    and nesting deeper than the interpreter can parse."""
 
     def finite(token: str):
         if not math.isfinite(float(token)):
             raise SchemaError(where, f"{token} is not a finite number")
         return token
 
-    return json.loads(
-        text,
-        parse_constant=lambda token: float(finite(token)),
-        parse_float=lambda token: float(finite(token)),
-        parse_int=lambda token: int(finite(token)),
-    )
+    try:
+        return json.loads(
+            text,
+            parse_constant=lambda token: float(finite(token)),
+            parse_float=lambda token: float(finite(token)),
+            parse_int=lambda token: int(finite(token)),
+        )
+    except RecursionError as e:
+        raise SchemaError(where, "JSON nested too deeply") from e
 
 
 def _load_json(path: str, where: str):
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    except OSError as e:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(where, str(e)) from e
     try:
         return _read_json(text, where)

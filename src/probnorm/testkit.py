@@ -1,10 +1,10 @@
 """Brute-force oracles and seeded random generators for the property suites.
 
-The oracles evaluate step semantics by their own linear scan and dense grids;
-they never call the exact code paths they are used to validate, with two
-deliberate exceptions.  The convolution oracles take each pair value from
-triangle's t-norm and conorm formulas, so grid and exact extrema share floats;
-the formulas themselves are checked against exact Fraction arithmetic in the
+The oracles evaluate step semantics by their own linear scan; they never call
+the exact code paths they are used to validate, with two deliberate
+exceptions.  The convolution oracles take each pair value from triangle's
+t-norm and conorm formulas, so sampled and exact extrema share floats; the
+formulas themselves are checked against exact Fraction arithmetic in the
 tests.  The Levy oracle reuses the exact per-h feasibility check and only
 replaces the continuum bisection with a fixed 1e-5 grid.
 """
@@ -36,32 +36,26 @@ def _scan_eval_many(F: StepDF, xs: np.ndarray) -> np.ndarray:
     return np.array(F.values)[counts]
 
 
-def _s_grid(F: StepDF, G: StepDF, x: float, step: float) -> np.ndarray:
-    if not step > 0:
-        raise ValueError("grid_step must be > 0")
-    pts = [np.arange(-step, x + 2.0 * step, step)]
-    for a in F.breakpoints:
-        pts.append(np.array([a - step, a, a + step]))
-    for b in G.breakpoints:
-        pts.append(np.array([x - b - step, x - b, x - b + step]))
-    return np.concatenate(pts)
-
-
-def _oracle_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, grid_step: float, sup: bool) -> float:
-    s = _s_grid(F, G, x, grid_step)
+def _oracle_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, sup: bool) -> float:
+    # (F(s), G(x - s)) is constant between consecutive events, F's breakpoints
+    # a and the points x - b for G's breakpoints b, so s at each event, at the
+    # midpoint of each gap and beyond each end meets every pair that occurs,
+    # up to the rounding of x - s, which callers avoid by keeping x off sums
+    events = np.unique(np.concatenate((F.breakpoints, x - np.array(G.breakpoints))))
+    s = np.concatenate(([-np.inf], events, 0.5 * (events[:-1] + events[1:]), [np.inf]))
     pair = _tnorm if sup else _tconorm
     vals = pair(T, _scan_eval_many(F, s), _scan_eval_many(G, x - s))
     return float(vals.max() if sup else vals.min())
 
 
-def oracle_sup_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, *, grid_step: float = 1e-4) -> float:
-    """Dense-grid sup of T(F(s), G(x-s)) with breakpoint neighborhoods included."""
-    return _oracle_conv(T, F, G, x, grid_step, sup=True)
+def oracle_sup_conv(T: TNormKind, F: StepDF, G: StepDF, x: float) -> float:
+    """sup over s of T(F(s), G(x-s)), sampled at each event and each gap."""
+    return _oracle_conv(T, F, G, x, sup=True)
 
 
-def oracle_inf_conv(T: TNormKind, F: StepDF, G: StepDF, x: float, *, grid_step: float = 1e-4) -> float:
-    """Dense-grid inf of T*(F(s), G(x-s))."""
-    return _oracle_conv(T, F, G, x, grid_step, sup=False)
+def oracle_inf_conv(T: TNormKind, F: StepDF, G: StepDF, x: float) -> float:
+    """inf over s of T*(F(s), G(x-s)), sampled at each event and each gap."""
+    return _oracle_conv(T, F, G, x, sup=False)
 
 
 def oracle_operator_norm(matrix: np.ndarray, dom_norm: WeightedNorm, cod_norm) -> float:
@@ -108,7 +102,7 @@ def oracle_levy(F: StepDF, G: StepDF) -> float:
 # ---------------------------------------------------------------------------
 # generators (deterministic per seed; outputs always satisfy type invariants)
 
-BP_GRID = 0.01  # breakpoint lattice: keeps gaps >= 2 oracle grid steps
+BP_GRID = 0.01  # breakpoint lattice
 BP_SLOTS = 300  # breakpoints live in (0, 3]
 
 

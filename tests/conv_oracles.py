@@ -6,6 +6,11 @@ sums as the kernel, but without its premise that the grid of pair values is
 monotone: the dense mask tests every pair on every interval, and the
 range-reduce reduces every achievable range.  The exact variant takes the
 extremum of the exact rational t-norm or conorm values instead of the floats.
+
+The dense-grid oracle is the reference for testkit's event-point oracles: it
+samples s every grid step over [-step, x + step], and at each event and its
+two neighbours a step away, which meets every pair when distinct events lie
+at least two steps apart.
 """
 
 import math
@@ -14,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from probnorm.distfn import StepDF
+from probnorm.testkit import _scan_eval_many
 from probnorm.triangle import TNormKind, _band_ends, _tconorm, _tnorm
 
 
@@ -70,6 +76,26 @@ def conv_range(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> S
         bounds = np.array((lo, hi)).T.ravel()
         fold(out_vals, fold.reduceat(padded[i], bounds)[::2], out=out_vals)
     return StepDF(cands.tolist(), out_vals.tolist())
+
+
+def _s_grid(F: StepDF, G: StepDF, x: float, step: float) -> np.ndarray:
+    if not step > 0:
+        raise ValueError("grid_step must be > 0")
+    pts = [np.arange(-step, x + 2.0 * step, step)]
+    for a in F.breakpoints:
+        pts.append(np.array([a - step, a, a + step]))
+    for b in G.breakpoints:
+        pts.append(np.array([x - b - step, x - b, x - b + step]))
+    return np.concatenate(pts)
+
+
+def oracle_conv_grid(T: TNormKind, F: StepDF, G: StepDF, x: float, grid_step: float, sup: bool) -> float:
+    """Dense-grid sup of T(F(s), G(x-s)) (or inf of T*) with breakpoint
+    neighborhoods included."""
+    s = _s_grid(F, G, x, grid_step)
+    pair = _tnorm if sup else _tconorm
+    vals = pair(T, _scan_eval_many(F, s), _scan_eval_many(G, x - s))
+    return float(vals.max() if sup else vals.min())
 
 
 def exact_tnorm(T: TNormKind, a: float, b: float) -> Fraction:

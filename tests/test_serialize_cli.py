@@ -496,6 +496,34 @@ class TestCLI:
         digest = self.suite_digest(capsys, "pnspace")
         assert digest == "751631aee9a0c2f0cfd056375a822648a2862d4f64b7af5ebc16cfc9aec66020"
 
+    def test_triangle_check_reports_are_pinned(self, capsys):
+        digest = self.suite_digest(capsys, "triangle")
+        assert digest == "a184e430aac73681af0fdb7b2d275ad04461f56577957d52e898548c0244fbed"
+
+    def test_distfn_check_reports_are_pinned(self, capsys):
+        digest = self.suite_digest(capsys, "distfn")
+        assert digest == "b73fa65c86a047927f59cc13d02d44ecd6e4ef7c4b503e34aeb6a84e732ac01b"
+
+    @pytest.mark.parametrize("flag", ["--f", "--x"])
+    def test_deep_json_is_an_error_object(self, capsys, files, flag):
+        deep = "[" * 100000
+        if flag == "--f":
+            argv = ["df-eval", "--f", files("deep.json", deep), "--x", "1"]
+        else:
+            argv = ["space-nu", "--space", files("s.json", SPACE), "--x", deep]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"error": {"where": flag, "message": "JSON nested too deeply"}}
+        assert err == ""
+
+    def test_non_utf8_file_is_an_error_object(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"\xff" + json.dumps(H1).encode())
+        assert main(["df-eval", "--f", str(path), "--x", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"]["where"] == "--f"
+        assert err == ""
+
     def test_df_eval_abscissa_may_be_infinite(self, capsys, files):
         code, out = self.run(capsys, "df-eval", "--f", files("f.json", H2), "--x", "inf")
         assert code == 0

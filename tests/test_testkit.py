@@ -1,10 +1,13 @@
 """Oracles and generators: self-consistency and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
 from probnorm import operators
-from probnorm.distfn import df_eval, is_proper, levy_metric, unit_step
+from probnorm.checks import _off_breakpoint_xs
+from probnorm.distfn import StepDF, df_eval, is_proper, levy_metric, unit_step
 from probnorm.pnspace import NormKind, WeightedNorm, validate_pn_axioms
 from probnorm.testkit import (
     gen_operator,
@@ -17,9 +20,28 @@ from probnorm.testkit import (
     oracle_sup_conv,
     scan_eval,
 )
-from probnorm.triangle import TNormKind
+from probnorm.triangle import TNormKind, tau_inf_conv, tau_sup_conv
 
+from conv_oracles import oracle_conv_grid
 from prefix_limits import strong_cauchy_index, strong_convergence_index
+
+
+def continuous_stepdf(rng, n: int, proper: bool) -> StepDF:
+    """n breakpoints in (0, 3], at least 0.01 apart, off any lattice."""
+    gaps = rng.uniform(0.0, 1.0, n)
+    bps = np.cumsum(0.01 + gaps * ((3.0 - 0.01 * n) / gaps.sum()))
+    vals = np.sort(rng.uniform(0.0, 1.0, n))
+    if proper:
+        vals[-1] = 1.0
+    return StepDF(bps.tolist(), [0.0, *vals.tolist()])
+
+
+def adjacent_float_stepdf(rng, n: int) -> StepDF:
+    """n pairs of breakpoints a, nextafter(a, inf), with a jump at each."""
+    lows = np.sort(rng.uniform(0.05, 3.0, n))
+    bps = [b for a in lows for b in (a, math.nextafter(a, math.inf))]
+    vals = np.sort(rng.uniform(0.0, 1.0, 2 * n))
+    return StepDF(bps, [0.0, *vals.tolist()])
 
 
 class TestOracles:
@@ -36,6 +58,32 @@ class TestOracles:
             assert oracle_sup_conv(kind, F, G, 3.0) == 0.0
             assert oracle_inf_conv(kind, F, G, 3.5) == 1.0
             assert oracle_inf_conv(kind, F, G, 3.0) == 0.0
+
+    def test_event_points_match_dense_grid(self):
+        # lattice pairs from gen_stepdf and continuous pairs with gaps >= 0.01,
+        # at abscissae 2e-3 from every sum: distinct events lie at least two
+        # 1e-3 grid steps apart, the dense grid's premise
+        rng = np.random.default_rng(11)
+        pairs = [(gen_stepdf(k), gen_stepdf(k + 5000, proper=k % 3 > 0)) for k in range(50)]
+        for k in range(50):
+            n, m = rng.integers(1, 7, 2)
+            pairs.append((continuous_stepdf(rng, n, True), continuous_stepdf(rng, m, k % 3 > 0)))
+        for k, (F, G) in enumerate(pairs):
+            for x in _off_breakpoint_xs(F, G, k, 4):
+                for kind in TNormKind:
+                    for sup, oracle in ((True, oracle_sup_conv), (False, oracle_inf_conv)):
+                        want = oracle_conv_grid(kind, F, G, x, 1e-3, sup)
+                        assert oracle(kind, F, G, x) == want, (kind, sup, F, G, x)
+
+    def test_event_points_with_adjacent_float_breakpoints(self):
+        # events one ulp apart, which the dense grid's spacing premise excluded
+        rng = np.random.default_rng(12)
+        for k in range(100):
+            F, G = (adjacent_float_stepdf(rng, int(rng.integers(1, 4))) for _ in range(2))
+            for x in _off_breakpoint_xs(F, G, k, 5):
+                for kind in TNormKind:
+                    assert oracle_sup_conv(kind, F, G, x) == df_eval(tau_sup_conv(kind, F, G), x)
+                    assert oracle_inf_conv(kind, F, G, x) == df_eval(tau_inf_conv(kind, F, G), x)
 
     def test_levy_self(self):
         for seed in range(5):
@@ -64,12 +112,6 @@ class TestOracles:
         assert oracle_operator_norm(M, WeightedNorm(NormKind.L1, (1.0, 0.5)), cod) == 5.0
         # Linf domain: M (1, -1) = (3, 2.5) is the largest of the four sign images
         assert oracle_operator_norm(M, WeightedNorm(NormKind.LINF, (1.0, 1.0)), cod) == 5.5
-
-    def test_grid_config_validation(self):
-        F = gen_stepdf(0)
-        for oracle in (oracle_sup_conv, oracle_inf_conv):
-            with pytest.raises(ValueError):
-                oracle(TNormKind.MIN, F, F, 1.0, grid_step=0.0)
 
 
 class TestGenerators:

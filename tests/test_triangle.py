@@ -1,4 +1,4 @@
-"""t-norms, t-conorms, and exact sup/inf convolutions against grid oracles."""
+"""t-norms, t-conorms, and exact sup/inf convolutions against brute-force oracles."""
 
 import itertools
 import struct
