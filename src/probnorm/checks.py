@@ -152,12 +152,8 @@ def _triangle_suite(seed: int, cases: int) -> list[CheckRow]:
 
 
 def _df_le(A, B) -> bool:
-    # both are constant between breakpoints: check each interval's right end,
-    # and the terminal values for the interval after the last breakpoint
-    return A.values[-1] <= B.values[-1] + 1e-12 and all(
-        df_eval(A, t) <= df_eval(B, t) + 1e-12
-        for t in set(A.breakpoints) | set(B.breakpoints)
-    )
+    # A <= B iff hat A >= hat B
+    return pnspace._hat_le(quasi_inverse(B), quasi_inverse(A))
 
 
 def _off_breakpoint_xs(F, G, seed: int, count: int, margin: float = 2e-3):

@@ -56,15 +56,6 @@ class WeightedNorm:
         wx = np.abs(np.asarray(X, dtype=float)) * self.weights
         return wx.sum(axis=-1) if self.kind is NormKind.L1 else wx.max(axis=-1)
 
-    def dominates(self, other: "WeightedNorm") -> bool:
-        """Pointwise >= by structure: same kind, coordinatewise larger weights."""
-        return (
-            isinstance(other, WeightedNorm)
-            and self.kind is other.kind
-            and self.dimension == other.dimension
-            and all(a >= b for a, b in zip(self.weights, other.weights))
-        )
-
     def unit_ball_vertices(self) -> np.ndarray:
         """Vertices of the closed unit ball (the polytope {x : norm(x) <= 1}).
 
@@ -119,13 +110,6 @@ class BlockSumNorm:
         X = np.asarray(X, dtype=float)
         return sum(part.eval_many(X[..., a:b]) for part, a, b in self._splits())
 
-    def dominates(self, other) -> bool:
-        return (
-            isinstance(other, BlockSumNorm)
-            and self.dims == other.dims
-            and all(p.dominates(q) for p, q in zip(self.parts, other.parts))
-        )
-
 
 @dataclass(frozen=True)
 class Band:
@@ -141,68 +125,71 @@ def _frozen(rows) -> np.ndarray:
     return arr
 
 
-def _stack(norms) -> tuple:
-    """Band norms of one dimension, grouped for evaluation in one pass.
+def _structure(norm) -> tuple:
+    """(key, weights) of a band norm, or (None, None) for one kept for its own eval.
 
-    Returns (count, groups), one group (rows, key, data) per key: weighted
-    norms of one kind share a read-only (rows x n) weight array, block sums
-    of one split share one stack per part, and any other norm is kept and
-    evaluated by its own eval.  rows is slice(None) when there is one group.
+    A weighted norm's key is its kind; a block sum of weighted norms, at any
+    depth, has its parts' (key, dim) pairs, with their weights concatenated.
+    """
+    if type(norm) is WeightedNorm:
+        return norm.kind, norm.weights
+    if type(norm) is BlockSumNorm:
+        parts = [_structure(part) for part in norm.parts]
+        if all(key is not None for key, _ in parts):
+            key = tuple((part_key, d) for (part_key, _), d in zip(parts, norm.dims))
+            return key, sum((w for _, w in parts), ())
+    return None, None
+
+
+def _stack(norms) -> tuple:
+    """Band norms of one dimension, grouped by structure for evaluation in one pass.
+
+    Returns (count, groups), one group (rows, key, data) per key: the norms
+    of one structure share a read-only (rows x n) weight array, and any other
+    norm is kept (key None) and evaluated by its own eval.  rows is
+    slice(None) when there is one group.
     """
     groups = {}
     for k, norm in enumerate(norms):
-        if type(norm) is WeightedNorm:
-            key = norm.kind
-        elif type(norm) is BlockSumNorm:
-            key = norm.dims
-        else:
-            key = None
-        groups.setdefault(key, []).append(k)
-    out = []
-    for key, rows in groups.items():
-        members = [norms[k] for k in rows]
-        if isinstance(key, NormKind):
-            data = _frozen([m.weights for m in members])
-        elif key is None:
-            data = tuple(members)
-        else:
-            data = tuple(_stack([m.parts[i] for m in members]) for i in range(len(key)))
-        out.append((np.array(rows) if len(groups) > 1 else slice(None), key, data))
-    return len(norms), tuple(out)
+        key, weights = _structure(norm)
+        rows, data = groups.setdefault(key, ([], []))
+        rows.append(k)
+        data.append(norm if key is None else weights)
+    return len(norms), tuple(
+        (np.array(rows) if len(groups) > 1 else slice(None), key,
+         tuple(data) if key is None else _frozen(data))
+        for key, (rows, data) in groups.items()
+    )
 
 
-def _stack_eval(stack, x: np.ndarray, ax: np.ndarray) -> np.ndarray:
-    """Every norm of the stack at x (ax = |x|), each bit for bit its own eval.
+def _reduce(key, wx: np.ndarray) -> np.ndarray:
+    """Row values of the norms of one structure from wx = |x| * weights.
 
-    numpy reduces each row of a C-contiguous array along its last axis the
-    way it reduces one vector (pairwise for the sum), and block sums add
-    their parts left to right from 0.0, as sum() does.
+    numpy reduces each row along the last axis the way it reduces one vector
+    (pairwise for the sum), so each row is bit for bit its norm's own eval;
+    block sums add their parts left to right from 0.0, as sum() does.
     """
-    count, groups = stack
-    out = np.empty(count)
-    for rows, key, data in groups:
-        if key is NormKind.L1:
-            vals = (ax * data).sum(axis=1)
-        elif key is NormKind.LINF:
-            vals = (ax * data).max(axis=1)
-        elif key is None:
-            vals = [norm.eval(x) for norm in data]
-        else:
-            vals, off = 0.0, 0
-            for part, d in zip(data, key):
-                vals = vals + _stack_eval(part, x[off : off + d], ax[off : off + d])
-                off += d
-        out[rows] = vals
-    return out
+    if key is NormKind.L1:
+        return wx.sum(axis=1)
+    if key is NormKind.LINF:
+        return wx.max(axis=1)
+    vals, off = 0.0, 0
+    for part, d in key:
+        vals = vals + _reduce(part, wx[:, off : off + d])
+        off += d
+    return vals
 
 
 @dataclass(frozen=True)
 class SeminormFamily:
     """Partition of (0, 1) into bands, each carrying a norm on R^n.
 
-    Monotonicity in w (band k+1 dominating band k) is enforced structurally
-    at construction; pass enforce_monotone=False to admit an externally
-    supplied family and let validate_pn_axioms report on it instead.
+    The weights of each band structure are stacked once in one read-only
+    array, which decides both evaluation and monotonicity in w: band k+1
+    dominates band k when both share a structure and its weights are
+    coordinatewise >=; a band kept for its own eval dominates nothing.
+    Monotonicity is enforced at construction; enforce_monotone=False admits
+    an externally supplied family for validate_pn_axioms to report on.
     """
 
     dimension: int
@@ -240,13 +227,28 @@ class SeminormFamily:
 
     def band_values(self, x: np.ndarray) -> np.ndarray:
         """p(x, w) on every band, in band order, for a checked vector x."""
-        return _stack_eval(self._stack, x, np.abs(x))
+        count, groups = self._stack
+        out, ax = np.empty(count), np.abs(x)
+        for rows, key, data in groups:
+            out[rows] = [norm.eval(x) for norm in data] if key is None else _reduce(key, ax * data)
+        return out
 
     def monotone_report(self) -> tuple[bool, str]:
-        for k in range(len(self.bands) - 1):
-            if not self.bands[k + 1].norm.dominates(self.bands[k].norm):
-                return False, f"band {k + 1} does not dominate band {k}"
-        return True, "monotone"
+        """(ok, message) naming the first band that does not dominate the one before."""
+        count, groups = self._stack
+        dominates = np.zeros(count - 1, dtype=bool)
+        for rows, key, data in groups:
+            if key is None:
+                continue
+            le = (data[1:] >= data[:-1]).all(axis=1)
+            if type(rows) is slice:
+                dominates = le
+            else:
+                dominates[rows[:-1]] = le & (np.diff(rows) == 1)
+        if dominates.all():
+            return True, "monotone"
+        k = int(dominates.argmin())
+        return False, f"band {k + 1} does not dominate band {k}"
 
     def starts(self) -> tuple[float, ...]:
         return (0.0,) + self.uptos[:-1]

@@ -24,6 +24,7 @@ from probnorm.distfn import (
 from probnorm.pnspace import (
     Band,
     BlockSumNorm,
+    CheckResult,
     NormKind,
     PNSpace,
     SeminormFamily,
@@ -96,14 +97,31 @@ def reference_prob_norm(P: PNSpace, x) -> StepDF:
     return StepDF(bps, dfv)
 
 
+def reference_dominates(a, b) -> bool:
+    """a >= b by structure, pair by pair: weighted norms of one kind with
+    coordinatewise >= weights, or block sums of one split whose parts
+    dominate; a norm kept for its own eval dominates nothing."""
+    if type(a) is WeightedNorm and type(b) is WeightedNorm:
+        return a.kind is b.kind and all(p >= q for p, q in zip(a.weights, b.weights))
+    return (
+        type(a) is BlockSumNorm
+        and type(b) is BlockSumNorm
+        and a.dims == b.dims
+        and all(reference_dominates(p, q) for p, q in zip(a.parts, b.parts))
+    )
+
+
+def reference_monotone_report(S: SeminormFamily) -> tuple:
+    """The per-pair loop: each band norm compared with the one before."""
+    for k in range(len(S.bands) - 1):
+        if not reference_dominates(S.bands[k + 1].norm, S.bands[k].norm):
+            return False, f"band {k + 1} does not dominate band {k}"
+    return True, "monotone"
+
+
 def stacked_arrays(stack):
-    """Every weight array of a family's stack, parts of block sums included."""
-    for _, key, data in stack[1]:
-        if isinstance(key, NormKind):
-            yield data
-        elif key is not None:
-            for part in data:
-                yield from stacked_arrays(part)
+    """Every weight array of a family's stack: one per band structure."""
+    return [data for _, key, data in stack[1] if key is not None]
 
 
 TWO_BAND = PNSpace(
@@ -225,14 +243,14 @@ class TestSeminormFamily:
             bands = (Band(0.25, l1), Band(0.5, linf), Band(0.75, SquaredL1(2)), Band(1.0, l1))
             fam = SeminormFamily(2, bands, enforce_monotone=False)
         arrays = [fam._ends, *stacked_arrays(fam._stack)]
-        assert len(arrays) == (4 if monotone else 3)
+        assert len(arrays) == (2 if monotone else 3)
         for a in arrays:
             assert not a.flags.writeable and a.flags.c_contiguous
             with pytest.raises(ValueError):
                 a[...] = 0.0
         if monotone:
-            # one (bands x d) array per part of the block sums
-            assert [a.shape for a in arrays[1:]] == [(len(fam.bands), d) for d in (2, 3, 1)]
+            # one (bands x 6) array for the nested block sums, parts side by side
+            assert [a.shape for a in arrays[1:]] == [(len(fam.bands), 6)]
         # not fields: ==, repr and hash see only the dimension and the bands
         assert [f.name for f in dataclasses.fields(fam)] == ["dimension", "bands"]
         assert "_stack" not in repr(fam) and "_ends" not in repr(fam)
@@ -316,15 +334,29 @@ def _monotone(rng, bands: int, n: int, kind: NormKind) -> PNSpace:
     return PNSpace(SeminormFamily(n, tuple(out)))
 
 
-def _any_norm(rng, n: int, depth: int = 0):
-    # a weighted norm of either kind, the duck-typed SquaredL1, or a block sum
-    # of two or three such norms, nested up to two levels
+def _any_norm(rng, n: int, depth: int = 0, duck: bool = True):
+    # a weighted norm of either kind, the duck-typed SquaredL1 (else an L1
+    # norm in its place), or a block sum of two or three such norms, nested
+    # up to two levels
     pick = rng.integers(4 if depth < 2 and n > 1 else 3)
     if pick == 3:
         cuts = np.unique(rng.integers(1, n, 2))
         dims = tuple(np.diff([0, *cuts, n]).tolist())
-        return BlockSumNorm(tuple(_any_norm(rng, d, depth + 1) for d in dims), dims)
-    return SquaredL1(n) if pick == 2 else WeightedNorm(NormKind(("l1", "linf")[pick]), _weights(rng, n))
+        return BlockSumNorm(tuple(_any_norm(rng, d, depth + 1, duck) for d in dims), dims)
+    if pick == 2 and duck:
+        return SquaredL1(n)
+    return WeightedNorm(NormKind(("l1", "linf")[pick % 2]), _weights(rng, n))
+
+
+def _scaled(norm, f: np.ndarray):
+    """norm with each weight multiplied by its coordinate's factor in f."""
+    if type(norm) is WeightedNorm:
+        return WeightedNorm(norm.kind, np.array(norm.weights) * f)
+    if type(norm) is BlockSumNorm:
+        offs = np.cumsum((0, *norm.dims))
+        parts = (_scaled(p, f[a:b]) for p, a, b in zip(norm.parts, offs, offs[1:]))
+        return BlockSumNorm(tuple(parts), norm.dims)
+    return norm
 
 
 SHAPES = ("l1", "linf", "mixed", "duck", "product-right", "product-left", "blocks")
@@ -358,6 +390,62 @@ def stacked_cases(draw):
         P = PNSpace(SeminormFamily(n, family, enforce_monotone=False))
     x = rng.uniform(-3.0, 3.0, P.dimension) * (rng.random(P.dimension) < draw(st.sampled_from((0.0, 0.5, 0.9, 1.0))))
     return P, x
+
+
+@st.composite
+def grown_families(draw):
+    """A family of 1-40 bands grown from one norm of any structure.
+
+    Each band either repeats the weights before it (equal rows), multiplies
+    them by U(1, 1.3) per coordinate, rarely with one coordinate dropping,
+    or rarely starts a fresh structure; some bands interrupt the growth
+    with a one-off norm, so members of one structure need not be adjacent.
+    """
+    n = draw(st.integers(1, 12))
+    duck = draw(st.booleans())
+    rare = draw(st.sampled_from((0.0, 0.02, 0.1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    norm, bands = _any_norm(rng, n, duck=duck), []
+    for u in _ends(rng, draw(st.integers(1, 40))):
+        bands.append(Band(u, _any_norm(rng, n, duck=duck) if rng.random() < rare else norm))
+        r = rng.random()
+        if r < rare:
+            norm = _any_norm(rng, n, duck=duck)
+        elif r > 0.3:
+            f = rng.uniform(1.0, 1.3, n)
+            if rng.random() < 0.05:
+                f[rng.integers(n)] = rng.uniform(0.9, 1.0)
+            norm = _scaled(norm, f)
+    return SeminormFamily(n, tuple(bands), enforce_monotone=False)
+
+
+class TestMonotoneReport:
+    """The stacked weights decide monotonicity as the per-pair loop does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grown_families())
+    def test_grown_families_match_the_per_pair_loop(self, S):
+        assert S.monotone_report() == reference_monotone_report(S)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_cases())
+    def test_stacked_cases_match_the_per_pair_loop(self, case):
+        S = case[0].family
+        assert S.monotone_report() == reference_monotone_report(S)
+
+    def test_duck_typed_band_fails_the_construction(self):
+        bands = (Band(0.5, WeightedNorm("l1", (1.0, 1.0))), Band(1.0, SquaredL1(2)))
+        with pytest.raises(ValueError, match="band 1 does not dominate band 0"):
+            SeminormFamily(2, bands)
+
+    def test_duck_typed_part_is_a_monotone_fail(self):
+        bands = tuple(
+            Band(u, BlockSumNorm((SquaredL1(1), WeightedNorm("l1", (w,))), (1, 1)))
+            for u, w in ((0.5, 1.0), (1.0, 2.0))
+        )
+        P = PNSpace(SeminormFamily(2, bands, enforce_monotone=False))
+        report = validate_pn_axioms(P, samples=3)
+        assert report.monotone == CheckResult(False, "band 1 does not dominate band 0")
 
 
 class TestStackedBands:
