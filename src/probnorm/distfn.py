@@ -144,15 +144,6 @@ def df_eval(F: StepDF, x: float) -> float:
     raise ValueError("cannot evaluate a d.f. at NaN")
 
 
-def _df_eval_right(F: StepDF, x: float) -> float:
-    # right limit F(x+): value on the band just above x
-    if x < INF:
-        return 0.0 if x == -INF else F.values[bisect_right(F.breakpoints, x)]
-    if x == INF:
-        return 1.0
-    raise ValueError("cannot evaluate a d.f. at NaN")
-
-
 def df_scale(F: StepDF, h: float) -> StepDF:
     """x -> F(x / h) for h > 0: breakpoints scaled by h, values unchanged."""
     if not h > 0:
@@ -209,26 +200,27 @@ def levy_condition(F: StepDF, G: StepDF, h: float) -> bool:
 
     Both sides are step functions of x, so it suffices to check the finitely
     many event points (breakpoints of G, breakpoints of F shifted by +-h)
-    inside the interval, each at the point itself (left value) and just above
-    it (right limit), plus the right limit at the left end of the interval.
+    inside the interval, each at the point itself (left value, bisect_left)
+    and just above it (right limit, bisect_right).  Left of the first event
+    (on the whole interval if there is none) G(x) and F(x-h) are 0, because
+    their first jumps, at G's first breakpoint and at F's plus h, lie right
+    of -1/h and are events when inside; so the condition holds there.
+
+    Every point evaluated is an event or an event +-h, finite and never NaN,
+    so a bisect into the breakpoints is the whole evaluation.  The ends
+    +-1/h, infinite for a subnormal h, only select the events.
     """
     if not 0.0 < h <= 1.0:
         raise ValueError("h must lie in (0, 1]")
     lo, hi = -1.0 / h, 1.0 / h
-
-    def holds(x: float, at) -> bool:
-        g = at(G, x)
-        return at(F, x - h) - h <= g <= at(F, x + h) + h
-
-    events = set(G.breakpoints)
-    for t in F.breakpoints:
-        events.add(t - h)
-        events.add(t + h)
-    inside = sorted(e for e in events if lo < e < hi)
-    if not all(holds(e, df_eval) for e in inside):
-        return False
-    # open subintervals to the right of each event, and (lo, first event)
-    return all(holds(e, _df_eval_right) for e in [lo, *inside])
+    fb, fv, gb, gv = F.breakpoints, F.values, G.breakpoints, G.values
+    inside = {e for e in (*gb, *[t - h for t in fb], *[t + h for t in fb]) if lo < e < hi}
+    for at in (bisect_left, bisect_right):
+        for x in inside:
+            g = gv[at(gb, x)]
+            if not fv[at(fb, x - h)] - h <= g <= fv[at(fb, x + h)] + h:
+                return False
+    return True
 
 
 LEVY_TOL = 1e-9

@@ -1,17 +1,18 @@
 """Step d.f. algebra: examples, quasi-inverse oracle checks, Levy metric."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probnorm import distfn
 from probnorm.distfn import (
     LEVY_TOL,
     StepDF,
     StepQuantile,
-    _df_eval_right,
     df_eval,
     df_scale,
     is_proper,
@@ -69,9 +70,8 @@ class TestStepDF:
 
     def test_eval_rejects_nan(self):
         F = StepDF([1.0, 2.0], [0.0, 0.5, 1.0])
-        for evaluate in (df_eval, _df_eval_right):
-            with pytest.raises(ValueError):
-                evaluate(F, math.nan)
+        with pytest.raises(ValueError):
+            df_eval(F, math.nan)
 
     def test_canonicalization_drops_flat_jumps(self):
         F = StepDF([1.0, 2.0, 3.0], [0.0, 0.5, 0.5, 1.0])
@@ -222,7 +222,87 @@ def levy_condition_oracle(F: StepDF, G: StepDF, h: float, res: float = 1e-5) -> 
     return bool(np.all(fl - h <= g) and np.all(g <= fr + h))
 
 
+def reference_eval_right(F: StepDF, x: float) -> float:
+    # right limit F(x+): value on the band just above x
+    if x < INF:
+        return 0.0 if x == -INF else F.values[bisect_right(F.breakpoints, x)]
+    if x == INF:
+        return 1.0
+    raise ValueError("cannot evaluate a d.f. at NaN")
+
+
+def reference_levy_condition(F: StepDF, G: StepDF, h: float) -> bool:
+    """The per-point check: sorted events through df_eval and the right limit,
+    plus the right limit at -1/h."""
+    if not 0.0 < h <= 1.0:
+        raise ValueError("h must lie in (0, 1]")
+    lo, hi = -1.0 / h, 1.0 / h
+
+    def holds(x: float, at) -> bool:
+        g = at(G, x)
+        return at(F, x - h) - h <= g <= at(F, x + h) + h
+
+    events = set(G.breakpoints)
+    for t in F.breakpoints:
+        events.add(t - h)
+        events.add(t + h)
+    inside = sorted(e for e in events if lo < e < hi)
+    if not all(holds(e, df_eval) for e in inside):
+        return False
+    return all(holds(e, reference_eval_right) for e in [lo, *inside])
+
+
+@st.composite
+def levy_stepdfs(draw):
+    """A d.f. on a dyadic lattice, a 0.1 lattice or with continuous
+    breakpoints; proper, improper or all-zero."""
+    n = draw(st.integers(1, 8))
+    lattice = draw(st.sampled_from((1 / 16, 0.1, None)))
+    if lattice is None:
+        bps = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n, unique=True))
+    else:
+        slots = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+        bps = [k * lattice for k in slots]
+    vals = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    tail = draw(st.sampled_from(("proper", "improper", "zero")))
+    if tail == "proper":
+        vals[-1] = 1.0
+    elif tail == "zero":
+        vals = [0.0] * n
+    return StepDF(sorted(bps), [0.0, *vals])
+
+
+def levy_hs(F: StepDF, G: StepDF) -> list:
+    """Window sizes where the condition can flip: breakpoint differences and
+    value gaps with their float neighbours, and 1, 1e-300 and 5e-324."""
+    diffs = [abs(a - b) for a in F.breakpoints for b in G.breakpoints]
+    diffs += [abs(u - v) for u in F.values for v in G.values]
+    near = [math.nextafter(d, side) for d in diffs for side in (0.0, 2.0)]
+    return [h for h in (1.0, 1e-300, 5e-324, *diffs, *near) if 0.0 < h <= 1.0]
+
+
 class TestLevy:
+    @settings(max_examples=300, deadline=None)
+    @given(levy_stepdfs(), levy_stepdfs(), st.booleans(), st.data())
+    def test_condition_matches_reference(self, F, G, same, data):
+        if same:
+            G = F
+        hs = levy_hs(F, G)
+        hs += data.draw(st.lists(st.floats(5e-324, 1.0), max_size=4))
+        for h in hs:
+            for A, B in ((F, G), (G, F)):
+                assert levy_condition(A, B, h) == reference_levy_condition(A, B, h)
+
+    def test_metric_matches_reference(self, monkeypatch):
+        pairs = [(gen_stepdf(s), gen_stepdf(s + 300, proper=s % 4 != 0)) for s in range(40)]
+        got = [levy_metric(F, G) for F, G in pairs]
+        # levy_metric reaches levy_condition through the module global
+        monkeypatch.setattr(distfn, "levy_condition", reference_levy_condition)
+        for (F, G), d in zip(pairs, got):
+            want = levy_metric(F, G)
+            assert (d.value.hex(), d.tolerance.hex()) == (want.value.hex(), want.tolerance.hex())
+
+
     def test_condition_reflexive(self):
         for seed in range(10):
             F = gen_stepdf(seed)

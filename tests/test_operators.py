@@ -1,6 +1,7 @@
 """Operator norms: exact vertex enumeration, MC lower bounds, open mapping."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -523,3 +524,151 @@ class TestEquivalenceAndUniformBound:
         for other in (LinearOperator(eye, B, A), LinearOperator(eye, A, B)):
             with pytest.raises(ValueError, match="share a domain and a codomain"):
                 uniform_bound([LinearOperator(eye, A, A), other], 0.5)
+
+
+def reference_max_ratio(T, w, wp, trials, seed) -> float:
+    """bound_check's per-sample loop: max ||Tx||_w' / ||x||_w through norm_at."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    max_ratio = 0.0
+    for _ in range(trials):
+        x = rng.uniform(-3.0, 3.0, T.domain.dimension)
+        nx = T.domain.norm_at(x, w)
+        if nx == 0.0:
+            continue
+        max_ratio = max(max_ratio, T.codomain.norm_at(T.apply(x), wp) / nx)
+    return max_ratio
+
+
+def reference_max_preimage_norm(T, w, samples, seed) -> float:
+    """open_mapping_check's per-sample loop, through norm_at."""
+    radius = open_mapping_delta(T, w).delta * operators._OPEN_MAPPING_SHRINK * (1.0 - 1e-9)
+    inv = np.linalg.inv(T.matrix)
+    rng = np.random.Generator(np.random.Philox(seed))
+    worst = 0.0
+    for _ in range(samples):
+        d = rng.standard_normal(T.codomain.dimension)
+        ny = T.codomain.norm_at(d, w)
+        if ny == 0.0:
+            continue
+        y = d * (radius / ny)
+        worst = max(worst, T.domain.norm_at(inv @ y, w))
+    return worst
+
+
+def reference_max_violation(P1, P2, forward, backward, trials, seed) -> float:
+    """norm_equivalence_constants' per-sample loop over band_values."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.uniform(-3.0, 3.0, P1.dimension)
+        nx1 = np.array(P1.band_values(x))[:, None]
+        nx2 = np.array(P2.band_values(x))[None, :]
+        worst = max(
+            worst,
+            float((nx2 - forward.table * nx1).max()),
+            float((nx1 - backward.table.T * nx2).max()),
+        )
+    return worst
+
+
+def reference_probe_sups(family, wp, probes) -> tuple:
+    """uniform_bound's per-probe loop, through norm_at."""
+    return tuple(max(T.codomain.norm_at(T.apply(x), wp) for T in family) for x in probes)
+
+
+KINDS = [NormKind.L1, NormKind.LINF]
+
+
+class TestSampledChecksAgainstLoops:
+    """The sampled checks draw one array and evaluate each band norm once;
+    their reports equal the per-sample loops bit for bit."""
+
+    @staticmethod
+    def spaces(dom_kind, cod_kind, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        dom = banded(dom_kind, seed, n, 1 + seed % 3)
+        cod = banded(cod_kind, seed + 100, m, 1 + seed % 4)
+        if seed % 5 == 4:  # block-sum codomain bands
+            cod = product_space(cod, banded(dom_kind, seed + 200, 1, 2))
+        return dom, cod
+
+    @pytest.mark.parametrize("count", [0, 1, 100])
+    @pytest.mark.parametrize("dom_kind", KINDS)
+    @pytest.mark.parametrize("cod_kind", KINDS)
+    def test_bound_check(self, count, dom_kind, cod_kind):
+        for seed in range(20):
+            dom, cod = self.spaces(dom_kind, cod_kind, seed)
+            T = gen_operator(seed, dom, cod)
+            for w, wp in ((0.2, 0.9), (0.5, 0.25), (1.0, 1.0)):
+                rep = bound_check(T, w, wp, count, seed)
+                want = reference_max_ratio(T, w, wp, count, seed)
+                assert rep.max_ratio.hex() == want.hex()
+                assert rep.passed is (want <= rep.bound + 1e-9)
+
+    @pytest.mark.parametrize("count", [0, 1, 100])
+    @pytest.mark.parametrize("dom_kind", KINDS)
+    @pytest.mark.parametrize("cod_kind", KINDS)
+    def test_open_mapping_check(self, count, dom_kind, cod_kind):
+        rng = np.random.default_rng(9)
+        for seed in range(20):
+            n = seed % 8 + 1
+            dom, cod = banded(dom_kind, seed, n, 1 + seed % 3), banded(cod_kind, seed + 100, n, 2)
+            m = rng.uniform(-2.0, 2.0, (n, n))
+            if np.linalg.cond(m) > 1e4:
+                continue
+            T = LinearOperator(m, dom, cod)
+            for w in (0.3, 0.5, 1.0):
+                rep = open_mapping_check(T, w, count, seed)
+                want = reference_max_preimage_norm(T, w, count, seed)
+                assert rep.max_preimage_norm.hex() == want.hex()
+                assert rep.passed is (want < 1.0)
+
+    @pytest.mark.parametrize("count", [0, 1, 100])
+    @pytest.mark.parametrize("kind1", KINDS)
+    @pytest.mark.parametrize("kind2", KINDS)
+    def test_norm_equivalence(self, count, kind1, kind2):
+        for seed in range(16):
+            n = seed % 8 + 1
+            P1, P2 = banded(kind1, seed, n, 1 + seed % 4), banded(kind2, seed + 100, n, 1 + seed % 3)
+            rep = norm_equivalence_constants(P1, P2, count, seed)
+            want = reference_max_violation(P1, P2, rep.forward, rep.backward, count, seed)
+            assert rep.max_violation.hex() == want.hex()
+            assert rep.passed is (want <= 1e-9)
+
+    @pytest.mark.parametrize("count", [0, 1, 100])
+    @pytest.mark.parametrize("dom_kind", KINDS)
+    @pytest.mark.parametrize("cod_kind", KINDS)
+    def test_uniform_bound_probes(self, count, dom_kind, cod_kind):
+        rng = np.random.default_rng(10)
+        for seed in range(20):
+            dom, cod = self.spaces(dom_kind, cod_kind, seed)
+            family = [gen_operator(seed + 10 * k, dom, cod) for k in range(1 + seed % 4)]
+            probes = [gen_vector(rng, dom.dimension) for _ in range(count)]
+            for wp in (0.2, 0.5, 1.0):
+                sups = uniform_bound(family, wp, probes).probe_sups
+                want = reference_probe_sups(family, wp, probes)
+                assert [s.hex() for s in sups] == [s.hex() for s in want]
+
+    def test_negative_counts_rejected(self):
+        P = space_l1([1.0, 2.0])
+        T = LinearOperator(np.diag([2.0, 3.0]), P, P)
+        with pytest.raises(ValueError):
+            bound_check(T, 0.5, 0.5, trials=-1, seed=0)
+        with pytest.raises(ValueError):
+            open_mapping_check(T, 0.5, samples=-1, seed=0)
+        with pytest.raises(ValueError):
+            norm_equivalence_constants(P, P, trials=-2, seed=0)
+
+    def test_overflowing_sample_fails_the_check(self):
+        # |x| * 1e308 overflows, so ||Tx|| / ||x|| is inf / inf: the sample
+        # cannot be verified and must not be skipped into a pass
+        P = space_l1([1e308, 1e308])
+        T = LinearOperator(np.array([[1.0, 0.5], [0.0, 1.0]]), P, P)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = bound_check(T, 0.5, 0.5, trials=20, seed=0)
+        assert math.isnan(rep.max_ratio) and not rep.passed
+
+    def test_mc_without_samples_is_zero(self):
+        T = gen_operator(3, gen_space(3, 2), gen_space(503, 2))
+        assert operator_norm_mc(T, 0.5, 0.5, samples=0, seed=0) == 0.0
