@@ -1,7 +1,9 @@
 """Deterministic property suites behind the CLI `check` command.
 
 Each suite runs a fixed set of properties over seeded random instances and
-returns one row per property.  Reports are byte-identical for a fixed seed.
+returns one row per property.  A suite computes each library result once per
+instance: a result that several rows read is a named value computed before
+the rows.  Reports are byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -37,32 +39,34 @@ class _Recorder:
         self.rows: list[CheckRow] = []
 
     def run(self, name: str, verdicts) -> None:
-        count = 0
+        count, ok = 0, True
         for ok in verdicts:
             count += 1
             if not ok:
-                self.rows.append(CheckRow(f"{self.suite}/{name}", count, False))
-                return
-        self.rows.append(CheckRow(f"{self.suite}/{name}", count, True))
+                break
+        self.rows.append(CheckRow(f"{self.suite}/{name}", count, bool(ok)))
+
+
+def _df_pairs(base: int, cases: int) -> list:
+    gen = testkit.gen_stepdf
+    return [(gen(base + i), gen(base + i + 7919)) for i in range(cases)]
 
 
 def _distfn_suite(seed: int, cases: int) -> list[CheckRow]:
     rec = _Recorder("distfn")
     base = seed * 100003
-    pairs = [
-        (testkit.gen_stepdf(base + i), testkit.gen_stepdf(base + i + 7919))
-        for i in range(cases)
+    pairs = _df_pairs(base, cases)
+    levy = [
+        (levy_metric(F, F).value, levy_metric(F, G).value, levy_metric(G, F).value)
+        for F, G in pairs
     ]
-    rec.run("levy-self", (levy_metric(F, F).value <= distfn.LEVY_TOL for F, _ in pairs))
-    rec.run(
-        "levy-symmetry",
-        (levy_metric(F, G).value == levy_metric(G, F).value for F, G in pairs),
-    )
+    rec.run("levy-self", (ff <= distfn.LEVY_TOL for ff, _, _ in levy))
+    rec.run("levy-symmetry", (fg == gf for _, fg, gf in levy))
     rec.run(
         "levy-oracle",
         (
-            abs(levy_metric(F, G).value - testkit.oracle_levy(F, G)) <= 1.1e-5
-            for F, G in pairs
+            abs(fg - testkit.oracle_levy(F, G)) <= 1.1e-5
+            for (F, G), (_, fg, _) in zip(pairs, levy)
         ),
     )
     rec.run(
@@ -96,11 +100,15 @@ def _triangle_suite(seed: int, cases: int) -> list[CheckRow]:
     rec = _Recorder("triangle")
     base = seed * 100019
     rng = np.random.default_rng(base)
-    pairs = [
-        (testkit.gen_stepdf(base + i), testkit.gen_stepdf(base + i + 7919))
-        for i in range(cases)
-    ]
+    pairs = _df_pairs(base, cases)
     kinds = tuple(TNormKind)
+    n_oracle = max(1, cases // 5)
+    # tau_T per pair and T; tau_{T*} per pair for MIN, and for every T on oracle pairs
+    sups = [{T: tau_sup_conv(T, F, G) for T in kinds} for F, G in pairs]
+    infs = [
+        {T: tau_inf_conv(T, F, G) for T in (kinds if k < n_oracle else (TNormKind.MIN,))}
+        for k, (F, G) in enumerate(pairs)
+    ]
     rec.run(
         "step-identity",
         (
@@ -122,29 +130,25 @@ def _triangle_suite(seed: int, cases: int) -> list[CheckRow]:
     )
     rec.run(
         "commutativity",
-        (tau_sup_conv(T, F, G) == tau_sup_conv(T, G, F) for F, G in pairs for T in kinds),
+        (sup[T] == tau_sup_conv(T, G, F) for (F, G), sup in zip(pairs, sups) for T in kinds),
     )
     rec.run(
         "ordering-w-prod-min",
         (
-            _df_le(tau_sup_conv(TNormKind.W, F, G), tau_sup_conv(TNormKind.PROD, F, G))
-            and _df_le(tau_sup_conv(TNormKind.PROD, F, G), tau_sup_conv(TNormKind.MIN, F, G))
-            for F, G in pairs
+            _df_le(sup[TNormKind.W], sup[TNormKind.PROD])
+            and _df_le(sup[TNormKind.PROD], sup[TNormKind.MIN])
+            for sup in sups
         ),
     )
     rec.run(
         "sup-below-inf",
-        (
-            _df_le(tau_sup_conv(TNormKind.MIN, F, G), tau_inf_conv(TNormKind.MIN, F, G))
-            for F, G in pairs
-        ),
+        (_df_le(sup[TNormKind.MIN], inf[TNormKind.MIN]) for sup, inf in zip(sups, infs)),
     )
-    oracle_pairs = pairs[: max(1, cases // 5)]
     rec.run(
         "oracle-agreement",
         (
-            _conv_matches_oracle(T, F, G, base + 13 * k)
-            for k, (F, G) in enumerate(oracle_pairs)
+            _conv_matches_oracle(T, F, G, sups[k][T], infs[k][T], base + 13 * k)
+            for k, (F, G) in enumerate(pairs[:n_oracle])
             for T in kinds
         ),
     )
@@ -157,9 +161,7 @@ def _df_le(A, B) -> bool:
 
 
 def _off_breakpoint_xs(F, G, seed: int, count: int, margin: float = 2e-3):
-    cands = np.unique(
-        np.array(F.breakpoints)[:, None] + np.array(G.breakpoints)[None, :]
-    )
+    cands = np.unique(np.add.outer(F.breakpoints, G.breakpoints))
     rng = np.random.default_rng(seed)
     xs = []
     while len(xs) < count:
@@ -169,15 +171,13 @@ def _off_breakpoint_xs(F, G, seed: int, count: int, margin: float = 2e-3):
     return xs
 
 
-def _conv_matches_oracle(T, F, G, seed: int) -> bool:
-    sup = tau_sup_conv(T, F, G)
-    inf = tau_inf_conv(T, F, G)
-    for x in _off_breakpoint_xs(F, G, seed, 10):
-        if df_eval(sup, x) != testkit.oracle_sup_conv(T, F, G, x):
-            return False
-        if df_eval(inf, x) != testkit.oracle_inf_conv(T, F, G, x):
-            return False
-    return True
+def _conv_matches_oracle(T, F, G, sup, inf, seed: int) -> bool:
+    # sup and inf are tau_T(F, G) and tau_{T*}(F, G)
+    return all(
+        df_eval(sup, x) == testkit.oracle_sup_conv(T, F, G, x)
+        and df_eval(inf, x) == testkit.oracle_inf_conv(T, F, G, x)
+        for x in _off_breakpoint_xs(F, G, seed, 10)
+    )
 
 
 def _pnspace_suite(seed: int, cases: int) -> list[CheckRow]:
@@ -267,12 +267,14 @@ def _operator_suite(seed: int, cases: int) -> list[CheckRow]:
         cod = testkit.gen_space(base + 2 * i + 1, m)
         ops.append(testkit.gen_operator(base + 3 * i, dom, cod))
     mids = [(T.domain.family.midpoints()[0], T.codomain.family.midpoints()[-1]) for T in ops]
+    tables = [operators.norm_profile(T).table for T in ops]
+    # t[0, -1] is operator_norm_exact(T, w, wp) bit for bit: w and wp lie in T's first domain
+    # and last codomain band, so both read one _norm_table entry (same vertices and images)
     rec.run(
         "mc-below-exact",
         (
-            operators.operator_norm_mc(T, w, wp, 2000, base + i)
-            <= operators.operator_norm_exact(T, w, wp)
-            for i, (T, (w, wp)) in enumerate(zip(ops, mids))
+            operators.operator_norm_mc(T, w, wp, 2000, base + i) <= t[0, -1]
+            for i, (T, (w, wp), t) in enumerate(zip(ops, mids, tables))
         ),
     )
     rec.run(
@@ -282,7 +284,6 @@ def _operator_suite(seed: int, cases: int) -> list[CheckRow]:
             for i, (T, (w, wp)) in enumerate(zip(ops, mids))
         ),
     )
-    tables = [operators.norm_profile(T).table for T in ops]
     rec.run("profile-finite-monotone", (_profile_ok(t) for t in tables))
     rec.run(
         "submultiplicative",
@@ -379,10 +380,6 @@ def run_suites(suite: str, seed: int, cases: int) -> list[CheckRow]:
 
 def format_report(rows: list[CheckRow]) -> str:
     width = max(len(r.case_id) for r in rows)
-    lines = []
-    for r in rows:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.case_id:<{width}}  {r.cases:>4}  {status}")
-    total = sum(1 for r in rows if not r.passed)
-    lines.append(f"{total} failed / {len(rows)} properties")
+    lines = [f"{r.case_id:<{width}}  {r.cases:>4}  {'PASS' if r.passed else 'FAIL'}" for r in rows]
+    lines.append(f"{sum(not r.passed for r in rows)} failed / {len(rows)} properties")
     return "\n".join(lines) + "\n"

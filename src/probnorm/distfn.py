@@ -120,8 +120,8 @@ class LevyDistance:
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError("Levy distance must lie in [0, 1]")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and > 0")
 
 
 def unit_step(a: float) -> StepDF:

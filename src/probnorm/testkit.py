@@ -104,11 +104,12 @@ def oracle_levy(F: StepDF, G: StepDF) -> float:
 
 BP_GRID = 0.01  # breakpoint lattice
 BP_SLOTS = 300  # breakpoints live in (0, 3]
+MAX_BREAKS = 5  # a generated d.f. has 1 to MAX_BREAKS breakpoints
 
 
-def gen_stepdf(seed: int, max_breaks: int = 5, proper: bool = True) -> StepDF:
+def gen_stepdf(seed: int, proper: bool = True) -> StepDF:
     rng = np.random.default_rng(seed)
-    nb = int(rng.integers(1, max_breaks + 1))
+    nb = int(rng.integers(1, MAX_BREAKS + 1))
     slots = np.sort(rng.choice(np.arange(1, BP_SLOTS + 1), size=nb, replace=False))
     bps = tuple(float(k) * BP_GRID for k in slots)
     vals = np.sort(rng.uniform(0.0, 1.0, nb))

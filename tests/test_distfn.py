@@ -302,6 +302,10 @@ class TestLevy:
             want = levy_metric(F, G)
             assert (d.value.hex(), d.tolerance.hex()) == (want.value.hex(), want.tolerance.hex())
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    def test_distance_needs_a_finite_positive_tolerance(self, tolerance):
+        with pytest.raises(ValueError):
+            distfn.LevyDistance(0.5, tolerance)
 
     def test_condition_reflexive(self):
         for seed in range(10):

@@ -176,6 +176,17 @@ class TestExactNorm:
             T = gen_operator(seed, gen_space(seed, 3), gen_space(seed + 50, 2))
             assert checks._submultiplicative(T, norm_profile(T).table, seed) is True
 
+    def test_profile_corner_is_the_exact_norm(self):
+        # the check's mc-below-exact row reads table[0, -1] for the exact norm at
+        # the first domain midpoint and the last codomain midpoint
+        for seed in range(40):
+            dom = gen_space(seed, 1 + seed % 4)
+            cod = gen_space(seed + 500, 1 + seed // 4 % 4)
+            T = gen_operator(seed, dom, cod)
+            w, wp = dom.family.midpoints()[0], cod.family.midpoints()[-1]
+            want = operator_norm_exact(T, w, wp)
+            assert float(norm_profile(T).table[0, -1]).hex() == want.hex()
+
     def test_operator_suite_profiles_each_operator_once(self, monkeypatch):
         # 25 operators, each profiled once and shared by profile-finite-monotone
         # and submultiplicative, plus ST and S in submultiplicative: 75 profiles;
@@ -198,6 +209,19 @@ class TestExactNorm:
         assert all(r.passed for r in rows)
         assert counts["profile"] == 75
         assert counts["vertices"] <= 289
+
+
+@dataclasses.dataclass(frozen=True)
+class OffsetL1:
+    """sum |x_i| + 1: 1.0 at 0, so not a seminorm."""
+
+    dimension: int
+
+    def eval(self, x) -> float:
+        return float(np.abs(x).sum()) + 1.0
+
+    def eval_many(self, X) -> np.ndarray:
+        return np.abs(X).sum(axis=1) + 1.0
 
 
 def banded(kind, seed, n, nbands):
@@ -343,6 +367,13 @@ class TestProfileAndBounds:
             rep = bound_check(T, 0.4, 0.7, trials=200, seed=seed)
             assert rep.passed
             assert rep.max_ratio <= rep.bound + 1e-9
+
+    def test_bound_check_fails_a_codomain_norm_nonzero_at_zero(self):
+        # ||T 0||_w' = 1 breaks the inequality at x = 0: a failed verdict, which
+        # python -O keeps, not an AssertionError
+        cod = PNSpace(SeminormFamily(2, (Band(1.0, OffsetL1(2)),)))
+        T = LinearOperator(np.diag([2.0, 3.0]), space_l1([1.0, 2.0]), cod)
+        assert bound_check(T, 0.5, 0.5, trials=50, seed=0).passed is False
 
     def test_bound_attained_at_vertex(self):
         T = LinearOperator(np.diag([2.0, 3.0]), space_l1([1, 1]), space_l1([1, 1]))

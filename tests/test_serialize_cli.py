@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probnorm import checks, cli, serialize
+from probnorm import checks, cli, distfn, operators, serialize, triangle
 from probnorm.cli import main
 from probnorm.distfn import StepDF, StepQuantile, quasi_inverse
 from probnorm.operators import LinearOperator
@@ -503,6 +503,42 @@ class TestCLI:
     def test_distfn_check_reports_are_pinned(self, capsys):
         digest = self.suite_digest(capsys, "distfn")
         assert digest == "b73fa65c86a047927f59cc13d02d44ecd6e4ef7c4b503e34aeb6a84e732ac01b"
+
+    def test_check_computes_each_library_result_once(self, monkeypatch):
+        # at 25 cases: triangle convolves 75 unit steps, 75 unit laws, tau_T(F, G)
+        # per pair and T (75) and tau_T(G, F) for commutativity (75), and distfn
+        # 25 hat-additivity pairs; tau_{T*}(F, G) is MIN's per pair (25) and W's
+        # and PROD's on the 5 oracle pairs (10).  distfn takes d(F, F), d(F, G)
+        # and d(G, F) per pair; the operator suite's exact norms are
+        # bound_check's 25 and uniform_bound's 12, mc-below-exact reading the
+        # profile tables
+        counts = dict.fromkeys(
+            ("tau_sup_conv", "tau_inf_conv", "levy_metric", "operator_norm_exact"), 0
+        )
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return counted
+
+        for module, name in (
+            (triangle, "tau_sup_conv"),
+            (checks, "tau_sup_conv"),
+            (triangle, "tau_inf_conv"),
+            (checks, "tau_inf_conv"),
+            (distfn, "levy_metric"),
+            (checks, "levy_metric"),
+            (operators, "operator_norm_exact"),
+        ):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        rows = checks.run_suites("all", 42, 25)
+        assert all(r.passed for r in rows)
+        assert counts["tau_sup_conv"] == 325
+        assert counts["tau_inf_conv"] <= 185
+        assert counts["levy_metric"] == 75
+        assert counts["operator_norm_exact"] == 37
 
     @pytest.mark.parametrize("flag", ["--f", "--x"])
     def test_deep_json_is_an_error_object(self, capsys, files, flag):

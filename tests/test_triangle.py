@@ -1,6 +1,7 @@
 """t-norms, t-conorms, and exact sup/inf convolutions against brute-force oracles."""
 
 import itertools
+import math
 import struct
 from bisect import bisect_right
 from fractions import Fraction
@@ -298,20 +299,77 @@ class TestDenseOracleBitwise:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_property(self, data):
-        lattice = data.draw(st.booleans())
-        if lattice:
-            bps_st = st.lists(st.integers(0, 48), min_size=1, max_size=8, unique=True).map(
-                lambda ks: sorted(k / 16.0 for k in ks)
-            )
-        else:
-            bps_st = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8, unique=True).map(sorted)
-        value_st = st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0)
-        dfs = []
-        for proper in (True, data.draw(st.booleans())):
-            bps = data.draw(bps_st)
-            vals = data.draw(st.lists(value_st, min_size=len(bps), max_size=len(bps)))
-            dfs.append(edge_stepdf(bps, vals, proper))
-        assert_matches_dense(*dfs)
+        assert_matches_dense(*draw_edge_dfs(data))
+
+
+VALUE_ST = st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0)
+
+
+def draw_edge_dfs(data) -> list:
+    """F proper and G either, on 1/16-lattice or continuous breakpoints in
+    [0, 5], with edge or uniform values."""
+    if data.draw(st.booleans()):
+        bps_st = st.lists(st.integers(0, 48), min_size=1, max_size=8, unique=True).map(
+            lambda ks: sorted(k / 16.0 for k in ks)
+        )
+    else:
+        bps_st = st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8, unique=True).map(sorted)
+    dfs = []
+    for proper in (True, data.draw(st.booleans())):
+        bps = data.draw(bps_st)
+        vals = data.draw(st.lists(VALUE_ST, min_size=len(bps), max_size=len(bps)))
+        dfs.append(edge_stepdf(bps, vals, proper))
+    return dfs
+
+
+def draw_adjacent_float_dfs(data) -> list:
+    """F proper and G either, whose breakpoints come in runs of adjacent
+    floats, so that many pairwise sums tie or differ by an ulp."""
+    dfs = []
+    for proper in (True, data.draw(st.booleans())):
+        starts = data.draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4, unique=True))
+        bps = set()
+        for x in starts:
+            for _ in range(data.draw(st.integers(1, 3))):
+                bps.add(x)
+                x = math.nextafter(x, math.inf)
+        vals = data.draw(st.lists(VALUE_ST, min_size=len(bps), max_size=len(bps)))
+        dfs.append(edge_stepdf(sorted(bps), vals, proper))
+    return dfs
+
+
+class TestMinInfIsMinSup:
+    """tau_{M*}(F, G) == tau_M(F, G), bit for bit.
+
+    On hats: tau_{M*}(F, G)(x) < w iff some s has F(s) < w and G(x - s) < w,
+    iff x <= F^(w) + G^(w).  tau_M(F, G)(x) < w iff every s has F(s) < w or
+    G(x - s) < w, which holds under the same condition.  So the hats are
+    equal, and so are the left-continuous d.f.s.
+
+    In floats: in _conv, the pairs (i, j) whose low sum a_i + b_j is <= f_k
+    and the pairs whose high sum a_{i+1} + b_{j+1} is >= f_{k+1} are
+    complements up to the index shift (i, j) -> (i - 1, j - 1), both sides
+    compare the same float sums, and min and max round nothing.  So the max
+    of the mins and the min of the maxes are the same float.
+
+    A mutation this catches: searchsorted(..., "right") for "left" in
+    _conv's inf branch, which drops the pairs whose high sum equals the fence.
+    """
+
+    @staticmethod
+    def assert_equal(F: StepDF, G: StepDF):
+        sup = tau_sup_conv(TNormKind.MIN, F, G)
+        assert df_bytes(tau_inf_conv(TNormKind.MIN, F, G)) == df_bytes(sup), (F, G)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dense_oracle_inputs(self, data):
+        self.assert_equal(*draw_edge_dfs(data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_adjacent_float_breakpoints(self, data):
+        self.assert_equal(*draw_adjacent_float_dfs(data))
 
 
 # 0, then 1 - k ULP for k = 12 down to 0: the values where float rounding
