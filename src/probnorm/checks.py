@@ -69,29 +69,27 @@ def _distfn_suite(seed: int, cases: int) -> list[CheckRow]:
             for (F, G), (_, fg, _) in zip(pairs, levy)
         ),
     )
+    # the pairs' F, then improper d.f.s, with one hat each
+    dfs = [F for F, _ in pairs] + [testkit.gen_stepdf(base + i, proper=False) for i in range(cases)]
+    hats = [quasi_inverse(F) for F in dfs]
     rec.run(
         "hat-additivity",
         (
-            quasi_inverse(tau_sup_conv(TNormKind.MIN, F, G))
-            == qf_add(quasi_inverse(F), quasi_inverse(G))
-            for F, G in pairs
+            quasi_inverse(tau_sup_conv(TNormKind.MIN, F, G)) == qf_add(hat, quasi_inverse(G))
+            for (F, G), hat in zip(pairs, hats)
         ),
     )
     rec.run(
         "hat-scaling",
         (
-            quasi_inverse(df_scale(F, h)) == qf_scale(quasi_inverse(F), h)
-            for F, _ in pairs
+            quasi_inverse(df_scale(F, h)) == qf_scale(hat, h)
+            for (F, _), hat in zip(pairs, hats)
             for h in (0.5, 2.0, 7.0)
         ),
     )
-    improper = [testkit.gen_stepdf(base + i, proper=False) for i in range(cases)]
     rec.run(
         "proper-iff-finite-hat",
-        (
-            is_proper(F) == all(np.isfinite(quasi_inverse(F).qvalues))
-            for F in [p for p, _ in pairs] + improper
-        ),
+        (is_proper(F) == all(np.isfinite(hat.qvalues)) for F, hat in zip(dfs, hats)),
     )
     return rec.rows
 
@@ -109,6 +107,10 @@ def _triangle_suite(seed: int, cases: int) -> list[CheckRow]:
         {T: tau_inf_conv(T, F, G) for T in (kinds if k < n_oracle else (TNormKind.MIN,))}
         for k, (F, G) in enumerate(pairs)
     ]
+    # hats of tau_T(F, G) per T and of tau_{M*}(F, G): F <= G iff hat F >= hat G
+    sup_hats = [{T: quasi_inverse(sup[T]) for T in kinds} for sup in sups]
+    inf_hats = [quasi_inverse(inf[TNormKind.MIN]) for inf in infs]
+    xs = [_off_breakpoint_xs(F, G, base + 13 * k, 10) for k, (F, G) in enumerate(pairs[:n_oracle])]
     rec.run(
         "step-identity",
         (
@@ -135,19 +137,23 @@ def _triangle_suite(seed: int, cases: int) -> list[CheckRow]:
     rec.run(
         "ordering-w-prod-min",
         (
-            _df_le(sup[TNormKind.W], sup[TNormKind.PROD])
-            and _df_le(sup[TNormKind.PROD], sup[TNormKind.MIN])
-            for sup in sups
+            pnspace._hat_le(hat[TNormKind.PROD], hat[TNormKind.W])
+            and pnspace._hat_le(hat[TNormKind.MIN], hat[TNormKind.PROD])
+            for hat in sup_hats
         ),
     )
     rec.run(
         "sup-below-inf",
-        (_df_le(sup[TNormKind.MIN], inf[TNormKind.MIN]) for sup, inf in zip(sups, infs)),
+        (pnspace._hat_le(inf, sup[TNormKind.MIN]) for sup, inf in zip(sup_hats, inf_hats)),
     )
     rec.run(
         "oracle-agreement",
         (
-            _conv_matches_oracle(T, F, G, sups[k][T], infs[k][T], base + 13 * k)
+            all(
+                df_eval(sups[k][T], x) == testkit.oracle_sup_conv(T, F, G, x)
+                and df_eval(infs[k][T], x) == testkit.oracle_inf_conv(T, F, G, x)
+                for x in xs[k]
+            )
             for k, (F, G) in enumerate(pairs[:n_oracle])
             for T in kinds
         ),
@@ -155,29 +161,18 @@ def _triangle_suite(seed: int, cases: int) -> list[CheckRow]:
     return rec.rows
 
 
-def _df_le(A, B) -> bool:
-    # A <= B iff hat A >= hat B
-    return pnspace._hat_le(quasi_inverse(B), quasi_inverse(A))
+_OFF_BREAKPOINT_MARGIN = 2e-3
 
 
-def _off_breakpoint_xs(F, G, seed: int, count: int, margin: float = 2e-3):
+def _off_breakpoint_xs(F, G, seed: int, count: int):
     cands = np.unique(np.add.outer(F.breakpoints, G.breakpoints))
     rng = np.random.default_rng(seed)
     xs = []
     while len(xs) < count:
         x = float(rng.uniform(0.0, cands[-1] + 0.5))
-        if np.abs(cands - x).min() > margin and x > margin:
+        if np.abs(cands - x).min() > _OFF_BREAKPOINT_MARGIN and x > _OFF_BREAKPOINT_MARGIN:
             xs.append(x)
     return xs
-
-
-def _conv_matches_oracle(T, F, G, sup, inf, seed: int) -> bool:
-    # sup and inf are tau_T(F, G) and tau_{T*}(F, G)
-    return all(
-        df_eval(sup, x) == testkit.oracle_sup_conv(T, F, G, x)
-        and df_eval(inf, x) == testkit.oracle_inf_conv(T, F, G, x)
-        for x in _off_breakpoint_xs(F, G, seed, 10)
-    )
 
 
 def _pnspace_suite(seed: int, cases: int) -> list[CheckRow]:

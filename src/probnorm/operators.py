@@ -114,8 +114,9 @@ def operator_norm_mc(T: LinearOperator, w: float, wp: float, samples: int, seed:
     rng = np.random.Generator(np.random.Philox(seed))
     X = _mc_directions(rng, n, samples, dom_norm)
     den = dom_norm.eval_many(X)
-    X = X[den > 0]
-    den = den[den > 0]
+    # zero norms have no direction, and overflowed ones no finite ratio
+    keep = (den > 0) & (den < np.inf)
+    X, den = X[keep], den[keep]
     images = X @ T.matrix.T
     # same homogeneous quantity through two float paths; the min plus a
     # 1e-14 relative shave keeps each sampled value a true lower bound even

@@ -49,12 +49,10 @@ class WeightedNorm:
         return len(self.weights)
 
     def eval(self, x: np.ndarray) -> float:
-        wx = np.abs(np.asarray(x, dtype=float)) * self.weights
-        return float(wx.sum() if self.kind is NormKind.L1 else wx.max())
+        return float(self.eval_many(x))
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
-        wx = np.abs(np.asarray(X, dtype=float)) * self.weights
-        return wx.sum(axis=-1) if self.kind is NormKind.L1 else wx.max(axis=-1)
+        return _reduce(self.kind, np.abs(np.asarray(X, dtype=float)) * self.weights)
 
     def unit_ball_vertices(self) -> np.ndarray:
         """Vertices of the closed unit ball (the polytope {x : norm(x) <= 1}).
@@ -141,41 +139,20 @@ def _structure(norm) -> tuple:
     return None, None
 
 
-def _stack(norms) -> tuple:
-    """Band norms of one dimension, grouped by structure for evaluation in one pass.
-
-    Returns (count, groups), one group (rows, key, data) per key: the norms
-    of one structure share a read-only (rows x n) weight array, and any other
-    norm is kept (key None) and evaluated by its own eval.  rows is
-    slice(None) when there is one group.
-    """
-    groups = {}
-    for k, norm in enumerate(norms):
-        key, weights = _structure(norm)
-        rows, data = groups.setdefault(key, ([], []))
-        rows.append(k)
-        data.append(norm if key is None else weights)
-    return len(norms), tuple(
-        (np.array(rows) if len(groups) > 1 else slice(None), key,
-         tuple(data) if key is None else _frozen(data))
-        for key, (rows, data) in groups.items()
-    )
-
-
 def _reduce(key, wx: np.ndarray) -> np.ndarray:
-    """Row values of the norms of one structure from wx = |x| * weights.
+    """Norm values of one structure from wx = |x| * weights, along the last axis.
 
     numpy reduces each row along the last axis the way it reduces one vector
-    (pairwise for the sum), so each row is bit for bit its norm's own eval;
-    block sums add their parts left to right from 0.0, as sum() does.
+    (pairwise for the sum), so a stacked row is bit for bit its norm's own
+    eval; block sums add their parts left to right from 0.0, as sum() does.
     """
     if key is NormKind.L1:
-        return wx.sum(axis=1)
+        return wx.sum(axis=-1)
     if key is NormKind.LINF:
-        return wx.max(axis=1)
+        return wx.max(axis=-1)
     vals, off = 0.0, 0
     for part, d in key:
-        vals = vals + _reduce(part, wx[:, off : off + d])
+        vals = vals + _reduce(part, wx[..., off : off + d])
         off += d
     return vals
 
@@ -184,10 +161,10 @@ def _reduce(key, wx: np.ndarray) -> np.ndarray:
 class SeminormFamily:
     """Partition of (0, 1) into bands, each carrying a norm on R^n.
 
-    The weights of each band structure are stacked once in one read-only
-    array, which decides both evaluation and monotonicity in w: band k+1
-    dominates band k when both share a structure and its weights are
-    coordinatewise >=; a band kept for its own eval dominates nothing.
+    The band weights are stacked once in one read-only (bands x n) array,
+    which decides both evaluation and monotonicity in w: band k+1 dominates
+    band k when both share a structure and its weights are coordinatewise
+    >=; a band kept for its own eval has a zero row and dominates nothing.
     Monotonicity is enforced at construction; enforce_monotone=False admits
     an externally supplied family for validate_pn_axioms to report on.
     """
@@ -215,7 +192,14 @@ class SeminormFamily:
         # fields, so not in ==, repr or hash
         object.__setattr__(self, "uptos", uptos)
         object.__setattr__(self, "_ends", _frozen(uptos))
-        object.__setattr__(self, "_stack", _stack([b.norm for b in bands]))
+        keys, weights = zip(*(_structure(b.norm) for b in bands))
+        # band k+1 has band k's structure; a band kept for its own eval has none
+        same = tuple(key is not None and key == prev for prev, key in zip(keys, keys[1:]))
+        object.__setattr__(self, "_same", same)
+        # the structure every band shares, or None: bands then use their own eval
+        object.__setattr__(self, "_key", keys[0] if all(same) else None)
+        zero = (0.0,) * self.dimension
+        object.__setattr__(self, "_weights", _frozen([w or zero for w in weights]))
         if enforce_monotone:
             ok, msg = self.monotone_report()
             if not ok:
@@ -227,24 +211,14 @@ class SeminormFamily:
 
     def band_values(self, x: np.ndarray) -> np.ndarray:
         """p(x, w) on every band, in band order, for a checked vector x."""
-        count, groups = self._stack
-        out, ax = np.empty(count), np.abs(x)
-        for rows, key, data in groups:
-            out[rows] = [norm.eval(x) for norm in data] if key is None else _reduce(key, ax * data)
-        return out
+        if self._key is None:
+            return np.array([b.norm.eval(x) for b in self.bands], dtype=float)
+        return _reduce(self._key, np.abs(x) * self._weights)
 
     def monotone_report(self) -> tuple[bool, str]:
         """(ok, message) naming the first band that does not dominate the one before."""
-        count, groups = self._stack
-        dominates = np.zeros(count - 1, dtype=bool)
-        for rows, key, data in groups:
-            if key is None:
-                continue
-            le = (data[1:] >= data[:-1]).all(axis=1)
-            if type(rows) is slice:
-                dominates = le
-            else:
-                dominates[rows[:-1]] = le & (np.diff(rows) == 1)
+        W = self._weights
+        dominates = np.array(self._same, dtype=bool) & (W[1:] >= W[:-1]).all(axis=1)
         if dominates.all():
             return True, "monotone"
         k = int(dominates.argmin())
@@ -290,6 +264,12 @@ def _check_vector(S: SeminormFamily, x) -> np.ndarray:
     return x
 
 
+def _finite(value):
+    if not math.isfinite(value):
+        raise ValueError(f"band norm of x is {value}: the weighted sum overflows the float range")
+    return value
+
+
 @dataclass(frozen=True)
 class PNSpace:
     """A PN-space derived from a seminorm family (probabilistic norm included)."""
@@ -311,7 +291,10 @@ class PNSpace:
         floats with no summation error.
         """
         vals = self.family.band_values(_check_vector(self.family, x))
-        if (vals[1:] >= vals[:-1]).all():
+        monotone = (vals[1:] >= vals[:-1]).all()
+        # the monotone path's last value is its maximum
+        _finite(vals[-1] if monotone else vals.max())
+        if monotone:
             # the last band of each distinct value ends where nu_x reaches it
             last = np.append(vals[1:] > vals[:-1], True)
             return StepDF(vals[last].tolist(), [0.0, *self.family._ends[last].tolist()])
@@ -331,7 +314,7 @@ class PNSpace:
     def norm_at(self, x, w: float) -> float:
         """The left-limit band norm ||x||_w = sup_{w' < w} p(x, w')."""
         x = _check_vector(self.family, x)
-        return self.family.bands[self.family.band_index_left(w)].norm.eval(x)
+        return _finite(self.family.bands[self.family.band_index_left(w)].norm.eval(x))
 
     def pm_distance(self, p, q) -> StepDF:
         """Probabilistic distance of the derived PM space: nu_{p-q}."""

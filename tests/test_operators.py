@@ -336,6 +336,14 @@ class TestMonteCarlo:
         assert mc <= 1.0
         assert mc >= 1.0 - 1e-9
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_domain_norms_are_skipped(self):
+        # some samples' weighted norms overflow to inf; their ratios would be nan
+        P = space_l1([1e308, 1e308])
+        T = LinearOperator(np.array([[1.0, 0.5], [0.0, 1.0]]), P, P)
+        mc = operator_norm_mc(T, 0.5, 0.5, samples=2000, seed=0)
+        assert math.isfinite(mc) and 1.49 < mc <= operator_norm_exact(T, 0.5, 0.5)
+
 
 class TestProfileAndBounds:
     def test_profile_shape_and_monotonicity(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probnorm import checks
+from probnorm import checks, pnspace
 from probnorm.distfn import (
     StepDF,
     df_eval,
@@ -117,11 +117,6 @@ def reference_monotone_report(S: SeminormFamily) -> tuple:
         if not reference_dominates(S.bands[k + 1].norm, S.bands[k].norm):
             return False, f"band {k + 1} does not dominate band {k}"
     return True, "monotone"
-
-
-def stacked_arrays(stack):
-    """Every weight array of a family's stack: one per band structure."""
-    return [data for _, key, data in stack[1] if key is not None]
 
 
 TWO_BAND = PNSpace(
@@ -242,22 +237,25 @@ class TestSeminormFamily:
             l1, linf = WeightedNorm(NormKind.L1, (2.0, 1.0)), WeightedNorm(NormKind.LINF, (1.0, 3.0))
             bands = (Band(0.25, l1), Band(0.5, linf), Band(0.75, SquaredL1(2)), Band(1.0, l1))
             fam = SeminormFamily(2, bands, enforce_monotone=False)
-        arrays = [fam._ends, *stacked_arrays(fam._stack)]
-        assert len(arrays) == (2 if monotone else 3)
-        for a in arrays:
+        for a in (fam._ends, fam._weights):
             assert not a.flags.writeable and a.flags.c_contiguous
             with pytest.raises(ValueError):
                 a[...] = 0.0
-        if monotone:
-            # one (bands x 6) array for the nested block sums, parts side by side
-            assert [a.shape for a in arrays[1:]] == [(len(fam.bands), 6)]
+        # one (bands x n) array: the nested block sums' parts side by side, and
+        # a zero row for the band kept for its own eval
+        assert fam._weights.shape == (len(fam.bands), 6 if monotone else 2)
+        if not monotone:
+            assert fam._weights.tolist() == [[2.0, 1.0], [1.0, 3.0], [0.0, 0.0], [2.0, 1.0]]
+            assert fam._same == (False, False, False) and fam._key is None
+        else:
+            assert all(fam._same) and fam._key is not None
         # not fields: ==, repr and hash see only the dimension and the bands
         assert [f.name for f in dataclasses.fields(fam)] == ["dimension", "bands"]
-        assert "_stack" not in repr(fam) and "_ends" not in repr(fam)
+        assert not any(name in repr(fam) for name in ("_weights", "_same", "_key", "_ends"))
         assert hash(fam) == hash((fam.dimension, fam.bands))
         back = pickle.loads(pickle.dumps(fam))
         assert back == fam and repr(back) == repr(fam) and hash(back) == hash(fam)
-        assert not any(a.flags.writeable for a in (back._ends, *stacked_arrays(back._stack)))
+        assert not any(a.flags.writeable for a in (back._ends, back._weights))
         x = np.array([0.5, -2.0, 0.0, 1.0, 3.0, -1.0][: fam.dimension])
         assert PNSpace(back).prob_norm(x) == PNSpace(fam).prob_norm(x)
 
@@ -459,6 +457,40 @@ class TestStackedBands:
         assert [v.hex() for v in got] == [float(v).hex() for v in want]
         assert repr(P.prob_norm(x)) == repr(reference_prob_norm(P, x))
 
+    @pytest.mark.parametrize(
+        "shape, stacked",
+        [("l1", True), ("linf", True), ("product", True), ("mixed", False), ("duck", False)],
+    )
+    def test_one_reduce_when_every_band_shares_a_structure(self, monkeypatch, shape, stacked):
+        # top-level _reduce calls on the (bands x n) weight matrix per
+        # band_values call; the per-band loop reduces each weighted norm's own
+        # vector instead
+        rng = np.random.default_rng(5)
+        if shape in ("l1", "linf"):
+            S = _monotone(rng, 8, 3, NormKind(shape)).family
+        elif shape == "product":
+            P, Q, R = (_monotone(rng, 4, 2, kind) for kind in (NormKind.L1, NormKind.LINF, NormKind.L1))
+            S = product_space(P, product_space(Q, R)).family
+        else:
+            last = WeightedNorm(NormKind.LINF, (1.0, 1.0, 1.0)) if shape == "mixed" else SquaredL1(3)
+            bands = (Band(0.5, WeightedNorm(NormKind.L1, (1.0, 2.0, 3.0))), Band(1.0, last))
+            S = SeminormFamily(3, bands, enforce_monotone=False)
+        shapes, depth, reduce = [], [0], pnspace._reduce
+
+        def counted(key, wx):
+            if not depth[0]:
+                shapes.append(wx.shape)
+            depth[0] += 1
+            try:
+                return reduce(key, wx)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(pnspace, "_reduce", counted)
+        S.band_values(np.array([1.0, -2.0, 0.5] * (S.dimension // 3)))
+        weighted = sum(type(b.norm) is WeightedNorm for b in S.bands)
+        assert shapes == ([(len(S.bands), S.dimension)] if stacked else [(S.dimension,)] * weighted)
+
     def test_duck_typed_norms_use_their_own_eval(self, monkeypatch):
         calls = []
         monkeypatch.setattr(SquaredL1, "eval", lambda self, x: calls.append(1) or 7.0)
@@ -480,6 +512,22 @@ class TestProbNorm:
         P = single_band_space(WeightedNorm(NormKind.L1, (1.0, 2.0)))
         assert P.prob_norm([1.0, 1.0]) == unit_step(3.0)
         assert P.norm_at([1.0, 1.0], 0.4) == 3.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("monotone", [True, False])
+    def test_overflowing_band_norm_is_an_error(self, monotone):
+        # one band, or a non-monotone pair whose first band overflows
+        huge = WeightedNorm(NormKind.L1, (1e308, 1e308))
+        bands = (Band(0.5, huge), Band(1.0, WeightedNorm(NormKind.L1, (1.0, 1.0))))
+        if monotone:
+            bands = (Band(1.0, huge),)
+        P = PNSpace(SeminormFamily(2, bands, enforce_monotone=monotone))
+        with pytest.raises(ValueError, match="overflows"):
+            P.prob_norm([1.0, 1.0])
+        with pytest.raises(ValueError, match="overflows"):
+            P.norm_at([1.0, 1.0], 0.25)
+        if not monotone:
+            assert P.norm_at([1.0, 1.0], 0.75) == 2.0
 
     def test_two_band_frozen(self):
         # p([1,1], w) = 3 on (0, .5], 6 on (.5, 1] -> jumps of 1/2 at 3 and 6

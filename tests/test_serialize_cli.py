@@ -297,6 +297,15 @@ class TestCLI:
         assert code == 0
         assert json.loads(out) == {"value": 3.0}
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("command", ["space-nu", "space-norm"])
+    def test_overflowing_band_norm_is_an_error_object(self, capsys, files, command):
+        huge = {"dimension": 2, "bands": [{"upto": 1.0, "kind": "l1", "weights": [1e308, 1e308]}]}
+        argv = [command, "--space", files("s.json", huge), "--x", "[1.0, 1.0]"]
+        code, out = self.run(capsys, *argv, *(["--w", "0.5"] if command == "space-norm" else []))
+        assert code == 1
+        assert "overflows" in json.loads(out)["error"]["message"]
+
     def test_op_norm(self, capsys, files):
         code, out = self.run(
             capsys, "op-norm", "--op", files("op.json", OP), "--w", "0.5", "--wp", "0.5"
@@ -539,6 +548,20 @@ class TestCLI:
         assert counts["tau_inf_conv"] <= 185
         assert counts["levy_metric"] == 75
         assert counts["operator_norm_exact"] == 37
+        # one hat per d.f.: distfn inverts F and G (25 each), tau_M(F, G) (25),
+        # F scaled three ways (75) and the improper d.f.s (25); triangle
+        # inverts tau_T(F, G) per T and tau_{M*}(F, G) once per pair (100);
+        # the oracle points are drawn once per oracle pair (5)
+        counts.update(quasi_inverse=0, _off_breakpoint_xs=0)
+        monkeypatch.setattr(checks, "quasi_inverse", counting("quasi_inverse", checks.quasi_inverse))
+        monkeypatch.setattr(
+            checks, "_off_breakpoint_xs", counting("_off_breakpoint_xs", checks._off_breakpoint_xs)
+        )
+        for suite, hats in (("distfn", 175), ("triangle", 100)):
+            counts["quasi_inverse"] = 0
+            assert all(r.passed for r in checks.run_suites(suite, 42, 25))
+            assert counts["quasi_inverse"] == hats, suite
+        assert counts["_off_breakpoint_xs"] == 5
 
     @pytest.mark.parametrize("flag", ["--f", "--x"])
     def test_deep_json_is_an_error_object(self, capsys, files, flag):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probnorm import checks
 from probnorm.distfn import StepDF, df_eval, quasi_inverse, qf_add, unit_step
+from probnorm.pnspace import _hat_le
 from probnorm.testkit import gen_stepdf, oracle_inf_conv, oracle_sup_conv
 from probnorm.triangle import (
     TNormKind,
@@ -563,7 +563,8 @@ def test_kinds_are_ordered_pointwise(a, b):
 
 
 def test_check_df_order_compares_the_tail():
-    # equal up to the last breakpoint; they differ only on (1, inf)
-    full, half = StepDF((1.0,), (0.0, 1.0)), StepDF((1.0,), (0.0, 0.5))
-    assert not checks._df_le(full, half)
-    assert checks._df_le(half, full)
+    # equal up to the last breakpoint; they differ only on (1, inf).  check
+    # orders d.f.s on their hats: A <= B iff hat A >= hat B
+    full, half = quasi_inverse(StepDF((1.0,), (0.0, 1.0))), quasi_inverse(StepDF((1.0,), (0.0, 0.5)))
+    assert not _hat_le(half, full)
+    assert _hat_le(full, half)
