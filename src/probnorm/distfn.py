@@ -13,6 +13,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 INF = math.inf
 
 
@@ -112,7 +114,8 @@ class StepQuantile:
 
 @dataclass(frozen=True)
 class LevyDistance:
-    """Result of the bisected modified Levy metric."""
+    """Result of the modified Levy metric: the midpoint of a bracket of the
+    least feasible width, and the bracket's half-width."""
 
     value: float
     tolerance: float
@@ -224,26 +227,76 @@ def levy_condition(F: StepDF, G: StepDF, h: float) -> bool:
 
 
 LEVY_TOL = 1e-9
+# the grid of window sizes: the largest power of two <= 2 * LEVY_TOL (2^-29)
+_LEVY_STEP = math.ldexp(1.0, math.frexp(2.0 * LEVY_TOL)[1] - 1)
+_LEVY_CELLS = 1 << 16  # most value and breakpoint gaps formed at once
+
+
+def _levy_candidates(F: StepDF, G: StepDF) -> np.ndarray:
+    """Sorted unique grid indices ceil(c / _LEVY_STEP) in (0, 2^29) of the
+    window sizes c where the joint Levy condition can flip.
+
+    The candidates are the least grid point (where F = G), for each
+    breakpoint t the window end 1/h meeting t (h = 1/t) or t + h
+    (h = (sqrt(t^2 + 4) - t)/2), and the gaps |r_i - c_j| between the
+    values and between the breakpoints of F and G.  The gaps, one outer
+    difference per family, are formed only if there are at most
+    _LEVY_CELLS of them in all; past that the search bisects between the
+    O(n + m) per-breakpoint candidates.
+    """
+
+    def grid(cs):  # 0 < ceil(c / step) < 2^29 iff 0 < c <= 1 - step
+        return np.ceil(cs[(0.0 < cs) & (cs <= 1.0 - _LEVY_STEP)] / _LEVY_STEP).astype(np.int64)
+
+    t = np.array(F.breakpoints + G.breakpoints)
+    with np.errstate(divide="ignore", over="ignore"):  # 1/t is inf at t = 0 or subnormal
+        found = [grid(np.concatenate(([_LEVY_STEP], 1.0 / t, 2.0 / (np.hypot(t, 2.0) + t))))]
+    pairs = [
+        (np.array(F.values), np.array(G.values)),
+        (np.array(F.breakpoints), np.array(G.breakpoints)),
+    ]
+    if sum(r.size * c.size for r, c in pairs) <= _LEVY_CELLS:
+        # one family at a time, so only one outer difference is alive
+        found += [grid(np.abs(np.subtract.outer(r, c)).ravel()) for r, c in pairs]
+    ks = np.concatenate(found)
+    ks.sort()
+    return ks[np.concatenate((ks[:1] > 0, ks[1:] != ks[:-1]))]  # the first and each new one
 
 
 def levy_metric(F: StepDF, G: StepDF) -> LevyDistance:
-    """Modified Levy metric by bisection on the monotone joint condition.
+    """Modified Levy metric on the grid of _LEVY_STEP = 2^-29.
 
-    The condition holds at h = 1 for any pair in Delta+ (asserted), and the
-    feasibility check per h is exact, so bisection brackets the infimum to
-    an absolute half-width of LEVY_TOL.
+    With k the least grid index at which the joint condition holds, the
+    result is the midpoint of ((k - 1) * 2^-29, k * 2^-29], with half-width
+    2^-30 <= LEVY_TOL: what bisection of (0, 1] down to that width returns.
+    The condition holds at h = 1 for any pair in Delta+ (asserted), it is
+    monotone in h, and the feasibility check per h is exact.
+
+    The search keeps a grid bracket (lo, hi] with hi feasible.  A binary
+    search over the candidate thresholds (see _levy_candidates) narrows it
+    first, then a check at hi - 1 (k = hi unless the float threshold sits
+    just below the candidate), then bisection of what is left.  The
+    candidates only steer: whatever they hold, the result is the same.
     """
 
-    def ok(h: float) -> bool:
+    def ok(k: int) -> bool:
+        h = k * _LEVY_STEP
         return levy_condition(F, G, h) and levy_condition(G, F, h)
 
-    if not ok(1.0):
+    lo, hi = 0, round(1.0 / _LEVY_STEP)  # lo = 0 stands for h = 0, never checked
+    if not ok(hi):
         raise AssertionError("Levy condition must hold at h = 1 on Delta+")
-    lo, hi = 0.0, 1.0
-    while hi - lo > 2.0 * LEVY_TOL:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
+    ks = _levy_candidates(F, G)
+    i, j = 0, len(ks)  # the candidates inside (lo, hi) are ks[i:j]
+    while i < j:
+        m = (i + j) // 2
+        k = int(ks[m])
+        if ok(k):
+            hi, j = k, m
         else:
-            lo = mid
-    return LevyDistance(0.5 * (lo + hi), 0.5 * (hi - lo))
+            lo, i = k, m + 1
+    mid = hi - 1  # first the grid point below hi
+    while hi - lo > 1:
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+        mid = (lo + hi) // 2
+    return LevyDistance((hi - 0.5) * _LEVY_STEP, 0.5 * _LEVY_STEP)

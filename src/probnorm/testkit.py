@@ -6,7 +6,7 @@ exceptions.  The convolution oracles take each pair value from triangle's
 t-norm and conorm formulas, so sampled and exact extrema share floats; the
 formulas themselves are checked against exact Fraction arithmetic in the
 tests.  The Levy oracle reuses the exact per-h feasibility check and only
-replaces the continuum bisection with a fixed 1e-5 grid.
+replaces levy_metric's candidate search with a fixed 1e-5 grid.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ LEVY_GRID = 1e-5
 def oracle_levy(F: StepDF, G: StepDF) -> float:
     """Smallest h on the 1e-5 grid over (0, 1] satisfying both exact conditions.
 
-    Located by binary search over the grid, which is valid for the same
-    monotonicity-in-h reason the production bisection is.
+    Located by binary search over the grid, which is valid because the
+    condition is monotone in h, as levy_metric's search also assumes.
     """
 
     def ok(k: int) -> bool:

@@ -1,11 +1,12 @@
 """Step d.f. algebra: examples, quasi-inverse oracle checks, Levy metric."""
 
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probnorm import distfn
@@ -27,7 +28,9 @@ from probnorm.distfn import (
 from probnorm.testkit import _scan_eval_many, gen_stepdf
 from probnorm.triangle import TNormKind, tau_sup_conv
 
+import levy_oracle
 from fuzz import fuzz_list, mostly
+from levy_oracle import bisection_levy_metric
 
 INF = math.inf
 
@@ -380,6 +383,128 @@ class TestLevy:
             checked += 1
             assert (df_eval(F, t) > 1 - t) == (d < t)
         assert checked > 150
+
+
+def bracket(d) -> tuple:
+    return d.value.hex(), d.tolerance.hex()
+
+
+def shifted(F: StepDF, s: float) -> StepDF:
+    return StepDF([b + s for b in F.breakpoints], F.values)
+
+
+LEVY_SHIFTS = (2.0**-30, 2.0**-29, 1e-9)
+
+
+class TestLevySearch:
+    """The candidate search returns the bisection's LevyDistance bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(levy_stepdfs(), levy_stepdfs(), st.sampled_from((None, "same", *LEVY_SHIFTS)))
+    def test_matches_bisection(self, F, G, pair):
+        if pair == "same":
+            G = F
+        elif pair is not None:
+            assume(len(set(b + pair for b in F.breakpoints)) == len(F.breakpoints))
+            G = shifted(F, pair)
+        assert bracket(levy_metric(F, G)) == bracket(bisection_levy_metric(F, G))
+
+    @pytest.mark.parametrize("cells", [distfn._LEVY_CELLS, 12])
+    def test_matches_bisection_on_shifts(self, monkeypatch, cells):
+        # at 12 cells most pairs have too many gaps: per-breakpoint candidates only
+        monkeypatch.setattr(distfn, "_LEVY_CELLS", cells)
+        for seed in range(30):
+            F = gen_stepdf(seed, proper=seed % 3 != 0)
+            for G in (F, *(shifted(F, s) for s in LEVY_SHIFTS)):
+                assert bracket(levy_metric(F, G)) == bracket(bisection_levy_metric(F, G))
+
+    @pytest.mark.parametrize("cells", [distfn._LEVY_CELLS, 12])
+    def test_candidates_are_the_thresholds_on_the_grid(self, monkeypatch, cells):
+        monkeypatch.setattr(distfn, "_LEVY_CELLS", cells)
+        step = 2.0**-29
+        without_gaps = 0
+        for seed in range(60):
+            F, G = gen_stepdf(seed), gen_stepdf(seed + 300, proper=seed % 4 != 0)
+            t = np.array(F.breakpoints + G.breakpoints)
+            gaps = [abs(r - c) for r in F.values for c in G.values]
+            gaps += [abs(r - c) for r in F.breakpoints for c in G.breakpoints]
+            cs = [step, *(1.0 / t), *(2.0 / (np.hypot(t, 2.0) + t))]
+            if len(gaps) <= cells:
+                cs += gaps
+            else:
+                without_gaps += 1
+            want = {math.ceil(c / step) for c in cs if 0.0 < c <= 1.0 - step}
+            got = distfn._levy_candidates(F, G)
+            assert list(got) == sorted(set(got.tolist())) and got.dtype == np.int64
+            assert set(got.tolist()) == want
+        assert (without_gaps > 30) if cells == 12 else (without_gaps == 0)
+
+    @pytest.mark.parametrize("junk", ["nothing", "random"])
+    def test_candidates_only_steer(self, monkeypatch, junk):
+        pairs = [(gen_stepdf(s), gen_stepdf(s + 300, proper=s % 4 != 0)) for s in range(30)]
+        pairs += [(F, F) for F, _ in pairs[:5]]
+        want = [bracket(levy_metric(F, G)) for F, G in pairs]
+        rng = np.random.default_rng(0)
+
+        def candidates(F, G):
+            if junk == "random":
+                return np.unique(rng.integers(1, 2**29, 8))
+            return np.empty(0, dtype=np.int64)
+
+        monkeypatch.setattr(distfn, "_levy_candidates", candidates)
+        assert [bracket(levy_metric(F, G)) for F, G in pairs] == want
+
+    def test_never_more_checks_than_bisection(self, monkeypatch):
+        calls = []
+
+        def counted(F, G, h):
+            calls.append(h)
+            return levy_condition(F, G, h)
+
+        # both reach levy_condition through their module's global
+        monkeypatch.setattr(distfn, "levy_condition", counted)
+        monkeypatch.setattr(levy_oracle, "levy_condition", counted)
+        for seed in range(100):
+            F, G = gen_stepdf(seed), gen_stepdf(seed + 300, proper=seed % 4 != 0)
+            for A, B in ((F, G), (F, F)):
+                calls.clear()
+                levy_metric(A, B)
+                searched = len(calls)
+                calls.clear()
+                bisection_levy_metric(A, B)
+                assert searched <= len(calls)
+
+    def test_candidate_memory_is_bounded(self, monkeypatch):
+        # 3,000 breakpoints each: one outer difference of the values would
+        # hold 3001^2 floats (72 MB)
+        rng = np.random.default_rng(7)
+
+        def big(n: int) -> StepDF:
+            slots = rng.choice(np.arange(1, 40 * n), n, replace=False)
+            vals = np.sort(rng.uniform(0.0, 1.0, n))
+            vals[-1] = 1.0
+            return StepDF(np.sort(slots) / 40.0, [0.0, *vals])
+
+        F, G = big(3000), big(3000)
+        sizes = []
+
+        def candidates(F, G):
+            ks = levy_candidates(F, G)
+            sizes.append(ks.size)
+            return ks
+
+        levy_candidates = distfn._levy_candidates
+        monkeypatch.setattr(distfn, "_levy_candidates", candidates)
+        tracemalloc.start()
+        try:
+            got = levy_metric(F, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        # 6001^2 gaps are too many: only the 1 + 2 * 6000 per-breakpoint ones
+        assert len(sizes) == 1 and 0 < sizes[0] <= 1 + 2 * 6000
+        assert bracket(got) == bracket(bisection_levy_metric(F, G))
 
 
 class TestConstructorFuzz:
