@@ -163,18 +163,13 @@ def quasi_inverse(F: StepDF) -> StepQuantile:
     """The quasi-inverse w -> sup{t : F(t) < w}, exactly.
 
     For w in the value band (v_{i-1}, v_i] the supremum is the breakpoint
-    t_i; above the terminal value of an improper F it is +inf.
+    t_i, each carrying a jump as F is canonical (unless F = 0); above the
+    terminal value of an improper F it is +inf.
     """
-    wb: list[float] = []
-    qv: list[float] = []
-    for i, b in enumerate(F.breakpoints):
-        if F.values[i + 1] > F.values[i]:
-            wb.append(F.values[i + 1])
-            qv.append(b)
-    if not wb or wb[-1] < 1.0:
-        wb.append(1.0)
-        qv.append(INF)
-    return StepQuantile(tuple(wb), tuple(qv))
+    wb, qv = (F.values[1:], F.breakpoints) if F.values[-1] > 0.0 else ((), ())
+    if not is_proper(F):
+        wb, qv = wb + (1.0,), qv + (INF,)
+    return StepQuantile(wb, qv)
 
 
 def qf_eval(Q: StepQuantile, w: float) -> float:

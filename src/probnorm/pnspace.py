@@ -243,16 +243,13 @@ class SeminormFamily:
         """
         if not 0.0 < w <= 1.0:
             raise ValueError("w must lie in (0, 1]")
-        idx = bisect_right(self.uptos, w)
-        if idx > 0 and w == self.uptos[idx - 1]:
-            return idx - 1
-        return idx
+        return bisect_left(self.uptos, w)
 
 
 def seminorm_eval(S: SeminormFamily, x: np.ndarray, w: float) -> float:
     """p(x, w): the band norm of x for the band containing w."""
     x = _check_vector(S, x)
-    return S.bands[S.band_index(w)].norm.eval(x)
+    return _finite(S.bands[S.band_index(w)].norm.eval(x))
 
 
 def _check_vector(S: SeminormFamily, x) -> np.ndarray:
@@ -351,8 +348,8 @@ def product_space(P: PNSpace, Q: PNSpace) -> PNSpace:
     merged = sorted(set(P.family.uptos) | set(Q.family.uptos))
     bands = []
     for u in merged:
-        pn = P.family.bands[bisect_left(P.family.uptos, u)].norm
-        qn = Q.family.bands[bisect_left(Q.family.uptos, u)].norm
+        pn = P.family.bands[P.family.band_index_left(u)].norm
+        qn = Q.family.bands[Q.family.band_index_left(u)].norm
         bands.append(Band(u, BlockSumNorm((pn, qn), (P.dimension, Q.dimension))))
     return PNSpace(SeminormFamily(P.dimension + Q.dimension, tuple(bands)))
 
@@ -414,6 +411,8 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
     relative at the seminorm level for general scalars.  One rng is drawn
     in the order N1, N2, N3, (S).
     """
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
     n = P.dimension
     h0 = unit_step(0.0)

@@ -84,12 +84,11 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
     over all pairs whose low sum is <= f_k: a running max in the order of the
     low sums, read at the last pair <= f_k.
 
-    inf, the mirror image: every pair with high sum >= f_{k+1} is dominated by
-    an achievable one, found by stepping i down: if (i, j) is not achievable
-    its low sum is a finite sum, so >= f_{k+1}, and i > 0; then (i-1, j) has
-    high sum a_i + b_{j+1} >= a_i + b_j >= f_{k+1} and value <= that of (i, j).
-    The output is a suffix min in the order of the high sums, read at the
-    first pair >= f_{k+1}.
+    inf: every pair with high sum >= f_{k+1} is dominated by an achievable
+    one, by the same argument with F's axis reversed.  Negation is exact, so
+    those are the pairs whose negated high sum (-a_{i+1}) + (-b_{j+1}) is
+    <= -f_{k+1}, and their min is minus the max of their negated values: the
+    sup pass on the negated high band ends, values and fences.
 
     Both steps move along F's axis alone, so they need pair_vals nondecreasing
     in v = v_i for each u = v_j, in floats and not just in exact arithmetic.
@@ -117,32 +116,19 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
 
     The sort costs O(nm log nm).
     """
-    a_lo, a_hi, b_lo, b_hi, cands = _band_ends(F, G)
-    fences = np.concatenate(([-math.inf], cands, [math.inf]))
-    if take_max:
-        keys = (a_lo[:, None] + b_lo[None, :]).ravel()
-        order = np.argsort(keys)
-        best = np.maximum.accumulate(pair_vals.ravel()[order])
-        at = np.searchsorted(keys[order], fences[:-1], "right") - 1
-    else:
-        keys = (a_hi[:, None] + b_hi[None, :]).ravel()
-        order = np.argsort(keys)
-        best = np.minimum.accumulate(pair_vals.ravel()[order][::-1])[::-1]
-        at = np.searchsorted(keys[order], fences[1:], "left")
-    return _step_df(cands, best[at])
+    a, b = np.array(F.breakpoints), np.array(G.breakpoints)
+    cands = np.unique(a[:, None] + b[None, :])
+    sign = 1.0 if take_max else -1.0
 
+    def ends(x):
+        # sup: the low ends (-inf, x); inf: the negated high ends -(x, +inf)
+        return np.concatenate(([-math.inf], x) if take_max else (-x, [-math.inf]))
 
-def _band_ends(F: StepDF, G: StepDF):
-    # low and high band ends of F, then of G, and the distinct sums a_i + b_j
-    a = np.array(F.breakpoints)
-    b = np.array(G.breakpoints)
-    return (
-        np.concatenate(([-math.inf], a)),
-        np.concatenate((a, [math.inf])),
-        np.concatenate(([-math.inf], b)),
-        np.concatenate((b, [math.inf])),
-        np.unique(a[:, None] + b[None, :]),
-    )
+    keys = (ends(a)[:, None] + ends(b)[None, :]).ravel()
+    order = np.argsort(keys)
+    best = np.maximum.accumulate((sign * pair_vals).ravel()[order])
+    at = np.searchsorted(keys[order], ends(cands), "right") - 1
+    return _step_df(cands, sign * best[at])
 
 
 def _step_df(cands: np.ndarray, out_vals: np.ndarray) -> StepDF:

@@ -20,7 +20,20 @@ import numpy as np
 
 from probnorm.distfn import StepDF
 from probnorm.testkit import _scan_eval_many
-from probnorm.triangle import TNormKind, _band_ends, _tconorm, _tnorm
+from probnorm.triangle import TNormKind, _tconorm, _tnorm
+
+
+def _band_ends(F: StepDF, G: StepDF):
+    # low and high band ends of F, then of G, and the distinct sums a_i + b_j
+    a = np.array(F.breakpoints)
+    b = np.array(G.breakpoints)
+    return (
+        np.concatenate(([-math.inf], a)),
+        np.concatenate((a, [math.inf])),
+        np.concatenate(([-math.inf], b)),
+        np.concatenate((b, [math.inf])),
+        np.unique(a[:, None] + b[None, :]),
+    )
 
 
 def achievable_masks(F: StepDF, G: StepDF):

@@ -126,7 +126,50 @@ class TestStepDF:
             assert is_proper(F) == all(math.isfinite(q) for q in quasi_inverse(F).qvalues)
 
 
+def jump_filter_quasi_inverse(F: StepDF) -> StepQuantile:
+    """The hat by testing every breakpoint for a jump: a reference that does
+    not rely on StepDF's canonical form."""
+    wb, qv = [], []
+    for i, b in enumerate(F.breakpoints):
+        if F.values[i + 1] > F.values[i]:
+            wb.append(F.values[i + 1])
+            qv.append(b)
+    if not wb or wb[-1] < 1.0:
+        wb.append(1.0)
+        qv.append(INF)
+    return StepQuantile(tuple(wb), tuple(qv))
+
+
+@st.composite
+def raw_stepdfs(draw) -> StepDF:
+    """A StepDF built from raw lists with zero jumps and -0.0 entries: proper,
+    improper or all-zero."""
+    bps = draw(st.lists(st.sampled_from((-0.0, 0.0, 1.0)) | st.floats(0.0, 5.0), min_size=1, max_size=8))
+    bps = sorted(set(bps))
+    value_st = st.sampled_from((-0.0, 0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    vals = sorted(draw(st.lists(value_st, min_size=len(bps), max_size=len(bps))))
+    kind = draw(st.sampled_from(("proper", "improper", "zero")))
+    if kind == "proper":
+        vals[-1] = 1.0
+    elif kind == "improper":
+        vals = [min(v, 0.75) for v in vals]
+    else:
+        vals = [0.0 * v for v in vals]  # zeros, -0.0 kept where drawn
+    return StepDF(bps, (draw(st.sampled_from((-0.0, 0.0))), *vals))
+
+
 class TestQuasiInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_stepdfs())
+    def test_matches_the_jump_filter_bitwise(self, F):
+        got, want = quasi_inverse(F), jump_filter_quasi_inverse(F)
+        assert [w.hex() for w in got.wbreaks] == [w.hex() for w in want.wbreaks]
+        assert [q.hex() for q in got.qvalues] == [q.hex() for q in want.qvalues]
+
+    def test_zero_df(self):
+        F = StepDF((0.0, 2.0), (-0.0, 0.0, -0.0))
+        assert quasi_inverse(F) == StepQuantile((1.0,), (INF,))
+
     def test_unit_step_constant(self):
         Q = quasi_inverse(unit_step(3.0))
         assert Q == StepQuantile([1.0], [3.0])

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import types
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -417,6 +418,43 @@ def grown_families(draw):
     return SeminormFamily(n, tuple(bands), enforce_monotone=False)
 
 
+def right_then_back(S: SeminormFamily, w: float) -> int:
+    """The left-limit band by bisect_right, one band back exactly at a band end."""
+    idx = bisect_right(S.uptos, w)
+    return idx - 1 if idx > 0 and w == S.uptos[idx - 1] else idx
+
+
+def assert_left_band_matches(S: SeminormFamily):
+    # every band end, one ulp on each side of it, and 1.0
+    probes = {1.0}
+    for u in S.uptos:
+        probes |= {math.nextafter(u, 0.0), u, math.nextafter(u, 2.0)}
+    for w in sorted(w for w in probes if 0.0 < w <= 1.0):
+        assert S.band_index_left(w) == right_then_back(S, w), (S.uptos, w)
+
+
+@st.composite
+def any_ends_families(draw):
+    """A family of 1-30 bands with arbitrary ends in (0, 1), subnormal ones too."""
+    cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=29, unique=True))
+    norm = WeightedNorm(NormKind.L1, (1.0,))
+    return SeminormFamily(1, tuple(Band(u, norm) for u in (*sorted(cuts), 1.0)))
+
+
+class TestBandIndexLeft:
+    """band_index_left, one bisect_left, agrees with bisect_right stepped back
+    one band exactly at a band end."""
+
+    def test_gen_spaces(self):
+        for seed in range(100):
+            assert_left_band_matches(gen_space(seed, 1 + seed % 3).family)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grown_families() | any_ends_families())
+    def test_property(self, S):
+        assert_left_band_matches(S)
+
+
 class TestMonotoneReport:
     """The stacked weights decide monotonicity as the per-pair loop does."""
 
@@ -529,6 +567,15 @@ class TestProbNorm:
         if not monotone:
             assert P.norm_at([1.0, 1.0], 0.75) == 2.0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_seminorm_eval_raises_where_norm_at_does(self):
+        # 3 * 1e308 overflows to inf in the band norm itself
+        S = SeminormFamily(2, (Band(1.0, WeightedNorm("l1", (1e308, 1e308))),))
+        with pytest.raises(ValueError, match="overflows"):
+            seminorm_eval(S, [3.0, 3.0], 0.5)
+        with pytest.raises(ValueError, match="overflows"):
+            PNSpace(S).norm_at([3.0, 3.0], 0.5)
+
     def test_two_band_frozen(self):
         # p([1,1], w) = 3 on (0, .5], 6 on (.5, 1] -> jumps of 1/2 at 3 and 6
         assert TWO_BAND.prob_norm([1.0, 1.0]) == StepDF((3.0, 6.0), (0.0, 0.5, 1.0))
@@ -565,6 +612,20 @@ class TestProbNorm:
         for seed in range(15):
             report = validate_pn_axioms(gen_space(seed, 3), samples=20, seed=seed)
             assert report.ok, report
+
+    def test_negative_sample_count_raises(self):
+        # a negative count must not pass all five checks without a sample
+        with pytest.raises(ValueError, match="samples"):
+            validate_pn_axioms(gen_space(3, 2), samples=-5)
+
+    def test_zero_samples_still_check_the_null_vector(self):
+        assert validate_pn_axioms(gen_space(3, 2), samples=0).ok
+        # a band "norm" that is 1 at the null vector gives nu_0 = H_1
+        one = types.SimpleNamespace(dimension=1, eval=lambda x: 1.0)
+        P = PNSpace(SeminormFamily(1, (Band(1.0, one),), enforce_monotone=False))
+        report = validate_pn_axioms(P, samples=0)
+        assert report.n1 == CheckResult(False, "nu at the null vector is not H_0")
+        assert report.n2.passed and report.n3.passed and report.scaling.passed
 
     def test_axioms_compute_each_nu_once(self, monkeypatch):
         # per sample: N1 1 call, N2 2, N3 3, scaling 1 + 7 scalars = 8

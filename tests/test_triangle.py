@@ -349,11 +349,14 @@ class TestMinInfIsMinSup:
     In floats: in _conv, the pairs (i, j) whose low sum a_i + b_j is <= f_k
     and the pairs whose high sum a_{i+1} + b_{j+1} is >= f_{k+1} are
     complements up to the index shift (i, j) -> (i - 1, j - 1), both sides
-    compare the same float sums, and min and max round nothing.  So the max
-    of the mins and the min of the maxes are the same float.
+    compare the same float sums (the inf side negated, which is exact), and
+    min, max and negation round nothing.  So the max of the mins and the min
+    of the maxes are the same float.
 
-    A mutation this catches: searchsorted(..., "right") for "left" in
-    _conv's inf branch, which drops the pairs whose high sum equals the fence.
+    A mutation this catches: searchsorted(..., "left") for "right" in
+    _conv's single pass, which drops the pairs whose key equals the read
+    point: the low sums at f_k on the sup side, the high sums at f_{k+1} on
+    the inf side.
     """
 
     @staticmethod
