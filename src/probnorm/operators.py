@@ -113,16 +113,19 @@ def operator_norm_mc(T: LinearOperator, w: float, wp: float, samples: int, seed:
     cod_norm = _band_norm(T.codomain, wp)
     rng = np.random.Generator(np.random.Philox(seed))
     X = _mc_directions(rng, n, samples, dom_norm)
-    den = dom_norm.eval_many(X)
-    # zero norms have no direction, and overflowed ones no finite ratio
-    keep = (den > 0) & (den < np.inf)
-    X, den = X[keep], den[keep]
-    images = X @ T.matrix.T
-    # same homogeneous quantity through two float paths; the min plus a
-    # 1e-14 relative shave keeps each sampled value a true lower bound even
-    # where the ratio is exactly flat and rounding goes the wrong way
-    ratio = cod_norm.eval_many(images) / den
-    rescaled = cod_norm.eval_many(images / den[:, None])
+    # a norm that overflows is inf, with no numpy warning: it is skipped or
+    # rescaled below
+    with np.errstate(over="ignore"):
+        den = dom_norm.eval_many(X)
+        # zero norms have no direction, and overflowed ones no finite ratio
+        keep = (den > 0) & (den < np.inf)
+        X, den = X[keep], den[keep]
+        images = X @ T.matrix.T
+        # same homogeneous quantity through two float paths; the min plus a
+        # 1e-14 relative shave keeps each sampled value a true lower bound even
+        # where the ratio is exactly flat and rounding goes the wrong way
+        ratio = cod_norm.eval_many(images) / den
+        rescaled = cod_norm.eval_many(images / den[:, None])
     return float(np.minimum(ratio, rescaled).max(initial=0.0) * (1.0 - 1e-14))
 
 
@@ -170,13 +173,14 @@ def bound_check(T: LinearOperator, w: float, wp: float, trials: int, seed: int) 
     rng = np.random.Generator(np.random.Philox(seed))
     zero = cod_norm.eval(T.apply(np.zeros(T.domain.dimension)))
     X = rng.uniform(-3.0, 3.0, (trials, T.domain.dimension))
-    nx = dom_norm.eval_many(X)
-    keep = (nx > 0) & (nx < np.inf)
-    X, nx = X[keep], nx[keep]
-    images = cod_norm.eval_many(_apply_rows(T.matrix, X))
-    ratios = images / nx
-    over = images == np.inf
-    ratios[over] = cod_norm.eval_many(_apply_rows(T.matrix, X[over] / nx[over, None]))
+    with np.errstate(over="ignore"):  # as in operator_norm_mc
+        nx = dom_norm.eval_many(X)
+        keep = (nx > 0) & (nx < np.inf)
+        X, nx = X[keep], nx[keep]
+        images = cod_norm.eval_many(_apply_rows(T.matrix, X))
+        ratios = images / nx
+        over = images == np.inf
+        ratios[over] = cod_norm.eval_many(_apply_rows(T.matrix, X[over] / nx[over, None]))
     max_ratio = float(ratios.max(initial=0.0))
     return BoundCheckReport(bound, max_ratio, bool(zero == 0.0 and max_ratio <= bound + 1e-9))
 

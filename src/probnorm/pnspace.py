@@ -209,11 +209,19 @@ class SeminormFamily:
         # pickle the fields alone; the arrays are rebuilt, read-only again
         return type(self), (self.dimension, self.bands, False)
 
-    def band_values(self, x: np.ndarray) -> np.ndarray:
-        """p(x, w) on every band, in band order, for a checked vector x."""
-        if self._key is None:
-            return np.array([b.norm.eval(x) for b in self.bands], dtype=float)
-        return _reduce(self._key, np.abs(x) * self._weights)
+    def band_values(self, X: np.ndarray) -> np.ndarray:
+        """p(x, w) on every band, in band order, for each checked vector x
+        along the last axis of X; the result has one value per band there.
+
+        A stack of k vectors is one reduce over k x bands x n, bit for bit
+        each vector's own values.  A value that overflows is inf, with no
+        numpy warning: prob_norm reports it as _finite's ValueError.
+        """
+        with np.errstate(over="ignore"):
+            if self._key is None:
+                rows = [[b.norm.eval(x) for b in self.bands] for x in X.reshape(-1, self.dimension)]
+                return np.array(rows, dtype=float).reshape(X.shape[:-1] + (len(self.bands),))
+            return _reduce(self._key, np.abs(X)[..., None, :] * self._weights)
 
     def monotone_report(self) -> tuple[bool, str]:
         """(ok, message) naming the first band that does not dominate the one before."""
@@ -249,7 +257,7 @@ class SeminormFamily:
 def seminorm_eval(S: SeminormFamily, x: np.ndarray, w: float) -> float:
     """p(x, w): the band norm of x for the band containing w."""
     x = _check_vector(S, x)
-    return _finite(S.bands[S.band_index(w)].norm.eval(x))
+    return _band_eval(S, S.band_index(w), x)
 
 
 def _check_vector(S: SeminormFamily, x) -> np.ndarray:
@@ -265,6 +273,12 @@ def _finite(value):
     if not math.isfinite(value):
         raise ValueError(f"band norm of x is {value}: the weighted sum overflows the float range")
     return value
+
+
+def _band_eval(S: SeminormFamily, k: int, x: np.ndarray) -> float:
+    """Band k's norm of a checked x; an overflow is _finite's ValueError, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        return _finite(S.bands[k].norm.eval(x))
 
 
 @dataclass(frozen=True)
@@ -311,7 +325,7 @@ class PNSpace:
     def norm_at(self, x, w: float) -> float:
         """The left-limit band norm ||x||_w = sup_{w' < w} p(x, w')."""
         x = _check_vector(self.family, x)
-        return _finite(self.family.bands[self.family.band_index_left(w)].norm.eval(x))
+        return _band_eval(self.family, self.family.band_index_left(w), x)
 
     def pm_distance(self, p, q) -> StepDF:
         """Probabilistic distance of the derived PM space: nu_{p-q}."""
@@ -392,24 +406,40 @@ def _hat_le(Q1: StepQuantile, Q2: StepQuantile) -> bool:
 _EXACT_SCALARS = (0.5, 2.0, 4.0, 0.25, -0.5, -2.0, -1.0)
 
 
-def _first_failure(witnesses) -> CheckResult:
-    """FAIL at the first witness, without advancing the generator past it; else PASS."""
-    for witness in witnesses:
-        return CheckResult(False, witness)
-    return CheckResult(True)
+def _proper_rows(V: np.ndarray) -> np.ndarray:
+    """Which band-value rows (last axis) are nondecreasing, >= 0 and finite.
+
+    prob_norm turns such a row into nu_x without raising: its breakpoints
+    are the row's distinct values, each reached at the end of its last
+    band.  So nu_x and its hat are the row read over the band ends, and
+    two such rows give equal d.f.s iff they are equal.
+    """
+    return (V[..., 0] >= 0.0) & (V[..., -1] < math.inf) & (V[..., 1:] >= V[..., :-1]).all(axis=-1)
 
 
 def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomReport:
     """Sampled checks of N1, N2, N3 (with tau_M), and the scaling law.
 
-    N3 is decided on hats, with no convolution: hat tau_M(F, G) = hat F +
-    hat G, and nu_{x+y} >= tau_M(nu_x, nu_y) iff hat nu_{x+y} <= hat nu_x +
-    hat nu_y on (0, 1].
+    One rng is drawn in the order N1, N2, N3, (S), one vector at a time.
+    Each axiom draws all its samples, evaluates their band values in one
+    stacked pass and decides from the rows; the first failing sample, in
+    order, decides the axiom, and the rng is rewound to just past it.
 
-    Scaling is asserted as exact StepDF equality for power-of-two scalars
-    (where float scaling commutes with the norm evaluation) and to 1e-12
-    relative at the seminorm level for general scalars.  One rng is drawn
-    in the order N1, N2, N3, (S).
+    Where a sample's rows are nondecreasing, >= 0 and finite (see
+    _proper_rows), the rows decide it exactly as the StepDFs would:
+    - N1 fails iff x's row is all 0 (nu_x = H_0);
+    - N2 fails iff the rows of -x and x differ;
+    - N3 fails iff on some band V(x+y) > s + 1e-12 * (1 + s), with
+      s = V(x) + V(y): hat nu_{x+y} > hat nu_x + hat nu_y, the sum of hats
+      being hat tau_M(nu_x, nu_y), up to _hat_le's slack for rounding;
+    - (S) for the power-of-two scalars fails iff V(alpha x) != |alpha| V(x).
+    Any other sample (non-monotone, mixed or duck-typed families, or a row
+    that overflows and so raises prob_norm's ValueError) is decided on
+    prob_norm's StepDFs and their hats, and df_scale for (S).  (S) for a
+    general scalar compares every sample's rows to 1e-12 relative.
+
+    Power-of-two scaling commutes with the float norm evaluation only while
+    the band values stay normal; near the subnormal range (S) can fail.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
@@ -417,44 +447,89 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
     n = P.dimension
     h0 = unit_step(0.0)
 
-    def n1():
-        if P.prob_norm(np.zeros(n)) != h0:
-            yield "nu at the null vector is not H_0"
-            return
-        for _ in range(samples):
-            x = _nonzero(rng, n)
-            if P.prob_norm(x) == h0:
-                yield f"nu_x = H_0 at x = {x.tolist()}"
+    def first_failure(per, failures) -> CheckResult:
+        """FAIL at the first (i, witness) of failures(X) on samples x per x n
+        fresh vectors, with the rng left just past sample i; else PASS."""
+        state = rng.bit_generator.state
+        X = np.array([_nonzero(rng, n) for _ in range(samples * per)]).reshape(samples, per, n)
+        for i, witness in failures(X):
+            rng.bit_generator.state = state
+            for _ in range((i + 1) * per):
+                _nonzero(rng, n)
+            return CheckResult(False, witness)
+        return CheckResult(True)
 
-    def n2():
-        for _ in range(samples):
-            x = _nonzero(rng, n)
-            if P.prob_norm(-x) != P.prob_norm(x):
-                yield f"nu_-x != nu_x at x = {x.tolist()}"
+    def n1(X):
+        x = X[:, 0]
+        V = P.family.band_values(x)
+        zero = V[:, -1] == 0.0  # a proper row's largest value is its last
+        proper = _proper_rows(V)
+        for i in np.flatnonzero(zero | ~proper):
+            if zero[i] if proper[i] else P.prob_norm(x[i]) == h0:
+                yield i, f"nu_x = H_0 at x = {x[i].tolist()}"
 
-    def n3():
-        for _ in range(samples):
-            x, y = _nonzero(rng, n), _nonzero(rng, n)
-            lhs = quasi_inverse(P.prob_norm(x + y))
-            rhs = qf_add(quasi_inverse(P.prob_norm(x)), quasi_inverse(P.prob_norm(y)))
-            if not _hat_le(lhs, rhs):
-                yield f"N3 fails at x = {x.tolist()}, y = {y.tolist()}"
+    def n2(X):
+        x = X[:, 0]
+        V = P.family.band_values(np.stack((-x, x), axis=1))
+        differ = (V[:, 0] != V[:, 1]).any(axis=1)
+        proper = _proper_rows(V).all(axis=1)
+        for i in np.flatnonzero(differ | ~proper):
+            if differ[i] if proper[i] else P.prob_norm(-x[i]) != P.prob_norm(x[i]):
+                yield i, f"nu_-x != nu_x at x = {x[i].tolist()}"
+
+    def n3(X):
+        x, y = X[:, 0], X[:, 1]
+        V = P.family.band_values(np.stack((x + y, x, y), axis=1))
+        # s overflows to inf on large proper rows; rows that are not proper
+        # may hold inf and nan, and fall back
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = V[:, 1] + V[:, 2]
+            above = (V[:, 0] > s + 1e-12 * (1.0 + s)).any(axis=1)
+        proper = _proper_rows(V).all(axis=1)
+        for i in np.flatnonzero(above | ~proper):
+            if above[i] if proper[i] else not _hat_le(
+                quasi_inverse(P.prob_norm(x[i] + y[i])),
+                qf_add(quasi_inverse(P.prob_norm(x[i])), quasi_inverse(P.prob_norm(y[i]))),
+            ):
+                yield i, f"N3 fails at x = {x[i].tolist()}, y = {y[i].tolist()}"
 
     def scaling():
+        # each sample draws x, then its general scalar; (S) is drawn last,
+        # so no later check reads the rng
+        xs, alphas = [], []
         for _ in range(samples):
-            x = _nonzero(rng, n)
-            nu = P.prob_norm(x)
-            for alpha in _EXACT_SCALARS:
-                if P.prob_norm(alpha * x) != df_scale(nu, abs(alpha)):
-                    yield f"(S) fails at alpha = {alpha}"
-            alpha = float(rng.uniform(0.1, 5.0)) * float(rng.choice((-1.0, 1.0)))
-            for v, sv in zip(P.band_values(x), P.band_values(alpha * x)):
-                if abs(sv - abs(alpha) * v) > 1e-12 * (1.0 + abs(alpha) * v):
-                    yield f"(S) off tolerance at alpha = {alpha}"
+            xs.append(_nonzero(rng, n))
+            alphas.append(float(rng.uniform(0.1, 5.0)) * float(rng.choice((-1.0, 1.0))))
+        x = np.array(xs).reshape(samples, n)
+        # one scalar per sample: each exact scalar in turn, then the general ones
+        scalars = [[a] * samples for a in _EXACT_SCALARS] + [alphas]
+        A = np.array(scalars).reshape(len(scalars), samples, 1)
+        V = P.family.band_values(np.concatenate(([x], A * x)))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in n3
+            scaled = np.abs(A) * V[0]
+            exact = (V[1:-1] == scaled[:-1]).all(axis=2)
+            off = (np.abs(V[-1] - scaled[-1]) > 1e-12 * (1.0 + scaled[-1])).any(axis=1)
+        proper = _proper_rows(V[:-1]).all(axis=0)
+        for i in np.flatnonzero(~exact.all(axis=0) | off | ~proper):
+            if proper[i]:
+                failed = (a for a, ok in zip(_EXACT_SCALARS, exact[:, i]) if not ok)
+            else:
+                nu = P.prob_norm(x[i])
+                failed = (a for a in _EXACT_SCALARS if P.prob_norm(a * x[i]) != df_scale(nu, abs(a)))
+            alpha = next(failed, None)
+            if alpha is not None:
+                return CheckResult(False, f"(S) fails at alpha = {alpha}")
+            if off[i]:
+                return CheckResult(False, f"(S) off tolerance at alpha = {alphas[i]}")
+        return CheckResult(True)
 
     ok, msg = P.family.monotone_report()
     monotone = CheckResult(ok, None if ok else msg)
-    return PNAxiomReport(monotone, *map(_first_failure, (n1(), n2(), n3(), scaling())))
+    if P.prob_norm(np.zeros(n)) != h0:
+        n1_result = CheckResult(False, "nu at the null vector is not H_0")
+    else:
+        n1_result = first_failure(1, n1)
+    return PNAxiomReport(monotone, n1_result, first_failure(1, n2), first_failure(2, n3), scaling())
 
 
 def _nonzero(rng, n: int) -> np.ndarray:

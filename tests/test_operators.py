@@ -338,7 +338,6 @@ class TestMonteCarlo:
         assert mc <= 1.0
         assert mc >= 1.0 - 1e-9
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_domain_norms_are_skipped(self):
         # some samples' weighted norms overflow to inf; their ratios would be nan
         P = space_l1([1e308, 1e308])
@@ -715,7 +714,6 @@ class TestSampledChecksAgainstLoops:
         with pytest.raises(ValueError):
             norm_equivalence_constants(P, P, trials=-2, seed=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("error:invalid value encountered")
     def test_overflowing_samples_do_not_fail_the_check(self):
         # |x| * 1e308 overflows: 87 of the 100 samples have ||x|| = inf and are

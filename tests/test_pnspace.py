@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import traceback
 import types
 from bisect import bisect_right
 
@@ -39,6 +40,7 @@ from probnorm.pnspace import (
 from probnorm.testkit import _scan_eval_many, gen_space, gen_vector
 from probnorm.triangle import TNormKind, tau_sup_conv
 
+from axioms_oracle import stepdf_validate_pn_axioms
 from fuzz import fuzz_list, mostly
 from prefix_limits import strong_convergence_index
 
@@ -74,6 +76,17 @@ class SquaredL1:
 
 def squared_l1_space(n: int) -> PNSpace:
     return PNSpace(SeminormFamily(n, (Band(1.0, SquaredL1(n)),)))
+
+
+@dataclasses.dataclass(frozen=True)
+class Lopsided:
+    """|x|_1, plus 1 where x_0 > 2.5: 0 only at 0 but not even, so N2 fails
+    at a sample with |x_0| > 2.5 and N3 where x_0 + y_0 alone crosses 2.5."""
+
+    dimension: int
+
+    def eval(self, x) -> float:
+        return float(np.abs(x).sum()) + float(x[0] > 2.5)
 
 
 def reference_band_values(P: PNSpace, x) -> list:
@@ -495,6 +508,18 @@ class TestStackedBands:
         assert [v.hex() for v in got] == [float(v).hex() for v in want]
         assert repr(P.prob_norm(x)) == repr(reference_prob_norm(P, x))
 
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_cases())
+    def test_a_stack_of_vectors_matches_each_vector(self, case):
+        P, x = case
+        X = np.stack((x, -x, 0.25 * x, 3.0 * x, np.zeros_like(x)))
+        rows = [P.family.band_values(v).tobytes() for v in X]
+        assert [row.tobytes() for row in P.family.band_values(X)] == rows
+        cube = P.family.band_values(X.reshape(5, 1, -1)[[0, 1, 2, 3, 4, 0]].reshape(3, 2, -1))
+        assert cube.shape == (3, 2, len(P.family.bands))
+        assert [row.tobytes() for row in cube.reshape(6, -1)] == rows + rows[:1]
+        assert P.family.band_values(X[:0]).shape == (0, len(P.family.bands))
+
     @pytest.mark.parametrize(
         "shape, stacked",
         [("l1", True), ("linf", True), ("product", True), ("mixed", False), ("duck", False)],
@@ -551,7 +576,6 @@ class TestProbNorm:
         assert P.prob_norm([1.0, 1.0]) == unit_step(3.0)
         assert P.norm_at([1.0, 1.0], 0.4) == 3.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("monotone", [True, False])
     def test_overflowing_band_norm_is_an_error(self, monotone):
         # one band, or a non-monotone pair whose first band overflows
@@ -567,7 +591,6 @@ class TestProbNorm:
         if not monotone:
             assert P.norm_at([1.0, 1.0], 0.75) == 2.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_seminorm_eval_raises_where_norm_at_does(self):
         # 3 * 1e308 overflows to inf in the band norm itself
         S = SeminormFamily(2, (Band(1.0, WeightedNorm("l1", (1e308, 1e308))),))
@@ -627,13 +650,26 @@ class TestProbNorm:
         assert report.n1 == CheckResult(False, "nu at the null vector is not H_0")
         assert report.n2.passed and report.n3.passed and report.scaling.passed
 
-    def test_axioms_compute_each_nu_once(self, monkeypatch):
-        # per sample: N1 1 call, N2 2, N3 3, scaling 1 + 7 scalars = 8
+    @pytest.mark.parametrize(
+        "shape, calls_per_sample",
+        [("monotone", 0), ("mixed-kinds", 0), ("decreasing", 1 + 2 + 3 + 8)],
+    )
+    def test_axioms_build_nu_only_where_rows_cannot_decide(self, monkeypatch, shape, calls_per_sample):
+        # prob_norm builds nu at the null vector, and per sample only where a
+        # row is not nondecreasing: then N1 1 call, N2 2, N3 3, scaling
+        # 1 + 7 scalars = 8; |x|_1 <= 2 |x|_inf in R^2, so the rows of the
+        # non-monotone mixed-kind family are nondecreasing all the same
+        second = {"monotone": None, "mixed-kinds": ("linf", (2.0, 2.0)), "decreasing": ("l1", (0.5, 0.5))}
+        P = gen_space(4, 3)
+        if second[shape]:
+            bands = (Band(0.5, WeightedNorm("l1", (1.0, 1.0))), Band(1.0, WeightedNorm(*second[shape])))
+            P = PNSpace(SeminormFamily(2, bands, enforce_monotone=False))
         calls = []
         prob_norm = PNSpace.prob_norm
         monkeypatch.setattr(PNSpace, "prob_norm", lambda P, x: calls.append(1) or prob_norm(P, x))
-        assert validate_pn_axioms(gen_space(4, 3), samples=6, seed=4).ok
-        assert len(calls) == 1 + (1 + 2 + 3 + 8) * 6
+        report = validate_pn_axioms(P, samples=6, seed=4)
+        assert report.n1.passed and report.n2.passed and report.n3.passed and report.scaling.passed
+        assert len(calls) == 1 + calls_per_sample * 6
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vector_rejected(self, bad):
@@ -671,6 +707,133 @@ class TestProbNorm:
             lhs = P.prob_norm(2.0 * x)
             rhs = tau_sup_conv(TNormKind.MIN, P.prob_norm(x), P.prob_norm(x))
             assert levy_metric(lhs, rhs).value <= 1e-9
+
+
+@dataclasses.dataclass(frozen=True)
+class Octave:
+    """|x|_1 rounded to the nearest power of two in log scale: homogeneous for
+    power-of-two scalars, so (S) fails only off them, by a tolerance."""
+
+    dimension: int
+
+    def eval(self, x) -> float:
+        norm = float(np.abs(x).sum())
+        return 2.0 ** round(math.log2(norm)) if norm else 0.0
+
+
+def axioms_outcome(validate, P: PNSpace, samples: int, seed: int):
+    """The PNAxiomReport, or the repr of the ValueError raised."""
+    try:
+        return validate(P, samples, seed)
+    except ValueError as e:
+        return repr(e)
+
+
+def _top_weight(norm) -> float:
+    if type(norm) is WeightedNorm:
+        return max(norm.weights)
+    return max(map(_top_weight, norm.parts)) if type(norm) is BlockSumNorm else 0.0
+
+
+def huge(S: SeminormFamily) -> PNSpace:
+    """S with its weights scaled to a largest one of 1e307, so band norms overflow."""
+    f = np.full(S.dimension, 1e307 / max(1.0, *(_top_weight(b.norm) for b in S.bands)))
+    return PNSpace(
+        SeminormFamily(S.dimension, tuple(Band(b.upto, _scaled(b.norm, f)) for b in S.bands), enforce_monotone=False)
+    )
+
+
+@st.composite
+def axiom_families(draw):
+    """A family for the axiom checks: a stacked case's (monotone L1, Linf and
+    block sums in dimension 1-40; non-monotone, mixed-kind and duck-typed
+    bands) or a grown one, its weights sometimes scaled to 1e307; or a
+    duck-typed band that fails N3 (SquaredL1), N2 and N3 (Lopsided) or (S)
+    off the power-of-two scalars (Octave)."""
+    pick = draw(st.sampled_from(("stacked", "grown", "squared", "lopsided", "octave")))
+    n = draw(st.integers(1, 4))
+    if pick == "squared":
+        return squared_l1_space(n)
+    if pick == "octave":
+        return PNSpace(SeminormFamily(n, (Band(1.0, Octave(n)),)))
+    if pick == "lopsided":
+        bands = (Band(1.0, Lopsided(n)),)
+        if draw(st.booleans()):
+            bands = (Band(0.5, WeightedNorm(NormKind.L1, (1.0,) * n)), *bands)
+        return PNSpace(SeminormFamily(n, bands, enforce_monotone=False))
+    S = draw(stacked_cases())[0].family if pick == "stacked" else draw(grown_families())
+    return huge(S) if draw(st.integers(0, 4)) == 0 else PNSpace(S)
+
+
+class TestAxiomRows:
+    """validate_pn_axioms on band-value rows gives the StepDF loop's report,
+    witnesses included, or raises its error at the same sample."""
+
+    def test_gen_spaces(self):
+        for seed in range(100):
+            P = gen_space(seed, 1 + seed % 5)
+            want = stepdf_validate_pn_axioms(P, 10, seed)
+            assert validate_pn_axioms(P, 10, seed) == want and want.ok
+
+    @pytest.mark.parametrize(
+        "P, seed, failed",
+        [
+            (squared_l1_space(2), 0, ["n3", "scaling"]),
+            # N2 fails at the seventh of ten samples, and the witnesses of N3
+            # and (S) show where it left the rng
+            (PNSpace(SeminormFamily(2, (Band(1.0, Lopsided(2)),))), 4, ["n2", "n3", "scaling"]),
+            (PNSpace(SeminormFamily(2, (Band(1.0, Octave(2)),))), 0, ["n3", "scaling"]),
+        ],
+        ids=["squared-l1", "lopsided", "octave"],
+    )
+    def test_failing_families(self, P, seed, failed):
+        want = stepdf_validate_pn_axioms(P, 10, seed)
+        assert validate_pn_axioms(P, 10, seed) == want
+        assert [name for name in ("n1", "n2", "n3", "scaling") if not getattr(want, name).passed] == failed
+
+    @pytest.mark.parametrize(
+        "weight, seed, axiom",
+        [(1e308, 0, "n1"), (6.1e307, 0, "n2"), (4.5e307, 0, "n3"), (3.6e307, 4, "scaling")],
+    )
+    def test_overflow_raises_in_the_same_axiom(self, weight, seed, axiom):
+        # |x| * weight overflows first on a sample of the named axiom: N1's or
+        # N2's x, N3's x + y, or (S)'s 2x or 4x
+        P = PNSpace(SeminormFamily(1, (Band(1.0, WeightedNorm("l1", (weight,))),)))
+        for validate in (stepdf_validate_pn_axioms, validate_pn_axioms):
+            with pytest.raises(ValueError, match="band norm of x is inf: the weighted sum overflows") as e:
+                validate(P, 10, seed)
+            assert axiom in [frame.name for frame in traceback.extract_tb(e.value.__traceback__)]
+
+    def test_negative_band_value_raises_at_the_first_sample(self):
+        # a nondecreasing row below 0 is no d.f.'s breakpoints
+        negative = types.SimpleNamespace(dimension=2, eval=lambda x: -float(np.abs(x).sum()))
+        P = PNSpace(SeminormFamily(2, (Band(1.0, negative),), enforce_monotone=False))
+        for validate in (stepdf_validate_pn_axioms, validate_pn_axioms):
+            with pytest.raises(ValueError, match="breakpoints must be finite and >= 0"):
+                validate(P, 10, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(axiom_families(), st.integers(1, 8), st.integers(0, 2**16))
+    def test_property(self, P, samples, seed):
+        want = axioms_outcome(stepdf_validate_pn_axioms, P, samples, seed)
+        assert axioms_outcome(validate_pn_axioms, P, samples, seed) == want
+
+    @pytest.mark.parametrize("weight, alpha", [(3e-308, 0.25), (1e-308, 0.5)])
+    def test_subnormal_band_values(self, weight, alpha):
+        # alpha x scales the band values into the subnormal range, where the
+        # float norm no longer commutes with the scaling; at 3e-308 the StepDF
+        # loop cannot even build nu_x scaled by 0.25, whose two breakpoints
+        # underflow into one float
+        bands = (Band(0.5, WeightedNorm("l1", (weight,))), Band(1.0, WeightedNorm("l1", (math.nextafter(weight, 1),))))
+        P = PNSpace(SeminormFamily(1, bands))
+        report = validate_pn_axioms(P, 5, 0)
+        assert report.scaling == CheckResult(False, f"(S) fails at alpha = {alpha}")
+        assert report.n1.passed and report.n2.passed and report.n3.passed
+        if alpha == 0.5:
+            assert stepdf_validate_pn_axioms(P, 5, 0) == report
+        else:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                stepdf_validate_pn_axioms(P, 5, 0)
 
 
 class TestProduct:

@@ -297,7 +297,6 @@ class TestCLI:
         assert code == 0
         assert json.loads(out) == {"value": 3.0}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("command", ["space-nu", "space-norm"])
     def test_overflowing_band_norm_is_an_error_object(self, capsys, files, command):
         huge = {"dimension": 2, "bands": [{"upto": 1.0, "kind": "l1", "weights": [1e308, 1e308]}]}
