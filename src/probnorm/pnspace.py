@@ -25,7 +25,7 @@ class NormKind(enum.Enum):
 
 
 LINF_VERTEX_DIM_CAP = 20
-_MASK_CELLS = 2**16  # cells of one block of prob_norm's non-monotone mask
+_MASK_CELLS = 2**16  # cells of one block of band_values' products or prob_norm's mask
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ class BlockSumNorm:
             off += d
 
     def eval(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(sum(part.eval(x[a:b]) for part, a, b in self._splits()))
+        return float(self.eval_many(x))
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -124,7 +123,7 @@ def _frozen(rows) -> np.ndarray:
 
 
 def _structure(norm) -> tuple:
-    """(key, weights) of a band norm, or (None, None) for one kept for its own eval.
+    """(key, weights) of a band norm, or (None, None) for one evaluated by its own eval_many.
 
     A weighted norm's key is its kind; a block sum of weighted norms, at any
     depth, has its parts' (key, dim) pairs, with their weights concatenated.
@@ -164,7 +163,7 @@ class SeminormFamily:
     The band weights are stacked once in one read-only (bands x n) array,
     which decides both evaluation and monotonicity in w: band k+1 dominates
     band k when both share a structure and its weights are coordinatewise
-    >=; a band kept for its own eval has a zero row and dominates nothing.
+    >=; a band kept for its own eval_many has a zero row and dominates nothing.
     Monotonicity is enforced at construction; enforce_monotone=False admits
     an externally supplied family for validate_pn_axioms to report on.
     """
@@ -193,10 +192,10 @@ class SeminormFamily:
         object.__setattr__(self, "uptos", uptos)
         object.__setattr__(self, "_ends", _frozen(uptos))
         keys, weights = zip(*(_structure(b.norm) for b in bands))
-        # band k+1 has band k's structure; a band kept for its own eval has none
+        # band k+1 has band k's structure; a band kept for its own eval_many has none
         same = tuple(key is not None and key == prev for prev, key in zip(keys, keys[1:]))
         object.__setattr__(self, "_same", same)
-        # the structure every band shares, or None: bands then use their own eval
+        # the structure every band shares, or None: bands then use their own eval_many
         object.__setattr__(self, "_key", keys[0] if all(same) else None)
         zero = (0.0,) * self.dimension
         object.__setattr__(self, "_weights", _frozen([w or zero for w in weights]))
@@ -213,15 +212,22 @@ class SeminormFamily:
         """p(x, w) on every band, in band order, for each checked vector x
         along the last axis of X; the result has one value per band there.
 
-        A stack of k vectors is one reduce over k x bands x n, bit for bit
-        each vector's own values.  A value that overflows is inf, with no
-        numpy warning: prob_norm reports it as _finite's ValueError.
+        A family of one structure reduces the stack in blocks of at most
+        _MASK_CELLS weighted products (one vector at least), bit for bit each
+        vector's own values; any other family stacks one eval_many per band.
+        A value that overflows is inf, with no numpy warning: prob_norm
+        reports it as _finite's ValueError.
         """
         with np.errstate(over="ignore"):
             if self._key is None:
-                rows = [[b.norm.eval(x) for b in self.bands] for x in X.reshape(-1, self.dimension)]
-                return np.array(rows, dtype=float).reshape(X.shape[:-1] + (len(self.bands),))
-            return _reduce(self._key, np.abs(X)[..., None, :] * self._weights)
+                return np.stack([b.norm.eval_many(X) for b in self.bands], axis=-1)
+            wx = np.abs(X)[..., None, :]
+            step = max(1, _MASK_CELLS // self._weights.size)
+            if wx.size <= step * self.dimension:  # one block, the stack itself
+                return _reduce(self._key, wx * self._weights)
+            rows = wx.reshape(-1, 1, self.dimension)
+            blocks = [_reduce(self._key, rows[i : i + step] * self._weights) for i in range(0, len(rows), step)]
+            return np.concatenate(blocks).reshape(X.shape[:-1] + (len(self.bands),))
 
     def monotone_report(self) -> tuple[bool, str]:
         """(ok, message) naming the first band that does not dominate the one before."""
@@ -278,7 +284,7 @@ def _finite(value):
 def _band_eval(S: SeminormFamily, k: int, x: np.ndarray) -> float:
     """Band k's norm of a checked x; an overflow is _finite's ValueError, with no numpy warning."""
     with np.errstate(over="ignore"):
-        return _finite(S.bands[k].norm.eval(x))
+        return _finite(float(S.bands[k].norm.eval_many(x)))
 
 
 @dataclass(frozen=True)
@@ -297,19 +303,19 @@ class PNSpace:
     def prob_norm(self, x) -> StepDF:
         """nu_x(t) = m({w in (0,1) : p(x, w) < t}), exactly.
 
-        For a monotone family the measure below each distinct band value is a
-        band end itself, so the step d.f. is assembled from the family's own
-        floats with no summation error.
+        For a row of band values that is nondecreasing, >= 0 and finite (see
+        _proper_rows) the measure below each distinct value is a band end
+        itself, so the step d.f. is assembled from the family's own floats
+        with no summation error.  An inf or nan value is _finite's ValueError,
+        and a negative one StepDF's.
         """
         vals = self.family.band_values(_check_vector(self.family, x))
-        monotone = (vals[1:] >= vals[:-1]).all()
-        # the monotone path's last value is its maximum
-        _finite(vals[-1] if monotone else vals.max())
-        if monotone:
+        if _proper_rows(vals):
             # the last band of each distinct value ends where nu_x reaches it
             last = np.append(vals[1:] > vals[:-1], True)
             return StepDF(vals[last].tolist(), [0.0, *self.family._ends[last].tolist()])
-        # non-monotone families (diagnostic path): per distinct value c, the
+        _finite(vals.max())
+        # any other row (diagnostic path): per distinct value c, the
         # lengths of the bands with p <= c, summed in band order; a running
         # sum adds them in the order sum() would, a block of values at a time
         lengths = np.diff(self.family._ends, prepend=0.0)

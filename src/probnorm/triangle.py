@@ -114,8 +114,11 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
       lo 2**-53 < ulp(hi); the tests probe this case on the values where
       1 - hi steps.
 
-    The sort costs O(nm log nm).
+    The sort costs O(nm log nm).  A breakpoint sum beyond the float range is
+    a ValueError; the sum of the last breakpoints is the largest.
     """
+    if F.breakpoints[-1] + G.breakpoints[-1] == math.inf:
+        raise ValueError("breakpoint sum overflows the float range")
     a, b = np.array(F.breakpoints), np.array(G.breakpoints)
     cands = np.unique(a[:, None] + b[None, :])
     sign = 1.0 if take_max else -1.0

@@ -212,6 +212,29 @@ class TestExactNorm:
         assert counts["profile"] == 75
         assert counts["vertices"] <= 289
 
+    def test_an_overflowing_exact_norm_is_an_error(self):
+        # ||T||_(w,w') is 1.5 * 1.5e308: an inf entry in the vertex table, and
+        # a ValueError with no numpy warning wherever the table is read
+        M = np.array([[1.0, 0.5], [0.0, 1.0]])
+        T = LinearOperator(M, space_l1([1.0, 1.0]), space_l1([1.5e308, 1.5e308]))
+        # T^{-1} from a weight-1 domain to 1.5e308 weights: open_mapping_delta's norm
+        mirror = LinearOperator(M, space_l1([1.5e308, 1.5e308]), space_l1([1.0, 1.0]))
+        # signed vertices of 1e308 entries: some images hold inf - inf
+        wide = LinearOperator(np.array([[2.0, -2.0, 1.0]]), space_linf([1e-308] * 3), SCALAR)
+        calls = (
+            lambda: operator_norm_exact(T, 0.5, 0.5),
+            lambda: norm_profile(T),
+            lambda: bound_check(T, 0.5, 0.5, trials=10, seed=0),
+            lambda: uniform_bound([T], 0.5),
+            lambda: open_mapping_delta(mirror, 0.5),
+            lambda: functional_norm(wide, 0.5),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="operator norm overflows the float range"):
+                call()
+        # T's own inverse has a finite norm, about 1e-308
+        assert open_mapping_delta(T, 0.5).delta == 9.999999999999996e307
+
 
 @dataclasses.dataclass(frozen=True)
 class OffsetL1:
@@ -223,7 +246,7 @@ class OffsetL1:
         return float(np.abs(x).sum()) + 1.0
 
     def eval_many(self, X) -> np.ndarray:
-        return np.abs(X).sum(axis=1) + 1.0
+        return np.abs(X).sum(axis=-1) + 1.0
 
 
 def banded(kind, seed, n, nbands):

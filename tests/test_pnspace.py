@@ -5,15 +5,17 @@ import itertools
 import math
 import pickle
 import traceback
+import tracemalloc
 import types
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probnorm import checks, pnspace
+from probnorm import checks, operators, pnspace
 from probnorm.distfn import (
     StepDF,
     df_eval,
@@ -71,7 +73,13 @@ class SquaredL1:
     dimension: int
 
     def eval(self, x) -> float:
-        return float(np.abs(x).sum()) ** 2
+        # norm * norm, as in eval_many: Python's norm ** 2 calls pow, which can round differently
+        norm = float(np.abs(x).sum())
+        return norm * norm
+
+    def eval_many(self, X) -> np.ndarray:
+        norm = np.abs(X).sum(axis=-1)
+        return norm * norm
 
 
 def squared_l1_space(n: int) -> PNSpace:
@@ -87,6 +95,9 @@ class Lopsided:
 
     def eval(self, x) -> float:
         return float(np.abs(x).sum()) + float(x[0] > 2.5)
+
+    def eval_many(self, X) -> np.ndarray:
+        return np.abs(X).sum(axis=-1) + (X[..., 0] > 2.5)
 
 
 def reference_band_values(P: PNSpace, x) -> list:
@@ -520,14 +531,16 @@ class TestStackedBands:
         assert [row.tobytes() for row in cube.reshape(6, -1)] == rows + rows[:1]
         assert P.family.band_values(X[:0]).shape == (0, len(P.family.bands))
 
+    @pytest.mark.parametrize("cells", [1, 100, 2**16])
     @pytest.mark.parametrize(
         "shape, stacked",
         [("l1", True), ("linf", True), ("product", True), ("mixed", False), ("duck", False)],
     )
-    def test_one_reduce_when_every_band_shares_a_structure(self, monkeypatch, shape, stacked):
-        # top-level _reduce calls on the (bands x n) weight matrix per
-        # band_values call; the per-band loop reduces each weighted norm's own
-        # vector instead
+    def test_one_reduce_per_block_when_every_band_shares_a_structure(self, monkeypatch, shape, stacked, cells):
+        # top-level _reduce calls per band_values call on a stack of 7
+        # vectors: one per block of at most _MASK_CELLS weighted products (one
+        # vector at least) when every band shares a structure; otherwise each
+        # weighted band reduces the whole stack in its own eval_many
         rng = np.random.default_rng(5)
         if shape in ("l1", "linf"):
             S = _monotone(rng, 8, 3, NormKind(shape)).family
@@ -550,19 +563,117 @@ class TestStackedBands:
                 depth[0] -= 1
 
         monkeypatch.setattr(pnspace, "_reduce", counted)
-        S.band_values(np.array([1.0, -2.0, 0.5] * (S.dimension // 3)))
-        weighted = sum(type(b.norm) is WeightedNorm for b in S.bands)
-        assert shapes == ([(len(S.bands), S.dimension)] if stacked else [(S.dimension,)] * weighted)
+        monkeypatch.setattr(pnspace, "_MASK_CELLS", cells)
+        X = np.arange(1.0, 8.0)[:, None] * np.array([1.0, -2.0, 0.5] * (S.dimension // 3))
+        S.band_values(X)
+        bands, n = len(S.bands), S.dimension
+        step = max(1, cells // (bands * n))
+        if stacked:
+            assert shapes == [(min(step, 7 - i), bands, n) for i in range(0, 7, step)]
+        else:
+            assert shapes == [(7, n)] * sum(type(b.norm) is WeightedNorm for b in S.bands)
 
-    def test_duck_typed_norms_use_their_own_eval(self, monkeypatch):
+    def test_duck_typed_norms_use_their_own_eval_many(self, monkeypatch):
+        # one eval_many per duck-typed band, on the whole stack at once
         calls = []
-        monkeypatch.setattr(SquaredL1, "eval", lambda self, x: calls.append(1) or 7.0)
+
+        def seven(self, X):
+            calls.append(np.shape(X))
+            return np.full(np.shape(X)[:-1], 7.0)
+
+        monkeypatch.setattr(SquaredL1, "eval_many", seven)
         l1 = WeightedNorm(NormKind.L1, (1.0, 1.0))
         inner = BlockSumNorm((SquaredL1(1), WeightedNorm(NormKind.LINF, (2.0,))), (1, 1))
         bands = (Band(0.5, SquaredL1(2)), Band(0.75, l1), Band(1.0, inner))
         P = PNSpace(SeminormFamily(2, bands, enforce_monotone=False))
         assert P.band_values([1.0, -1.0]) == [7.0, 2.0, 9.0]
-        assert len(calls) == 2
+        assert calls == [(2,), (1,)]
+        assert P.family.band_values(np.ones((5, 2))).tolist() == [[7.0, 2.0, 9.0]] * 5
+        assert calls[2:] == [(5, 2), (5, 1)]
+
+
+def reference_equivalence(P1: PNSpace, P2: PNSpace, trials: int, seed: int) -> float:
+    """norm_equivalence_constants' max_violation from the per-band loop's values."""
+    eye = np.eye(P1.dimension)
+    forward = operators.norm_profile(operators.LinearOperator(eye, P1, P2)).table
+    backward = operators.norm_profile(operators.LinearOperator(eye, P2, P1)).table
+    X = np.random.Generator(np.random.Philox(seed)).uniform(-3.0, 3.0, (trials, P1.dimension))
+    nx1 = np.array([reference_band_values(P1, x) for x in X]).reshape(trials, len(P1.family.bands), 1)
+    nx2 = np.array([reference_band_values(P2, x) for x in X]).reshape(trials, 1, len(P2.family.bands))
+    return float(max((nx2 - forward * nx1).max(initial=0.0), (nx1 - backward.T * nx2).max(initial=0.0)))
+
+
+@st.composite
+def weighted_families(draw, n: int):
+    """A family of 1-12 weighted bands on R^n: monotone of one kind, or of
+    fresh weights and mixed kinds per band."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bands = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return _monotone(rng, bands, n, NormKind(rng.choice(["l1", "linf"])))
+    family = tuple(
+        Band(u, WeightedNorm(NormKind(rng.choice(["l1", "linf"])), _weights(rng, n))) for u in _ends(rng, bands)
+    )
+    return PNSpace(SeminormFamily(n, family, enforce_monotone=False))
+
+
+class TestOneProtocol:
+    """The library evaluates band norms through eval_many alone: band_values,
+    prob_norm, norm_at and norm_equivalence_constants equal the per-band
+    eval loop bit for bit, at any block size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_cases(), st.sampled_from((1, 97, 2**16)), st.floats(0.0, 1.0, exclude_min=True))
+    def test_band_values_prob_norm_and_norm_at(self, case, cells, w):
+        P, x = case
+        X = np.stack((x, -x, 0.25 * x, 3.0 * x))
+        want = [[float(v).hex() for v in reference_band_values(P, v)] for v in X]
+        with mock.patch.object(pnspace, "_MASK_CELLS", cells):
+            assert [[v.hex() for v in row] for row in P.family.band_values(X).tolist()] == want
+            assert repr(P.prob_norm(x)) == repr(reference_prob_norm(P, x))
+        assert P.norm_at(x, w).hex() == want[0][P.family.band_index_left(w)]
+        if w < 1.0:
+            assert seminorm_eval(P.family, x, w).hex() == want[0][P.family.band_index(w)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(weighted_families(n), weighted_families(n))),
+           st.integers(0, 20), st.integers(0, 2**16))
+    def test_norm_equivalence_constants(self, spaces, trials, seed):
+        P1, P2 = spaces
+        report = operators.norm_equivalence_constants(P1, P2, trials, seed)
+        assert report.max_violation.hex() == reference_equivalence(P1, P2, trials, seed).hex()
+
+    def test_a_band_norm_needs_only_dimension_and_eval_many(self):
+        # a duck with no eval of its own, as a band in every role that takes one
+        duck = types.SimpleNamespace(dimension=2, eval_many=lambda X: 2.0 * np.abs(X).sum(axis=-1))
+        l1 = WeightedNorm(NormKind.L1, (1.0, 1.0))
+        P = PNSpace(SeminormFamily(2, (Band(0.5, l1), Band(1.0, duck)), enforce_monotone=False))
+        assert P.band_values([1.0, -2.0]) == [3.0, 6.0]
+        assert P.prob_norm([1.0, -2.0]) == StepDF([3.0, 6.0], [0.0, 0.5, 1.0])
+        assert P.norm_at([1.0, -2.0], 0.75) == seminorm_eval(P.family, [1.0, -2.0], 0.75) == 6.0
+        assert validate_pn_axioms(P, samples=5).n3.passed
+        T = operators.LinearOperator(np.eye(2), single_band_space(l1), P)
+        assert operators.norm_profile(T).table.tolist() == [[1.0, 2.0]]
+        assert operators.bound_check(T, 0.5, 0.75, trials=20, seed=0).passed
+
+    def test_validator_memory_is_bounded_in_samples(self, monkeypatch):
+        # 1024 monotone L1 bands in R^16: band_values reduces blocks of at
+        # most _MASK_CELLS weighted products, where one k x bands x n product
+        # per axiom would take about 240 MB at 200 samples
+        n, bands = 16, 1024
+        family = tuple(Band((k + 1) / bands, WeightedNorm("l1", (1.0 + k,) * n)) for k in range(bands))
+        P = PNSpace(SeminormFamily(n, family))
+        cells, reduce = [], pnspace._reduce
+        monkeypatch.setattr(pnspace, "_reduce", lambda key, wx: cells.append(wx.size) or reduce(key, wx))
+        tracemalloc.start()
+        try:
+            report = validate_pn_axioms(P, samples=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 64 * 2**20
+        assert max(cells) <= max(pnspace._MASK_CELLS, bands * n)
 
 
 class TestProbNorm:
@@ -644,7 +755,7 @@ class TestProbNorm:
     def test_zero_samples_still_check_the_null_vector(self):
         assert validate_pn_axioms(gen_space(3, 2), samples=0).ok
         # a band "norm" that is 1 at the null vector gives nu_0 = H_1
-        one = types.SimpleNamespace(dimension=1, eval=lambda x: 1.0)
+        one = types.SimpleNamespace(dimension=1, eval_many=lambda X: np.ones(np.shape(X)[:-1]))
         P = PNSpace(SeminormFamily(1, (Band(1.0, one),), enforce_monotone=False))
         report = validate_pn_axioms(P, samples=0)
         assert report.n1 == CheckResult(False, "nu at the null vector is not H_0")
@@ -719,6 +830,11 @@ class Octave:
     def eval(self, x) -> float:
         norm = float(np.abs(x).sum())
         return 2.0 ** round(math.log2(norm)) if norm else 0.0
+
+    def eval_many(self, X) -> np.ndarray:
+        norm = np.abs(X).sum(axis=-1)
+        with np.errstate(divide="ignore"):  # log2(0) is -inf, masked below
+            return np.where(norm > 0.0, 2.0 ** np.round(np.log2(norm)), 0.0)
 
 
 def axioms_outcome(validate, P: PNSpace, samples: int, seed: int):
@@ -806,7 +922,7 @@ class TestAxiomRows:
 
     def test_negative_band_value_raises_at_the_first_sample(self):
         # a nondecreasing row below 0 is no d.f.'s breakpoints
-        negative = types.SimpleNamespace(dimension=2, eval=lambda x: -float(np.abs(x).sum()))
+        negative = types.SimpleNamespace(dimension=2, eval_many=lambda X: -np.abs(X).sum(axis=-1))
         P = PNSpace(SeminormFamily(2, (Band(1.0, negative),), enforce_monotone=False))
         for validate in (stepdf_validate_pn_axioms, validate_pn_axioms):
             with pytest.raises(ValueError, match="breakpoints must be finite and >= 0"):

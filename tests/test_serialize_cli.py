@@ -305,6 +305,41 @@ class TestCLI:
         assert code == 1
         assert "overflows" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "df-conv --tnorm min --f H --g H",
+            "df-conv --tnorm W --kind inf --f H --g H",
+            "space-nu --space HUGE --x [1.0,1.0]",
+            "space-norm --space HUGE --x [1.0,1.0] --w 0.5",
+            "op-norm --op OP --w 0.5 --wp 0.5",
+            "op-profile --op OP",
+            "op-profile --op OP --csv",
+            "op-delta --op MIRROR --w 0.5",
+        ],
+    )
+    def test_overflow_is_one_error_object_and_no_stderr(self, capsys, files, argv):
+        # breakpoint sums past the float range, band norms of 1e308 weights,
+        # and an exact operator norm of 1.5 * 1.5e308 (for op-delta, that of
+        # T^{-1}), with numpy's warnings turned into errors
+        def space(w):
+            return {"dimension": 2, "bands": [{"upto": 1.0, "kind": "l1", "weights": [w, w]}]}
+
+        matrix = [[1.0, 0.5], [0.0, 1.0]]
+        paths = {
+            "H": files("h.json", {"breakpoints": [1e308], "values": [0.0, 1.0]}),
+            "HUGE": files("huge.json", space(1e308)),
+            "OP": files("op.json", {"matrix": matrix, "domain": space(1.0), "codomain": space(1.5e308)}),
+            "MIRROR": files("mirror.json", {"matrix": matrix, "domain": space(1.5e308), "codomain": space(1.0)}),
+        }
+        code = main([paths.get(a, a) for a in argv.split()])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert len(out.splitlines()) == 1
+        blob = json.loads(out)
+        assert list(blob) == ["error"] and "overflows the float range" in blob["error"]["message"]
+
     def test_op_norm(self, capsys, files):
         code, out = self.run(
             capsys, "op-norm", "--op", files("op.json", OP), "--w", "0.5", "--wp", "0.5"

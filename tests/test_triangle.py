@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -259,6 +260,21 @@ def assert_matches_dense(F: StepDF, G: StepDF):
         for sup, conv in ((True, tau_sup_conv), (False, tau_inf_conv)):
             got = conv(kind, F, G)
             assert got == oracle_conv_dense(kind, F, G, sup), (kind, sup, F, G)
+
+
+@pytest.mark.parametrize("conv", [tau_sup_conv, tau_inf_conv])
+@pytest.mark.parametrize("T", KINDS)
+def test_overflowing_breakpoint_sums_are_an_error(conv, T):
+    # the last breakpoints' sum is the largest; past the float range it is a
+    # ValueError that names it, with no numpy warning
+    H = unit_step(1e308)
+    F = StepDF([1.0, 1e308], [0.0, 0.5, 1.0])
+    for a, b in ((H, H), (F, H), (H, F)):
+        with pytest.raises(ValueError, match="breakpoint sum overflows the float range"):
+            conv(T, a, b)
+    # the largest finite sum still convolves
+    half = unit_step(sys.float_info.max / 2)
+    assert conv(T, half, half) == unit_step(sys.float_info.max)
 
 
 class TestDenseOracleBitwise:
