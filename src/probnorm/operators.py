@@ -278,8 +278,11 @@ def norm_equivalence_constants(
     rng = np.random.Generator(np.random.Philox(seed))
     X = rng.uniform(-3.0, 3.0, (trials, P1.dimension))
     # (trials, bands) norms at the band midpoints, checked over every band pair at once
-    nx1 = P1.family.band_values(X)[:, :, None]
-    nx2 = P2.family.band_values(X)[:, None, :]
+    nx1, nx2 = P1.family.band_values(X), P2.family.band_values(X)
+    # band_values reports no overflow, and inf - inf would read as a violation
+    if not (np.isfinite(nx1).all() and np.isfinite(nx2).all()):
+        raise ValueError("a sample's band norm overflows the float range")
+    nx1, nx2 = nx1[:, :, None], nx2[:, None, :]
     worst = float(max(
         (nx2 - forward.table * nx1).max(initial=0.0),
         (nx1 - backward.table.T * nx2).max(initial=0.0),

@@ -220,14 +220,14 @@ class SeminormFamily:
         """
         with np.errstate(over="ignore"):
             if self._key is None:
-                return np.stack([b.norm.eval_many(X) for b in self.bands], axis=-1)
-            wx = np.abs(X)[..., None, :]
+                values = np.stack([b.norm.eval_many(X) for b in self.bands], axis=-1)
+                return values.astype(float, copy=False)  # a duck may return ints or bools
+            rows = np.abs(X).reshape(-1, 1, self.dimension)
+            out = np.empty((len(rows), len(self.bands)))
             step = max(1, _MASK_CELLS // self._weights.size)
-            if wx.size <= step * self.dimension:  # one block, the stack itself
-                return _reduce(self._key, wx * self._weights)
-            rows = wx.reshape(-1, 1, self.dimension)
-            blocks = [_reduce(self._key, rows[i : i + step] * self._weights) for i in range(0, len(rows), step)]
-            return np.concatenate(blocks).reshape(X.shape[:-1] + (len(self.bands),))
+            for i in range(0, len(rows), step):
+                out[i : i + step] = _reduce(self._key, rows[i : i + step] * self._weights)
+            return out.reshape(X.shape[:-1] + (len(self.bands),))
 
     def monotone_report(self) -> tuple[bool, str]:
         """(ok, message) naming the first band that does not dominate the one before."""

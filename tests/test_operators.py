@@ -521,6 +521,17 @@ class TestEquivalenceAndUniformBound:
             assert rep.max_violation == worst
             assert type(rep.max_violation) is float and type(rep.passed) is bool
 
+    def test_overflowing_sample_norms_are_an_error(self):
+        # the identity's tables are finite (about 1.0), but samples with |x|
+        # up to 3 have band norms beyond 1.7e308: an error, not a false violation
+        P = space_l1([1.7e308, 1.7e308])
+        assert norm_profile(LinearOperator(np.eye(2), P, P)).table[0, 0] < 2.0
+        for P1, P2 in ((P, P), (P, space_l1([1.0, 1.0])), (space_l1([1.0, 1.0]), P)):
+            with pytest.raises(ValueError, match="band norm overflows the float range"):
+                norm_equivalence_constants(P1, P2, trials=20, seed=0)
+        # no trials, no samples to overflow
+        assert norm_equivalence_constants(P, P, trials=0, seed=0).passed
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             norm_equivalence_constants(space_l1([1.0]), space_l1([1.0, 1.0]), 10, 0)

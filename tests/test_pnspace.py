@@ -655,6 +655,12 @@ class TestOneProtocol:
         T = operators.LinearOperator(np.eye(2), single_band_space(l1), P)
         assert operators.norm_profile(T).table.tolist() == [[1.0, 2.0]]
         assert operators.bound_check(T, 0.5, 0.75, trials=20, seed=0).passed
+        # a duck returning ints still gives float band values, so sums of them cannot wrap
+        ints = types.SimpleNamespace(dimension=2, eval_many=lambda X: np.abs(X).sum(axis=-1).astype(np.int64))
+        Q = PNSpace(SeminormFamily(2, (Band(0.5, ints), Band(1.0, ints)), enforce_monotone=False))
+        assert Q.family.band_values(np.array([[1.0, -2.0], [0.0, 4.0]])).dtype == np.float64
+        assert [type(v) for v in Q.band_values([1.0, -2.0])] == [float, float]
+        assert validate_pn_axioms(Q, samples=5).n3.passed
 
     def test_validator_memory_is_bounded_in_samples(self, monkeypatch):
         # 1024 monotone L1 bands in R^16: band_values reduces blocks of at
