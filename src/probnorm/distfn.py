@@ -72,6 +72,15 @@ class StepDF:
         object.__setattr__(self, "breakpoints", tuple(keep_bp))
         object.__setattr__(self, "values", tuple(keep_vals))
 
+    @classmethod
+    def _canonical(cls, breakpoints: tuple[float, ...], values: tuple[float, ...]) -> StepDF:
+        """A StepDF from tuples of Python floats already in canonical form,
+        with no checks: for producers that prove that form themselves."""
+        F = object.__new__(cls)
+        object.__setattr__(F, "breakpoints", breakpoints)
+        object.__setattr__(F, "values", values)
+        return F
+
 
 @dataclass(frozen=True)
 class StepQuantile:
@@ -110,6 +119,15 @@ class StepQuantile:
             keep_qv.append(qv[i])
         object.__setattr__(self, "wbreaks", tuple(keep_wb))
         object.__setattr__(self, "qvalues", tuple(keep_qv))
+
+    @classmethod
+    def _canonical(cls, wbreaks: tuple[float, ...], qvalues: tuple[float, ...]) -> StepQuantile:
+        """A StepQuantile from tuples of Python floats already in canonical
+        form, with no checks (see StepDF._canonical)."""
+        Q = object.__new__(cls)
+        object.__setattr__(Q, "wbreaks", wbreaks)
+        object.__setattr__(Q, "qvalues", qvalues)
+        return Q
 
 
 @dataclass(frozen=True)
@@ -169,7 +187,9 @@ def quasi_inverse(F: StepDF) -> StepQuantile:
     wb, qv = (F.values[1:], F.breakpoints) if F.values[-1] > 0.0 else ((), ())
     if not is_proper(F):
         wb, qv = wb + (1.0,), qv + (INF,)
-    return StepQuantile(wb, qv)
+    # canonical F: its values[1:] rise strictly in (0, 1] and its breakpoints
+    # strictly, so wbreaks rise strictly to 1 and no two adjacent qvalues are equal
+    return StepQuantile._canonical(wb, qv)
 
 
 def qf_eval(Q: StepQuantile, w: float) -> float:

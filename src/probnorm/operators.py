@@ -226,7 +226,9 @@ class OpenMappingDelta:
 def open_mapping_delta(T: LinearOperator, w: float) -> OpenMappingDelta:
     """Radius delta with B_{W,w}(0; delta) inside T(B_{V,w}(0; 1)).
 
-    delta = 1 / ||T^{-1}||_(w,w); requires a square invertible matrix.
+    delta = 1 / ||T^{-1}||_(w,w); requires a square invertible matrix.  A
+    radius beyond the float range (||T^{-1}|| below 1 / float max) is a
+    ValueError.
     """
     m, n = T.matrix.shape
     if m != n:
@@ -235,7 +237,10 @@ def open_mapping_delta(T: LinearOperator, w: float) -> OpenMappingDelta:
     if not np.isfinite(cond) or cond > _SINGULAR_COND:
         raise ValueError("matrix is singular (open mapping needs surjectivity)")
     inverse = LinearOperator(np.linalg.inv(T.matrix), T.codomain, T.domain)
-    return OpenMappingDelta(1.0 / operator_norm_exact(inverse, w, w), cond)
+    delta = 1.0 / operator_norm_exact(inverse, w, w)
+    if delta == np.inf:
+        raise ValueError("open mapping radius overflows the float range")
+    return OpenMappingDelta(delta, cond)
 
 
 @dataclass(frozen=True)

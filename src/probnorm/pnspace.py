@@ -311,9 +311,14 @@ class PNSpace:
         """
         vals = self.family.band_values(_check_vector(self.family, x))
         if _proper_rows(vals):
-            # the last band of each distinct value ends where nu_x reaches it
+            # the last band of each distinct value ends where nu_x reaches it.
+            # Canonical as built: those values rise strictly, finite and >= 0
+            # (+ 0.0 clears a duck norm's -0.0), and the band ends they carry
+            # rise strictly in (0, 1], so every breakpoint has a jump
             last = np.append(vals[1:] > vals[:-1], True)
-            return StepDF(vals[last].tolist(), [0.0, *self.family._ends[last].tolist()])
+            return StepDF._canonical(
+                tuple((vals[last] + 0.0).tolist()), (0.0, *self.family._ends[last].tolist())
+            )
         _finite(vals.max())
         # any other row (diagnostic path): per distinct value c, the
         # lengths of the bands with p <= c, summed in band order; a running

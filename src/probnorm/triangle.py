@@ -135,13 +135,16 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
 
 
 def _step_df(cands: np.ndarray, out_vals: np.ndarray) -> StepDF:
-    # out_vals is nondecreasing.  StepDF drops the sums that carry no jump, one
-    # Python step per sum, and most carry none, so they go here first; the
-    # first sum stays so that an all-zero result keeps its mute breakpoint
+    # canonical as built: the sums are finite, >= 0 and strictly increasing
+    # (np.unique), and out_vals is nondecreasing from 0 in [0, 1], so the sums
+    # that carry a jump, with their values (each above one >= 0, so never
+    # -0.0), are the canonical d.f.; with no jump it is the mute one
     keep = out_vals[1:] > out_vals[:-1]
-    keep[0] = True
-    vals = np.concatenate((out_vals[:1], out_vals[1:][keep]))
-    return StepDF(cands[keep].tolist(), vals.tolist())
+    if keep.any():
+        bps, vals = tuple(cands[keep].tolist()), (0.0, *out_vals[1:][keep].tolist())
+    else:
+        bps, vals = (float(cands[0]),), (0.0, 0.0)
+    return StepDF._canonical(bps, vals)
 
 
 def tau_sup_conv(T: TNormKind, F: StepDF, G: StepDF) -> StepDF:

@@ -472,6 +472,17 @@ class TestOpenMapping:
         with pytest.raises(ValueError):
             open_mapping_delta(R, 0.5)
 
+    def test_a_radius_beyond_the_float_range_is_an_error(self):
+        # ||T^{-1}|| is about 1 / 3.4e308, below 1 / float max: delta = 1 / ||T^{-1}||
+        # would be inf, so both functions name the overflow instead
+        T = LinearOperator(np.diag([2.0, 2.0]), space_l1([1.0, 1.0]), space_l1([1.7e308, 1.7e308]))
+        for call in (lambda: open_mapping_delta(T, 0.5), lambda: open_mapping_check(T, 0.5, 10, 0)):
+            with pytest.raises(ValueError, match="open mapping radius overflows the float range"):
+                call()
+        # a tenth of those weights keeps the radius finite
+        S = LinearOperator(np.diag([2.0, 2.0]), space_l1([1.0, 1.0]), space_l1([1.7e307, 1.7e307]))
+        assert 0.0 < open_mapping_delta(S, 0.5).delta < math.inf
+
     def test_sampled_check(self):
         rng = np.random.default_rng(6)
         for seed in range(20):

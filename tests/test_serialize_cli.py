@@ -340,6 +340,19 @@ class TestCLI:
         blob = json.loads(out)
         assert list(blob) == ["error"] and "overflows the float range" in blob["error"]["message"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_op_delta_radius_overflow_is_an_error_object(self, capsys, files):
+        # ||T^{-1}|| below 1 / float max: the radius 1 / ||T^{-1}|| is past the float range
+        def space(w):
+            return {"dimension": 2, "bands": [{"upto": 1.0, "kind": "l1", "weights": [w, w]}]}
+
+        op = {"matrix": [[2.0, 0.0], [0.0, 2.0]], "domain": space(1.0), "codomain": space(1.7e308)}
+        code = main(["op-delta", "--op", files("op.json", op), "--w", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        message = "open mapping radius overflows the float range"
+        assert json.loads(out) == {"error": {"message": message}}
+
     def test_op_norm(self, capsys, files):
         code, out = self.run(
             capsys, "op-norm", "--op", files("op.json", OP), "--w", "0.5", "--wp", "0.5"
