@@ -55,16 +55,9 @@ def _load_json(path: str, where: str):
         raise SchemaError(where, f"malformed JSON at line {e.lineno}, column {e.colno}") from e
 
 
-def _stepdf(path: str, where: str):
-    return serialize.stepdf_from_json(_load_json(path, where), where)
-
-
-def _space(path: str, where: str):
-    return serialize.space_from_json(_load_json(path, where), where)
-
-
-def _operator(path: str, where: str):
-    return serialize.operator_from_json(_load_json(path, where), where)
+def _json_file(decoder: str) -> Callable:
+    """Loader of a JSON file (or - for stdin) via serialize.<decoder>, looked up per call."""
+    return lambda path, where: getattr(serialize, decoder)(_load_json(path, where), where)
 
 
 def _vector(text: str, where: str) -> list:
@@ -125,8 +118,10 @@ class Command(NamedTuple):
     status: Callable = lambda result: 0  # exit code of a successful call
 
 
-_F, _G = _arg("--f", _stepdf), _arg("--g", _stepdf)
-_SPACE, _OP = _arg("--space", _space), _arg("--op", _operator)
+_STEPDF = _json_file("stepdf_from_json")
+_F, _G = _arg("--f", _STEPDF), _arg("--g", _STEPDF)
+_SPACE = _arg("--space", _json_file("space_from_json"))
+_OP = _arg("--op", _json_file("operator_from_json"))
 _W = _arg("--w", type=float)
 _VALUE = _as_json(lambda value: {"value": value})
 _STEPDF_JSON = _as_json(lambda F: serialize.stepdf_to_json(F))
@@ -135,7 +130,7 @@ COMMANDS = (
     Command(
         "df-eval", "evaluate a step d.f.",
         (
-            _arg("--f", _stepdf, help="StepDF JSON path (or - for stdin)"),
+            _arg("--f", _STEPDF, help="StepDF JSON path (or - for stdin)"),
             _arg("--x", lambda x, where: float(x), help="abscissa (inf / -inf allowed)"),
         ),
         lambda F, x: distfn.df_eval(F, x),

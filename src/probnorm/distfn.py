@@ -264,6 +264,7 @@ def _levy_candidates(F: StepDF, G: StepDF) -> np.ndarray:
         return np.ceil(cs[(0.0 < cs) & (cs <= 1.0 - _LEVY_STEP)] / _LEVY_STEP).astype(np.int64)
 
     t = np.array(F.breakpoints + G.breakpoints)
+    # without the t + h ends: fewer checks, not less time (a passing check scans every event)
     with np.errstate(divide="ignore", over="ignore"):  # 1/t is inf at t = 0 or subnormal
         found = [grid(np.concatenate(([_LEVY_STEP], 1.0 / t, 2.0 / (np.hypot(t, 2.0) + t))))]
     pairs = [
@@ -274,8 +275,8 @@ def _levy_candidates(F: StepDF, G: StepDF) -> np.ndarray:
         # one family at a time, so only one outer difference is alive
         found += [grid(np.abs(np.subtract.outer(r, c)).ravel()) for r, c in pairs]
     ks = np.concatenate(found)
-    ks.sort()
-    return ks[np.concatenate((ks[:1] > 0, ks[1:] != ks[:-1]))]  # the first and each new one
+    ks.sort()  # then keep the first and each new one: np.unique is ~20x slower on int64
+    return ks[np.concatenate((ks[:1] > 0, ks[1:] != ks[:-1]))]
 
 
 def levy_metric(F: StepDF, G: StepDF) -> LevyDistance:
@@ -284,8 +285,10 @@ def levy_metric(F: StepDF, G: StepDF) -> LevyDistance:
     With k the least grid index at which the joint condition holds, the
     result is the midpoint of ((k - 1) * 2^-29, k * 2^-29], with half-width
     2^-30 <= LEVY_TOL: what bisection of (0, 1] down to that width returns.
-    The condition holds at h = 1 for any pair in Delta+ (asserted), it is
-    monotone in h, and the feasibility check per h is exact.
+    The condition holds at h = 1 for any pair in Delta+, so it is never
+    checked there: values lie in [0, 1] and rounding is monotone, so
+    F(x - 1) - 1 <= 0 <= G(x) <= 1 <= F(x + 1) + 1 holds exactly in floats.
+    It is monotone in h, and the check per h is exact.
 
     The search keeps a grid bracket (lo, hi] with hi feasible.  A binary
     search over the candidate thresholds (see _levy_candidates) narrows it
@@ -298,9 +301,7 @@ def levy_metric(F: StepDF, G: StepDF) -> LevyDistance:
         h = k * _LEVY_STEP
         return levy_condition(F, G, h) and levy_condition(G, F, h)
 
-    lo, hi = 0, round(1.0 / _LEVY_STEP)  # lo = 0 stands for h = 0, never checked
-    if not ok(hi):
-        raise AssertionError("Levy condition must hold at h = 1 on Delta+")
+    lo, hi = 0, round(1.0 / _LEVY_STEP)  # h = 0 and h = 1, neither checked
     ks = _levy_candidates(F, G)
     i, j = 0, len(ks)  # the candidates inside (lo, hi) are ks[i:j]
     while i < j:

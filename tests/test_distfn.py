@@ -298,6 +298,17 @@ def reference_levy_condition(F: StepDF, G: StepDF, h: float) -> bool:
     return all(holds(e, reference_eval_right) for e in [lo, *inside])
 
 
+def df_values(draw, n: int) -> list:
+    """The n values after F(0) = 0 of a proper, improper or all-zero d.f."""
+    vals = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    tail = draw(st.sampled_from(("proper", "improper", "zero")))
+    if tail == "proper":
+        vals[-1] = 1.0
+    elif tail == "zero":
+        vals = [0.0] * n
+    return vals
+
+
 @st.composite
 def levy_stepdfs(draw):
     """A d.f. on a dyadic lattice, a 0.1 lattice or with continuous
@@ -309,13 +320,25 @@ def levy_stepdfs(draw):
     else:
         slots = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
         bps = [k * lattice for k in slots]
-    vals = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
-    tail = draw(st.sampled_from(("proper", "improper", "zero")))
-    if tail == "proper":
-        vals[-1] = 1.0
-    elif tail == "zero":
-        vals = [0.0] * n
-    return StepDF(sorted(bps), [0.0, *vals])
+    return StepDF(sorted(bps), [0.0, *df_values(draw, n)])
+
+
+@st.composite
+def edge_stepdfs(draw):
+    """A d.f. on adjacent floats from 0, 1 or 1e300, or on breakpoints spread
+    up to 1e300, optionally with a breakpoint at 0; proper, improper or
+    all-zero."""
+    n = draw(st.integers(1, 6))
+    start = draw(st.sampled_from((0.0, 1.0, 1e300, None)))
+    if start is None:
+        bps = sorted(draw(st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n, unique=True)))
+    else:
+        bps = [start]
+        while len(bps) < n:
+            bps.append(math.nextafter(bps[-1], INF))
+    if bps[0] > 0.0 and draw(st.booleans()):
+        bps = [0.0, *bps[:-1]]
+    return StepDF(bps, [0.0, *df_values(draw, n)])
 
 
 def levy_hs(F: StepDF, G: StepDF) -> list:
@@ -352,6 +375,13 @@ class TestLevy:
     def test_distance_needs_a_finite_positive_tolerance(self, tolerance):
         with pytest.raises(ValueError):
             distfn.LevyDistance(0.5, tolerance)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(levy_stepdfs(), edge_stepdfs()), st.one_of(levy_stepdfs(), edge_stepdfs()))
+    def test_condition_holds_at_one(self, F, G):
+        # values lie in [0, 1], so F(x - 1) - 1 <= 0 <= G(x) <= 1 <= F(x + 1) + 1
+        # in floats too, and levy_metric never checks h = 1
+        assert levy_condition(F, G, 1.0) and levy_condition(G, F, 1.0)
 
     def test_condition_reflexive(self):
         for seed in range(10):
@@ -513,6 +543,7 @@ class TestLevySearch:
                 calls.clear()
                 levy_metric(A, B)
                 searched = len(calls)
+                assert 1.0 not in calls  # it always holds there (test_condition_holds_at_one)
                 calls.clear()
                 bisection_levy_metric(A, B)
                 assert searched <= len(calls)
