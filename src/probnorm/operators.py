@@ -2,10 +2,14 @@
 open-mapping / norm-equivalence / uniform-boundedness computations.
 
 Exact operator norms rely on the band norms' unit balls being polytopes: the
-sup of a convex function over a polytope sits at a vertex, so a weighted-L1
-domain needs 2n evaluations and a weighted-Linf domain 2^n (capped).  Every
-exact quantity is read from `_norm_table`, which enumerates one domain band's
-vertices and returns a table over matrices x codomain bands.
+sup of a convex function over a polytope sits at a vertex.  The vertices come
+in +-pairs and a band norm is even, so one vertex of each pair suffices: n for
+a weighted-L1 domain and 2^(n-1) sign vectors for a weighted-Linf domain
+(capped at n = 20), built column by column in blocks of at most 2^16 rows.
+Every exact quantity is read from `_norm_table`, which enumerates one domain
+band's vertices and returns a table over matrices x codomain bands.  A duck
+codomain norm must be even in floats, eval_many(-Y) == eval_many(Y) bit for
+bit (N2 with alpha = -1), for the tables to be exact.
 """
 
 from __future__ import annotations
@@ -67,21 +71,28 @@ def _norm_table(dom_norm, matrices, cod_norms) -> np.ndarray:
     """Exact norms from one domain band: entry (i, j) is the sup of
     cod_norms[j] over matrices[i] applied to the unit ball of dom_norm.
 
-    The vertices are enumerated once and each matrix's images formed once.
-    A weighted-L1 ball's vertices are +-e_j / w_j, so from an L1 domain the
+    The sup sits at a vertex, and the vertices come in +-pairs, so one of
+    each pair is enumerated, block by block, and each block's images are
+    formed once per matrix.  Negation is exact and the product accumulates
+    every image entry in one order, so the image of -v is -(image of v) bit
+    for bit, and a norm that is even in floats takes one value on both.  A
+    weighted-L1 ball's vertices are +-e_j / w_j, so from an L1 domain the
     norm is the best of n columns scaled by 1 / w_j.  A norm beyond the float
     range is a ValueError, with no numpy warning.
     """
     if not isinstance(dom_norm, WeightedNorm):
         raise ValueError("exact operator norms need a weighted L1/Linf domain band")
-    verts = dom_norm.unit_ball_vertices()
-    with np.errstate(over="ignore"):
-        images = (verts @ matrix.T for matrix in matrices)
-        rows = [[cod.eval_many(im).max() for cod in cod_norms] for im in images]
-    # inf, or nan from inf - inf in an image
-    if not all(v < np.inf for row in rows for v in row):
+    table = None
+    # an image past the float range holds inf, or nan from inf - inf (which
+    # numpy's one-row product reports as invalid); np.maximum keeps a nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for verts in dom_norm._vertex_blocks():
+            images = (verts @ matrix.T for matrix in matrices)
+            block = np.array([[cod.eval_many(im).max() for cod in cod_norms] for im in images])
+            table = block if table is None else np.maximum(table, block)
+    if not (table < np.inf).all():
         raise ValueError("operator norm overflows the float range")
-    return np.array(rows)
+    return table
 
 
 def operator_norm_exact(T: LinearOperator, w: float, wp: float) -> float:

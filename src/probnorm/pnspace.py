@@ -26,6 +26,7 @@ class NormKind(enum.Enum):
 
 LINF_VERTEX_DIM_CAP = 20
 _MASK_CELLS = 2**16  # cells of one block of band_values' products or prob_norm's mask
+_VERTEX_BLOCK_BITS = 16  # a block of Linf sign vertices holds at most 2^16 rows
 
 
 @dataclass(frozen=True)
@@ -54,23 +55,39 @@ class WeightedNorm:
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         return _reduce(self.kind, np.abs(np.asarray(X, dtype=float)) * self.weights)
 
-    def unit_ball_vertices(self) -> np.ndarray:
-        """Vertices of the closed unit ball (the polytope {x : norm(x) <= 1}).
+    def _vertex_blocks(self):
+        """One vertex of each +-pair of the closed unit ball, in blocks of rows.
 
-        Linf vertices come in itertools.product((1, -1), repeat=n) order: row
-        r has sign -1 at coordinate j iff bit n-1-j of r is set.
+        L1: the n rows of diag(1 / w).  Linf: the 2^(n-1) sign vectors whose
+        coordinate 0 is positive, the first half of
+        itertools.product((1, -1), repeat=n) order (row r has sign -1 at
+        coordinate j iff bit n-1-j of r is set), in blocks of at most
+        2^_VERTEX_BLOCK_BITS rows.  Every block is the one array, rewritten
+        in place, so a block must be used before the next is drawn.
         """
         n = self.dimension
         inv = 1.0 / np.array(self.weights)
         if self.kind is NormKind.L1:
-            return np.concatenate((np.diag(inv), -np.diag(inv)))
+            yield np.diag(inv)
+            return
         if n > LINF_VERTEX_DIM_CAP:
             raise ValueError(
                 f"Linf vertex enumeration rejected for n = {n} > {LINF_VERTEX_DIM_CAP}; "
                 "use the Monte-Carlo bound instead"
             )
-        minus = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        return np.where(minus, -inv, inv)
+        b = min(n - 1, _VERTEX_BLOCK_BITS)
+        block = np.empty((2**b, n))
+        # the sign of coordinate j flips every 2^(n-1-j) rows: within a block
+        # for the low columns, written once; per block for the high ones
+        for j in range(n - b, n):
+            step = 2 ** (n - 1 - j)
+            pairs = block.reshape(2**b // (2 * step), 2, step, n)
+            pairs[:, 0, :, j] = inv[j]
+            pairs[:, 1, :, j] = -inv[j]
+        for q in range(2 ** (n - 1 - b)):
+            for j in range(n - b):
+                block[:, j] = -inv[j] if (q >> (n - 1 - b - j)) & 1 else inv[j]
+            yield block
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from probnorm.pnspace import (
     single_band_space,
 )
 from probnorm.testkit import gen_operator, gen_space, gen_vector, oracle_operator_norm
+
+from vertex_oracle import oracle_norm, unit_ball_vertices
 
 
 def space_l1(weights):
@@ -195,7 +198,7 @@ class TestExactNorm:
         # every exact norm enumerates a domain band's vertices once, and
         # uniform-bound-dominates checks its members with the weights-only oracle
         counts = {"profile": 0, "vertices": 0}
-        profile, vertices = operators.norm_profile, WeightedNorm.unit_ball_vertices
+        profile, vertices = operators.norm_profile, WeightedNorm._vertex_blocks
 
         def counted_profile(T):
             counts["profile"] += 1
@@ -206,7 +209,7 @@ class TestExactNorm:
             return vertices(self)
 
         monkeypatch.setattr(operators, "norm_profile", counted_profile)
-        monkeypatch.setattr(WeightedNorm, "unit_ball_vertices", counted_vertices)
+        monkeypatch.setattr(WeightedNorm, "_vertex_blocks", counted_vertices)
         rows = checks.run_suites("operator", 42, 25)
         assert all(r.passed for r in rows)
         assert counts["profile"] == 75
@@ -221,6 +224,9 @@ class TestExactNorm:
         mirror = LinearOperator(M, space_l1([1.5e308, 1.5e308]), space_l1([1.0, 1.0]))
         # signed vertices of 1e308 entries: some images hold inf - inf
         wide = LinearOperator(np.array([[2.0, -2.0, 1.0]]), space_linf([1e-308] * 3), SCALAR)
+        # a one-row product meets inf - inf: numpy's matrix-vector path reports
+        # it as an invalid value, which is the overflow error too
+        one_row = LinearOperator(np.full((1, 8), 1e308), space_linf([0.5] * 8), SCALAR)
         calls = (
             lambda: operator_norm_exact(T, 0.5, 0.5),
             lambda: norm_profile(T),
@@ -228,6 +234,7 @@ class TestExactNorm:
             lambda: uniform_bound([T], 0.5),
             lambda: open_mapping_delta(mirror, 0.5),
             lambda: functional_norm(wide, 0.5),
+            lambda: functional_norm(one_row, 0.5),
         )
         for call in calls:
             with pytest.raises(ValueError, match="operator norm overflows the float range"):
@@ -249,10 +256,24 @@ class OffsetL1:
         return np.abs(X).sum(axis=-1) + 1.0
 
 
-def banded(kind, seed, n, nbands):
-    """A monotone family of nbands weighted norms of one kind on R^n."""
+@dataclasses.dataclass(frozen=True)
+class NanAbove:
+    """sum |x_i|, or nan past 1e300: even, and nan with no numpy warning."""
+
+    dimension: int
+
+    def eval_many(self, X) -> np.ndarray:
+        norm = np.abs(X).sum(axis=-1)
+        return np.where(norm > 1e300, np.nan, norm)
+
+
+def banded(kind, seed, n, nbands, octaves=0):
+    """A monotone family of nbands weighted norms of one kind on R^n, each
+    first-band weight scaled by 2^k with |k| <= octaves."""
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 2.0, n)
+    if octaves:
+        weights = weights * 2.0 ** rng.integers(-octaves, octaves + 1, n)
     bands = []
     for k in range(nbands):
         bands.append(Band((k + 1) / nbands, WeightedNorm(kind, tuple(weights))))
@@ -260,17 +281,13 @@ def banded(kind, seed, n, nbands):
     return PNSpace(SeminormFamily(n, tuple(bands)))
 
 
-def per_pair(matrix, dom_norm, cod_norm):
-    """One exact norm from its own vertex list: the formula every exact path computes."""
-    return float(cod_norm.eval_many(dom_norm.unit_ball_vertices() @ matrix.T).max())
-
-
 def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
 class TestKernelAgainstPerPairFormula:
-    """Every exact quantity equals the per-pair formula bit for bit."""
+    """Every exact quantity equals the per-pair formula over the full vertex
+    list bit for bit."""
 
     @staticmethod
     def cases(dom_kind, cod_kind):
@@ -292,7 +309,7 @@ class TestKernelAgainstPerPairFormula:
         for seed, dom, cod in self.cases(dom_kind, cod_kind):
             T = gen_operator(seed, dom, cod)
             expected = [
-                [per_pair(T.matrix, db.norm, cb.norm) for cb in cod.family.bands]
+                [oracle_norm(T.matrix, db.norm, cb.norm) for cb in cod.family.bands]
                 for db in dom.family.bands
             ]
             assert bits(norm_profile(T).table) == bits(expected)
@@ -307,7 +324,7 @@ class TestKernelAgainstPerPairFormula:
             f = gen_operator(seed, dom, SCALAR)
             for band, w in zip(dom.family.bands, dom.family.midpoints()):
                 value = functional_norm(f, w)
-                expected = per_pair(f.matrix, band.norm, SCALAR.family.bands[0].norm)
+                expected = oracle_norm(f.matrix, band.norm, SCALAR.family.bands[0].norm)
                 assert type(value) is float and bits(value) == bits(expected)
 
     @pytest.mark.parametrize("dom_kind", [NormKind.L1, NormKind.LINF])
@@ -318,7 +335,7 @@ class TestKernelAgainstPerPairFormula:
             for cb, wp in zip(cod.family.bands, cod.family.midpoints()):
                 res = uniform_bound(family, wp)
                 sups = [
-                    max(per_pair(T.matrix, db.norm, cb.norm) for T in family)
+                    max(oracle_norm(T.matrix, db.norm, cb.norm) for T in family)
                     for db in dom.family.bands
                 ]
                 best = sups.index(min(sups))
@@ -326,6 +343,118 @@ class TestKernelAgainstPerPairFormula:
                 assert bits(res.band_sups) == bits(sups)
                 assert bits(res.bound) == bits(sups[best])
                 assert res.w == dom.family.midpoints()[best]
+
+
+# decimal exponents of the matrix scale, up to the edge of the float range
+MATRIX_EXPONENTS = (-300, -200, -100, 0, 100, 200, 290, 296, 300, 305)
+OVERFLOW = "operator norm overflows the float range"
+
+
+def exact_or_overflow(call, want) -> int:
+    """call() is want bit for bit, or, where want is not finite, the overflow
+    ValueError; 1 for an overflow."""
+    if np.isfinite(want).all():
+        assert bits(call()) == bits(want)
+        return 0
+    with pytest.raises(ValueError, match=OVERFLOW):
+        call()
+    return 1
+
+
+class TestKernelAgainstFullEnumeration:
+    """The half-vertex blocks give every exact quantity of the full 2^n sign
+    enumeration bit for bit, or the overflow error where it is not finite:
+    Linf domains up to n = 14 with weights scaled by up to 2^+-40, matrices
+    scaled by up to 10^+-305, and L1, Linf, block-sum and even duck codomains."""
+
+    @staticmethod
+    def codomain(kind, seed, m):
+        if kind == "product":
+            return product_space(banded(NormKind.L1, seed, m, 2), banded(NormKind.LINF, seed + 1, 2, 3))
+        if kind == "duck":
+            return PNSpace(SeminormFamily(m, (Band(1.0, OffsetL1(m)),)))
+        return banded(NormKind(kind), seed, m, 1 + seed % 2, octaves=40)
+
+    @pytest.mark.parametrize("cod_kind", ["l1", "linf", "product", "duck"])
+    def test_exact_paths(self, cod_kind):
+        overflows = 0
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(1, 15)), int(rng.integers(1, 9))
+            scale = 10.0 ** int(rng.choice(MATRIX_EXPONENTS))
+            dom = banded(NormKind.LINF, seed, n, 1 + seed % 2, octaves=40)
+            cod = self.codomain(cod_kind, seed + 100, m)
+            family = [
+                LinearOperator(gen_operator(seed + k, dom, cod).matrix * scale, dom, cod)
+                for k in range(2)
+            ]
+            T = family[0]
+            want = np.array([
+                [[oracle_norm(M.matrix, db.norm, cb.norm) for cb in cod.family.bands] for db in dom.family.bands]
+                for M in family
+            ])
+            overflows += exact_or_overflow(lambda: norm_profile(T).table, want[0])
+            for i, w in enumerate(dom.family.midpoints()):
+                for j, wp in enumerate(cod.family.midpoints()):
+                    exact_or_overflow(lambda: operator_norm_exact(T, w, wp), want[0, i, j])
+            for j, wp in enumerate(cod.family.midpoints()):
+                sups = want[:, :, j].max(axis=0)
+                exact_or_overflow(lambda: uniform_bound(family, wp).band_sups, sups)
+            f = LinearOperator(T.matrix[:1], dom, SCALAR)
+            for band, w in zip(dom.family.bands, dom.family.midpoints()):
+                want_f = oracle_norm(f.matrix, band.norm, SCALAR.family.bands[0].norm)
+                exact_or_overflow(lambda: functional_norm(f, w), want_f)
+        # both outcomes are exercised
+        assert 0 < overflows < 24
+
+    def test_one_case_past_one_block(self):
+        # n = 18: 2^17 half-set rows in two blocks
+        dom = banded(NormKind.LINF, 18, 18, 1, octaves=40)
+        V = unit_ball_vertices(dom.family.bands[0].norm)
+        for kind in ("linf", "product"):
+            cod = self.codomain(kind, 18, 3)
+            T = gen_operator(18, dom, cod)
+            with np.errstate(over="ignore"):
+                want = cod.family.bands[0].norm.eval_many(V @ T.matrix.T).max()
+            assert np.isfinite(want)
+            assert bits(operator_norm_exact(T, 0.5, 0.25)) == bits(want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_past_the_first_block(self):
+        # n = 18: coordinate 1 is + in the first block and - in the second, so
+        # (1e308, -1e308) images to 0 there and to inf here
+        P = space_linf([1.0] * 18)
+        row = np.zeros(18)
+        row[:2] = (1e308, -1e308)
+        T = LinearOperator(np.array([row, np.zeros(18)]), P, space_l1([1.0, 1.0]))
+        f = LinearOperator(row[None, :], P, SCALAR)
+        assert next(P.family.bands[0].norm._vertex_blocks())[:, 1].min() > 0.0
+        calls = (
+            lambda: operator_norm_exact(T, 0.5, 0.5),
+            lambda: norm_profile(T),
+            lambda: uniform_bound([T], 0.5),
+            lambda: functional_norm(f, 0.5),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=OVERFLOW):
+                call()
+        # a nan only in the second block's norms is an overflow too
+        T = LinearOperator(np.array([row]), P, PNSpace(SeminormFamily(1, (Band(1.0, NanAbove(1)),))))
+        with pytest.raises(ValueError, match=OVERFLOW):
+            operator_norm_exact(T, 0.5, 0.5)
+
+    def test_memory_is_one_block(self):
+        # n = 20: the full enumeration held 2^20 x 20 floats (168 MB) at once
+        P = space_linf(np.linspace(0.5, 2.0, 20))
+        T = gen_operator(20, P, space_l1([1.0, 2.0, 3.0]))
+        tracemalloc.start()
+        try:
+            value = operator_norm_exact(T, 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak < 32 * 2**20
 
 
 class TestMonteCarlo:

@@ -45,6 +45,7 @@ from probnorm.triangle import TNormKind, tau_sup_conv
 from axioms_oracle import stepdf_validate_pn_axioms
 from fuzz import fuzz_list, mostly
 from prefix_limits import strong_convergence_index
+from vertex_oracle import unit_ball_vertices
 
 
 def measure_oracle(P: PNSpace, x, t: float, step: float = 1e-5) -> float:
@@ -176,7 +177,7 @@ class TestWeightedNorm:
         # 1 / 5e-324 overflows, so the unit ball would have infinite vertices
         with pytest.raises(ValueError, match="reciprocals"):
             WeightedNorm(NormKind.L1, (5e-324, 1.0))
-        assert WeightedNorm(NormKind.L1, (2.0**-1022,)).unit_ball_vertices()[0, 0] == 2.0**1022
+        assert next(WeightedNorm(NormKind.L1, (2.0**-1022,))._vertex_blocks())[0, 0] == 2.0**1022
 
     def test_norm_axioms_sampled(self):
         rng = np.random.default_rng(0)
@@ -195,25 +196,56 @@ class TestWeightedNorm:
         rng = np.random.default_rng(1)
         for kind in (NormKind.L1, NormKind.LINF):
             norm = WeightedNorm(kind, tuple(rng.uniform(0.5, 2.0, 3)))
-            V = norm.unit_ball_vertices()
+            V = unit_ball_vertices(norm)
             assert np.allclose(norm.eval_many(V), 1.0, atol=1e-12)
-        assert len(WeightedNorm(NormKind.L1, (1.0, 1.0, 1.0)).unit_ball_vertices()) == 6
-        assert len(WeightedNorm(NormKind.LINF, (1.0, 1.0, 1.0)).unit_ball_vertices()) == 8
+        assert len(unit_ball_vertices(WeightedNorm(NormKind.L1, (1.0, 1.0, 1.0)))) == 6
+        assert len(unit_ball_vertices(WeightedNorm(NormKind.LINF, (1.0, 1.0, 1.0)))) == 8
 
     def test_linf_vertex_cap(self):
+        # the oracle and the library reject n = 21 with one message
         big = WeightedNorm(NormKind.LINF, tuple([1.0] * 21))
-        with pytest.raises(ValueError):
-            big.unit_ball_vertices()
+        message = (
+            "Linf vertex enumeration rejected for n = 21 > 20; use the Monte-Carlo bound instead"
+        )
+        with pytest.raises(ValueError) as oracle:
+            unit_ball_vertices(big)
+        with pytest.raises(ValueError) as library:
+            next(big._vertex_blocks())
+        assert str(oracle.value) == str(library.value) == message
 
     def test_linf_vertices_in_product_order(self):
-        # the sign rows are built from bit patterns; the bytes are those of
-        # the itertools.product construction
+        # the oracle's sign rows are built from bit patterns; the bytes are
+        # those of the itertools.product construction
         rng = np.random.default_rng(11)
         for n in range(1, 17):
             norm = WeightedNorm(NormKind.LINF, tuple(rng.uniform(0.5, 2.0, n)))
             signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
             want = signs * (1.0 / np.array(norm.weights))
-            assert norm.unit_ball_vertices().tobytes() == want.tobytes(), n
+            assert unit_ball_vertices(norm).tobytes() == want.tobytes(), n
+
+    def test_linf_vertices_pair_by_negation(self):
+        # the oracle's second half, reversed, is its first half negated
+        rng = np.random.default_rng(12)
+        for n in range(1, 15):
+            weights = rng.uniform(0.5, 2.0, n) * 2.0 ** rng.integers(-40, 41, n)
+            norm = WeightedNorm(NormKind.LINF, tuple(weights))
+            V = unit_ball_vertices(norm)
+            half = len(V) // 2
+            assert V[half:][::-1].tobytes() == (-V[:half]).tobytes(), n
+
+    def test_vertex_blocks_are_the_oracles_first_half(self):
+        # from n = 18 on the 2^(n-1) rows span several blocks of 2^16
+        rng = np.random.default_rng(13)
+        for n in range(1, 19):
+            norm = WeightedNorm(NormKind.LINF, tuple(rng.uniform(0.5, 2.0, n)))
+            blocks = [block.copy() for block in norm._vertex_blocks()]
+            assert len(blocks) == max(1, 2 ** (n - 17)), n
+            assert all(len(block) == min(2 ** (n - 1), 2**16) for block in blocks), n
+            V = unit_ball_vertices(norm)
+            assert np.concatenate(blocks).tobytes() == V[: len(V) // 2].tobytes(), n
+        l1 = WeightedNorm(NormKind.L1, (0.5, 3.0, 7.0))
+        [block] = l1._vertex_blocks()
+        assert block.tobytes() == unit_ball_vertices(l1)[:3].tobytes()
 
 
 class TestSeminormFamily:
@@ -303,7 +335,7 @@ class TestConstructorFuzz:
         assert isinstance(N.kind, NormKind) and N.dimension == len(weights) >= 1
         assert all(type(x) is float and math.isfinite(x) and x > 0.0 for x in w)
         assert all(math.isfinite(1.0 / x) for x in w)
-        assert np.isfinite(N.unit_ball_vertices()).all()
+        assert all(np.isfinite(block).all() for block in N._vertex_blocks())
         assert N.eval(np.zeros(N.dimension)) == 0.0
         assert repr(WeightedNorm(N.kind, w)) == repr(N)
 

@@ -353,6 +353,18 @@ class TestCLI:
         message = "open mapping radius overflows the float range"
         assert json.loads(out) == {"error": {"message": message}}
 
+    def test_linf_vertex_cap_is_an_error_object(self, capsys, files):
+        # an L-infinity domain past n = 20 is refused before any vertex is built
+        space = {"dimension": 21, "bands": [{"upto": 1.0, "kind": "linf", "weights": [1.0] * 21}]}
+        op = {"matrix": np.eye(21).tolist(), "domain": space, "codomain": space}
+        code = main(["op-norm", "--op", files("op.json", op), "--w", "0.5", "--wp", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert out == (
+            '{"error":{"message":"Linf vertex enumeration rejected for n = 21 > 20; '
+            'use the Monte-Carlo bound instead"}}\n'
+        )
+
     def test_op_norm(self, capsys, files):
         code, out = self.run(
             capsys, "op-norm", "--op", files("op.json", OP), "--w", "0.5", "--wp", "0.5"
