@@ -214,7 +214,7 @@ def _single_band_is_unit_step(rng) -> bool:
     )
     P = pnspace.single_band_space(norm)
     x = testkit.gen_vector(rng, n)
-    return P.prob_norm(x) == unit_step(norm.eval(x))
+    return P.prob_norm(x) == unit_step(norm.eval_many(x))
 
 
 def _norm_at_matches_quantile(P, rng) -> bool:
@@ -342,7 +342,7 @@ def _uniform_bound_ok(T, seed: int) -> bool:
     cod_norm = operators._band_norm(T.codomain, wp)
     # the pointwise premise sup_n ||T_n x||_w' <= bound ||x||_w on each probe
     if any(
-        s > res.bound * dom_norm.eval(x) * (1.0 + 1e-12)
+        s > res.bound * dom_norm.eval_many(x) * (1.0 + 1e-12)
         for s, x in zip(res.probe_sups, probes)
     ):
         return False

@@ -5,11 +5,12 @@ Exact operator norms rely on the band norms' unit balls being polytopes: the
 sup of a convex function over a polytope sits at a vertex.  The vertices come
 in +-pairs and a band norm is even, so one vertex of each pair suffices: n for
 a weighted-L1 domain and 2^(n-1) sign vectors for a weighted-Linf domain
-(capped at n = 20), built column by column in blocks of at most 2^16 rows.
-Every exact quantity is read from `_norm_table`, which enumerates one domain
-band's vertices and returns a table over matrices x codomain bands.  A duck
-codomain norm must be even in floats, eval_many(-Y) == eval_many(Y) bit for
-bit (N2 with alpha = -1), for the tables to be exact.
+(capped at n = 20), which `_vertex_blocks` builds here column by column in
+blocks of at most 2^16 rows.  Every exact quantity is read from
+`_norm_table`, which enumerates one domain band's vertices and returns a
+table over matrices x codomain bands.  A duck codomain norm must be even in
+floats, eval_many(-Y) == eval_many(Y) bit for bit (N2 with alpha = -1), for
+the tables to be exact.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pnspace import PNSpace, WeightedNorm, _check_vector
+from .pnspace import NormKind, PNSpace, WeightedNorm, _check_vector
 
+LINF_VERTEX_DIM_CAP = 20
+_VERTEX_BLOCK_BITS = 16  # a block of Linf sign vertices holds at most 2^16 rows
 MC_JITTER = 3e-4
 _SINGULAR_COND = 1e12
 _OPEN_MAPPING_SHRINK = 0.999  # sampled radius as a share of delta
@@ -67,6 +70,41 @@ def _apply_rows(matrix: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (matrix @ X[:, :, None])[..., 0]
 
 
+def _vertex_blocks(norm: WeightedNorm):
+    """One vertex of each +-pair of norm's closed unit ball, in blocks of rows.
+
+    L1: the n rows of diag(1 / w).  Linf: the 2^(n-1) sign vectors whose
+    coordinate 0 is positive, the first half of
+    itertools.product((1, -1), repeat=n) order (row r has sign -1 at
+    coordinate j iff bit n-1-j of r is set), in blocks of at most
+    2^_VERTEX_BLOCK_BITS rows.  Every block is the one array, rewritten
+    in place, so a block must be used before the next is drawn.
+    """
+    n = norm.dimension
+    inv = 1.0 / np.array(norm.weights)
+    if norm.kind is NormKind.L1:
+        yield np.diag(inv)
+        return
+    if n > LINF_VERTEX_DIM_CAP:
+        raise ValueError(
+            f"Linf vertex enumeration rejected for n = {n} > {LINF_VERTEX_DIM_CAP}; "
+            "use the Monte-Carlo bound instead"
+        )
+    b = min(n - 1, _VERTEX_BLOCK_BITS)
+    block = np.empty((2**b, n))
+    # the sign of coordinate j flips every 2^(n-1-j) rows: within a block
+    # for the low columns, written once; per block for the high ones
+    for j in range(n - b, n):
+        step = 2 ** (n - 1 - j)
+        pairs = block.reshape(2**b // (2 * step), 2, step, n)
+        pairs[:, 0, :, j] = inv[j]
+        pairs[:, 1, :, j] = -inv[j]
+    for q in range(2 ** (n - 1 - b)):
+        for j in range(n - b):
+            block[:, j] = -inv[j] if (q >> (n - 1 - b - j)) & 1 else inv[j]
+        yield block
+
+
 def _norm_table(dom_norm, matrices, cod_norms) -> np.ndarray:
     """Exact norms from one domain band: entry (i, j) is the sup of
     cod_norms[j] over matrices[i] applied to the unit ball of dom_norm.
@@ -86,7 +124,7 @@ def _norm_table(dom_norm, matrices, cod_norms) -> np.ndarray:
     # an image past the float range holds inf, or nan from inf - inf (which
     # numpy's one-row product reports as invalid); np.maximum keeps a nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for verts in dom_norm._vertex_blocks():
+        for verts in _vertex_blocks(dom_norm):
             images = (verts @ matrix.T for matrix in matrices)
             block = np.array([[cod.eval_many(im).max() for cod in cod_norms] for im in images])
             table = block if table is None else np.maximum(table, block)
@@ -123,16 +161,18 @@ def operator_norm_mc(T: LinearOperator, w: float, wp: float, samples: int, seed:
     """Lower bound on the operator norm from points on the unit sphere of ||.||_w.
 
     Deterministic per seed (counter-based Philox stream, single batch).
-    Always <= operator_norm_exact.
+    Always <= operator_norm_exact: a sampled image norm that overflows is
+    measured on x / ||x||_w, as in bound_check, and a bound still beyond the
+    float range is the exact norm's ValueError.
     """
     n = T.domain.dimension
     dom_norm = _band_norm(T.domain, w)
     cod_norm = _band_norm(T.codomain, wp)
     rng = np.random.Generator(np.random.Philox(seed))
     X = _mc_directions(rng, n, samples, dom_norm)
-    # a norm that overflows is inf, with no numpy warning: it is skipped or
-    # rescaled below
-    with np.errstate(over="ignore"):
+    # a norm that overflows is inf, and an image past the float range may
+    # hold nan from inf - inf, with no numpy warning: both are handled below
+    with np.errstate(over="ignore", invalid="ignore"):
         den = dom_norm.eval_many(X)
         # zero norms have no direction, and overflowed ones no finite ratio
         keep = (den > 0) & (den < np.inf)
@@ -142,8 +182,14 @@ def operator_norm_mc(T: LinearOperator, w: float, wp: float, samples: int, seed:
         # 1e-14 relative shave keeps each sampled value a true lower bound even
         # where the ratio is exactly flat and rounding goes the wrong way
         ratio = cod_norm.eval_many(images) / den
-        rescaled = cod_norm.eval_many(images / den[:, None])
-    return float(np.minimum(ratio, rescaled).max(initial=0.0) * (1.0 - 1e-14))
+        ratio = np.minimum(ratio, cod_norm.eval_many(images / den[:, None]))
+        # an image norm that overflowed (inf, or nan) is measured on x / ||x||_w
+        bad = ~(ratio < np.inf)
+        ratio[bad] = cod_norm.eval_many((X[bad] / den[bad, None]) @ T.matrix.T)
+    best = ratio.max(initial=0.0)
+    if not best < np.inf:
+        raise ValueError("operator norm overflows the float range")
+    return float(best * (1.0 - 1e-14))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,11 +225,32 @@ class BoundCheckReport:
     passed: bool
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: a value that carries k
+    roundings, each a factor (1 + delta)^(+-1) with |delta| <= u, is its
+    exact value times (1 + theta) with |theta| <= gamma_k (Higham, Accuracy
+    and Stability of Numerical Algorithms, Lemma 3.1)."""
+    ku = k * 2.0**-53
+    return ku / (1.0 - ku)
+
+
 def bound_check(T: LinearOperator, w: float, wp: float, trials: int, seed: int) -> BoundCheckReport:
     """Verify ||Tx||_w' <= ||T||_(w,w') ||x||_w on trials >= 0 random x (and x = 0).
 
     A sample whose norm ||x||_w overflows is skipped; one whose image norm
     overflows has its ratio measured as ||T(x / ||x||_w)||_w'.
+
+    The check passes when max_ratio <= bound (1 + gamma_k) + 1e-9, with
+    k = 3n + 2m + 2 for an n-dim domain and an m-dim codomain.  A band
+    norm of a d-vector takes at most d roundings per term (a product and
+    d - 1 sums), and so does each entry of a d-column matrix product.  A
+    sampled ratio carries 2n + m + 1: n in ||x||_w, n in Tx, m in its norm
+    and 1 in the division (or n + 1 in x / ||x||_w, then n and m).  The
+    bound, the norm of the image of a vertex whose entries are 1 / w_j
+    rounded once, carries 1 + n + m.  Where the terms of each image entry
+    share a sign, both are their exact values times (1 + theta), so their
+    ratio is within gamma_k of the exact one and an exactly tight sample
+    passes at any scale; the 1e-9 is the slack left for cancelling entries.
     """
     bound = operator_norm_exact(T, w, wp)
     dom_norm, cod_norm = _band_norm(T.domain, w), _band_norm(T.codomain, wp)
@@ -199,7 +266,8 @@ def bound_check(T: LinearOperator, w: float, wp: float, trials: int, seed: int) 
         over = images == np.inf
         ratios[over] = cod_norm.eval_many(_apply_rows(T.matrix, X[over] / nx[over, None]))
     max_ratio = float(ratios.max(initial=0.0))
-    return BoundCheckReport(bound, max_ratio, bool(zero == 0.0 and max_ratio <= bound + 1e-9))
+    limit = bound * (1.0 + _gamma(3 * T.domain.dimension + 2 * T.codomain.dimension + 2)) + 1e-9
+    return BoundCheckReport(bound, max_ratio, bool(zero == 0.0 and max_ratio <= limit))
 
 
 def functional_norm(f: LinearOperator, w: float) -> float:
@@ -262,14 +330,19 @@ class OpenMappingCheck:
 
 
 def open_mapping_check(T: LinearOperator, w: float, samples: int, seed: int) -> OpenMappingCheck:
-    """Sample y with ||y||_{W,w} just below delta and verify ||T^{-1} y||_w < 1."""
+    """Sample y with ||y||_{W,w} just below delta and verify ||T^{-1} y||_w < 1.
+
+    A sample whose norm ||y||_{W,w} overflows is skipped, as in bound_check.
+    """
     res = open_mapping_delta(T, w)
     radius = res.delta * _OPEN_MAPPING_SHRINK * (1.0 - 1e-9)
     inv = np.linalg.inv(T.matrix)
     rng = np.random.Generator(np.random.Philox(seed))
     D = rng.standard_normal((samples, T.codomain.dimension))
-    ny = _band_norm(T.codomain, w).eval_many(D)
-    Y = D[ny > 0] * (radius / ny[ny > 0])[:, None]
+    with np.errstate(over="ignore"):
+        ny = _band_norm(T.codomain, w).eval_many(D)
+    keep = (ny > 0) & (ny < np.inf)
+    Y = D[keep] * (radius / ny[keep])[:, None]
     worst = float(_band_norm(T.domain, w).eval_many(_apply_rows(inv, Y)).max(initial=0.0))
     return OpenMappingCheck(res.delta, worst, worst < 1.0)
 
@@ -285,7 +358,16 @@ class NormEquivalenceReport:
 def norm_equivalence_constants(
     P1: PNSpace, P2: PNSpace, trials: int, seed: int
 ) -> NormEquivalenceReport:
-    """Two-sided equivalence constants via the identity map, verified on trials >= 0 samples."""
+    """Two-sided equivalence constants via the identity map, verified on trials >= 0 samples.
+
+    max_violation is the largest q(x) - c p(x) over samples, band pairs and
+    both directions, with p and q the band norms of P1 and P2 (swapped for
+    the backward direction) and c the profile entry.  The check passes when
+    every q(x) - c p(x) is at most gamma_k c p(x) + 1e-9, with k = 3n + 2
+    for dimension n: n roundings in each of p(x) and q(x), 1 + n in c (a
+    vertex rounded once, its image under the identity exact, then its norm)
+    and 1 in the product, counted as in bound_check.
+    """
     if P1.dimension != P2.dimension:
         raise ValueError("spaces must share a dimension")
     eye = np.eye(P1.dimension)
@@ -299,11 +381,12 @@ def norm_equivalence_constants(
     if not (np.isfinite(nx1).all() and np.isfinite(nx2).all()):
         raise ValueError("a sample's band norm overflows the float range")
     nx1, nx2 = nx1[:, :, None], nx2[:, None, :]
-    worst = float(max(
-        (nx2 - forward.table * nx1).max(initial=0.0),
-        (nx1 - backward.table.T * nx2).max(initial=0.0),
-    ))
-    return NormEquivalenceReport(forward, backward, worst, worst <= 1e-9)
+    fwd, bwd = forward.table * nx1, backward.table.T * nx2
+    sides = ((nx2 - fwd, fwd), (nx1 - bwd, bwd))  # (q(x) - c p(x), c p(x)) per direction
+    worst = float(max(diff.max(initial=0.0) for diff, _ in sides))
+    gamma = _gamma(3 * P1.dimension + 2)
+    passed = all((diff <= gamma * rhs + 1e-9).all() for diff, rhs in sides)
+    return NormEquivalenceReport(forward, backward, worst, passed)
 
 
 @dataclass(frozen=True)
@@ -319,7 +402,8 @@ def uniform_bound(family, wp: float, probes=()) -> UniformBoundResult:
 
     Returns the domain band (midpoint) minimizing the family sup, plus the
     pointwise premise sup_n ||T_n x||_w' for any supplied probe vectors.
-    The members must share one domain and one codomain.
+    The members must share one domain and one codomain.  A probe image whose
+    norm overflows is a ValueError, as in norm_at.
     """
     family = list(family)
     if not family:
@@ -332,5 +416,10 @@ def uniform_bound(family, wp: float, probes=()) -> UniformBoundResult:
     band_sups = [float(_norm_table(b.norm, matrices, (cod_norm,)).max()) for b in dom.bands]
     best = min(range(len(band_sups)), key=band_sups.__getitem__)
     X = np.array([_check_vector(dom, x) for x in probes]).reshape(-1, dom.dimension)
-    sups = np.max([cod_norm.eval_many(_apply_rows(M, X)) for M in matrices], axis=0).tolist()
-    return UniformBoundResult(dom.midpoints()[best], band_sups[best], tuple(band_sups), tuple(sups))
+    # an image past the float range holds inf, or nan from inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        sups = np.max([cod_norm.eval_many(_apply_rows(M, X)) for M in matrices], axis=0)
+    if not (sups < np.inf).all():
+        raise ValueError("a probe's image norm overflows the float range")
+    sups = tuple(sups.tolist())
+    return UniformBoundResult(dom.midpoints()[best], band_sups[best], tuple(band_sups), sups)

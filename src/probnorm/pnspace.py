@@ -4,7 +4,9 @@ A space is a dimension n together with a partition of (0, 1) into half-open
 bands [w_k, w_{k+1}), each carrying a concrete norm on R^n.  The band norms
 are weighted L1 / Linf (or block sums of those, for product spaces), which
 keeps the probabilistic norm, the w-indexed norm family and the operator
-norms downstream exactly computable.
+norms downstream exactly computable.  Every band norm, the library's own
+included, is just a `dimension` and an `eval_many(X)` over X's last axis;
+`operators` enumerates the unit-ball vertices.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ class NormKind(enum.Enum):
     LINF = "linf"
 
 
-LINF_VERTEX_DIM_CAP = 20
 _MASK_CELLS = 2**16  # cells of one block of band_values' products or prob_norm's mask
-_VERTEX_BLOCK_BITS = 16  # a block of Linf sign vertices holds at most 2^16 rows
 
 
 @dataclass(frozen=True)
@@ -49,45 +49,8 @@ class WeightedNorm:
     def dimension(self) -> int:
         return len(self.weights)
 
-    def eval(self, x: np.ndarray) -> float:
-        return float(self.eval_many(x))
-
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         return _reduce(self.kind, np.abs(np.asarray(X, dtype=float)) * self.weights)
-
-    def _vertex_blocks(self):
-        """One vertex of each +-pair of the closed unit ball, in blocks of rows.
-
-        L1: the n rows of diag(1 / w).  Linf: the 2^(n-1) sign vectors whose
-        coordinate 0 is positive, the first half of
-        itertools.product((1, -1), repeat=n) order (row r has sign -1 at
-        coordinate j iff bit n-1-j of r is set), in blocks of at most
-        2^_VERTEX_BLOCK_BITS rows.  Every block is the one array, rewritten
-        in place, so a block must be used before the next is drawn.
-        """
-        n = self.dimension
-        inv = 1.0 / np.array(self.weights)
-        if self.kind is NormKind.L1:
-            yield np.diag(inv)
-            return
-        if n > LINF_VERTEX_DIM_CAP:
-            raise ValueError(
-                f"Linf vertex enumeration rejected for n = {n} > {LINF_VERTEX_DIM_CAP}; "
-                "use the Monte-Carlo bound instead"
-            )
-        b = min(n - 1, _VERTEX_BLOCK_BITS)
-        block = np.empty((2**b, n))
-        # the sign of coordinate j flips every 2^(n-1-j) rows: within a block
-        # for the low columns, written once; per block for the high ones
-        for j in range(n - b, n):
-            step = 2 ** (n - 1 - j)
-            pairs = block.reshape(2**b // (2 * step), 2, step, n)
-            pairs[:, 0, :, j] = inv[j]
-            pairs[:, 1, :, j] = -inv[j]
-        for q in range(2 ** (n - 1 - b)):
-            for j in range(n - b):
-                block[:, j] = -inv[j] if (q >> (n - 1 - b - j)) & 1 else inv[j]
-            yield block
 
 
 @dataclass(frozen=True)
@@ -116,9 +79,6 @@ class BlockSumNorm:
         for part, d in zip(self.parts, self.dims):
             yield part, off, off + d
             off += d
-
-    def eval(self, x: np.ndarray) -> float:
-        return float(self.eval_many(x))
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -159,8 +119,9 @@ def _reduce(key, wx: np.ndarray) -> np.ndarray:
     """Norm values of one structure from wx = |x| * weights, along the last axis.
 
     numpy reduces each row along the last axis the way it reduces one vector
-    (pairwise for the sum), so a stacked row is bit for bit its norm's own
-    eval; block sums add their parts left to right from 0.0, as sum() does.
+    (pairwise for the sum), so a stacked row is bit for bit its norm's
+    eval_many of that one vector; block sums add their parts left to right
+    from 0.0, as sum() does.
     """
     if key is NormKind.L1:
         return wx.sum(axis=-1)

@@ -66,11 +66,11 @@ def oracle_operator_norm(matrix: np.ndarray, dom_norm: WeightedNorm, cod_norm) -
     """
     weights = np.array(dom_norm.weights)
     if dom_norm.kind is NormKind.L1:
-        return max(cod_norm.eval(matrix[:, j] / w) for j, w in enumerate(weights))
-    return max(
-        cod_norm.eval(matrix @ (np.array(signs) / weights))
+        return float(max(cod_norm.eval_many(matrix[:, j] / w) for j, w in enumerate(weights)))
+    return float(max(
+        cod_norm.eval_many(matrix @ (np.array(signs) / weights))
         for signs in itertools.product((-1.0, 1.0), repeat=len(weights))
-    )
+    ))
 
 
 LEVY_GRID = 1e-5

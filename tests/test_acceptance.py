@@ -186,7 +186,7 @@ def test_05_pn_construction(capsys):
         x = gen_vector(rng, 3)
         while not np.any(x != 0.0):
             x = gen_vector(rng, 3)
-        ok &= P.prob_norm(x) == unit_step(norm.eval(x))
+        ok &= P.prob_norm(x) == unit_step(norm.eval_many(x))
     verdict(capsys, 5, ok, "PN axioms (100 spaces), norm axioms at midpoints, single-band exact")
 
 

@@ -198,18 +198,18 @@ class TestExactNorm:
         # every exact norm enumerates a domain band's vertices once, and
         # uniform-bound-dominates checks its members with the weights-only oracle
         counts = {"profile": 0, "vertices": 0}
-        profile, vertices = operators.norm_profile, WeightedNorm._vertex_blocks
+        profile, vertices = operators.norm_profile, operators._vertex_blocks
 
         def counted_profile(T):
             counts["profile"] += 1
             return profile(T)
 
-        def counted_vertices(self):
+        def counted_vertices(norm):
             counts["vertices"] += 1
-            return vertices(self)
+            return vertices(norm)
 
         monkeypatch.setattr(operators, "norm_profile", counted_profile)
-        monkeypatch.setattr(WeightedNorm, "_vertex_blocks", counted_vertices)
+        monkeypatch.setattr(operators, "_vertex_blocks", counted_vertices)
         rows = checks.run_suites("operator", 42, 25)
         assert all(r.passed for r in rows)
         assert counts["profile"] == 75
@@ -248,9 +248,6 @@ class OffsetL1:
     """sum |x_i| + 1: 1.0 at 0, so not a seminorm."""
 
     dimension: int
-
-    def eval(self, x) -> float:
-        return float(np.abs(x).sum()) + 1.0
 
     def eval_many(self, X) -> np.ndarray:
         return np.abs(X).sum(axis=-1) + 1.0
@@ -428,7 +425,7 @@ class TestKernelAgainstFullEnumeration:
         row[:2] = (1e308, -1e308)
         T = LinearOperator(np.array([row, np.zeros(18)]), P, space_l1([1.0, 1.0]))
         f = LinearOperator(row[None, :], P, SCALAR)
-        assert next(P.family.bands[0].norm._vertex_blocks())[:, 1].min() > 0.0
+        assert next(operators._vertex_blocks(P.family.bands[0].norm))[:, 1].min() > 0.0
         calls = (
             lambda: operator_norm_exact(T, 0.5, 0.5),
             lambda: norm_profile(T),
@@ -497,6 +494,29 @@ class TestMonteCarlo:
         mc = operator_norm_mc(T, 0.5, 0.5, samples=2000, seed=0)
         assert math.isfinite(mc) and 1.49 < mc <= operator_norm_exact(T, 0.5, 0.5)
 
+    def test_overflowing_images_are_measured_on_the_unit_sphere(self):
+        # a sample with |x_1 + ... + x_4| > 3 has ||Tx|| = inf; measured on
+        # x / ||x||_1 its ratio is finite and stays below the exact 6e307
+        T = LinearOperator(np.full((2, 4), 3e307), space_l1([1.0] * 4), space_l1([1.0] * 2))
+        exact = operator_norm_exact(T, 0.5, 0.5)
+        assert exact == 6e307
+        assert 5.99e307 < operator_norm_mc(T, 0.5, 0.5, samples=2000, seed=0) <= exact
+
+    @pytest.mark.parametrize("rows", [2, 1])
+    def test_a_bound_beyond_the_float_range_is_an_error(self, rows):
+        # ||T|| = 1.6e309 * rows: the images overflow even on the unit sphere,
+        # to inf, or for one row to nan from inf - inf in numpy's product
+        T = LinearOperator(np.full((rows, 8), 1e308), space_linf([0.5] * 8), space_l1([1.0] * rows))
+        for call in (operator_norm_exact, lambda *a: operator_norm_mc(*a, samples=2000, seed=0)):
+            with pytest.raises(ValueError, match="operator norm overflows the float range"):
+                call(T, 0.5, 0.5)
+
+
+def all_c(c: float) -> LinearOperator:
+    """np.full((2, 4), c) between weight-1 L1 spaces: ||T|| = 2c, attained on
+    every sample of one sign, where a sampled ratio can land an ulp above it."""
+    return LinearOperator(np.full((2, 4), c), space_l1([1.0] * 4), space_l1([1.0] * 2))
+
 
 class TestProfileAndBounds:
     def test_profile_shape_and_monotonicity(self):
@@ -528,6 +548,18 @@ class TestProfileAndBounds:
             rep = bound_check(T, 0.4, 0.7, trials=200, seed=seed)
             assert rep.passed
             assert rep.max_ratio <= rep.bound + 1e-9
+
+    @pytest.mark.parametrize("c", [1.0, 1e7, 1e10, 4e306])
+    def test_bound_check_passes_a_tight_bound_at_any_scale(self, c):
+        reports = [bound_check(all_c(c), 0.5, 0.5, 100, seed) for seed in range(20)]
+        assert all(rep.passed and rep.bound == 2.0 * c for rep in reports)
+        # past about 8e6 an ulp of 2c exceeds the absolute 1e-9
+        assert c < 1e7 or any(rep.max_ratio > rep.bound + 1e-9 for rep in reports)
+
+    def test_bound_check_fails_a_bound_short_by_1e_12(self, monkeypatch):
+        exact = operators.operator_norm_exact
+        monkeypatch.setattr(operators, "operator_norm_exact", lambda *a: exact(*a) * (1.0 - 1e-12))
+        assert not any(bound_check(all_c(1e8), 0.5, 0.5, 100, seed).passed for seed in range(20))
 
     def test_bound_check_fails_a_codomain_norm_nonzero_at_zero(self):
         # ||T 0||_w' = 1 breaks the inequality at x = 0: a failed verdict, which
@@ -568,7 +600,7 @@ class TestFunctionals:
                     x = gen_vector(rng, 3)
                     # |f(x)| <= ||f||_w ||x||_w+ with the band just right of w
                     idx = dom.family.band_index(w)
-                    nx = dom.family.bands[idx].norm.eval(x)
+                    nx = dom.family.bands[idx].norm.eval_many(x)
                     assert abs(f.apply(x)[0]) <= nf * nx + 1e-9
 
     def test_codomain_validation(self):
@@ -611,6 +643,14 @@ class TestOpenMapping:
         # a tenth of those weights keeps the radius finite
         S = LinearOperator(np.diag([2.0, 2.0]), space_l1([1.0, 1.0]), space_l1([1.7e307, 1.7e307]))
         assert 0.0 < open_mapping_delta(S, 0.5).delta < math.inf
+
+    def test_samples_whose_norm_overflows_are_skipped(self):
+        # delta = 1e308 is finite, but most samples' ||y||_w = 1e308 (|y_1| + |y_2|)
+        # overflow: skipped, as bound_check skips an overflowing ||x||_w
+        T = LinearOperator(np.eye(2), space_l1([1.0, 1.0]), space_l1([1e308, 1e308]))
+        rep = open_mapping_check(T, 0.5, samples=200, seed=0)
+        assert rep.delta == 1e308
+        assert rep.passed and 0.99 < rep.max_preimage_norm < 1.0
 
     def test_sampled_check(self):
         rng = np.random.default_rng(6)
@@ -672,6 +712,37 @@ class TestEquivalenceAndUniformBound:
         # no trials, no samples to overflow
         assert norm_equivalence_constants(P, P, trials=0, seed=0).passed
 
+    @staticmethod
+    def scaled_pairs(scale: float):
+        """Per seed, a single-band 3-dim space with weights in [0.5, 2] * scale,
+        paired with itself and with another of its kind."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            kind = KINDS[seed % 2]
+            P = single_band_space(WeightedNorm(kind, tuple(rng.uniform(0.5, 2.0, 3) * scale)))
+            Q = single_band_space(WeightedNorm(kind, tuple(rng.uniform(0.5, 2.0, 3) * scale)))
+            yield seed, P, P
+            yield seed, P, Q
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12, 1e100])
+    def test_equivalence_passes_tight_constants_at_any_scale(self, scale):
+        pairs = self.scaled_pairs(scale)
+        reports = [norm_equivalence_constants(P1, P2, 100, seed) for seed, P1, P2 in pairs]
+        assert all(rep.passed for rep in reports)
+        # an ulp of the band norms exceeds the absolute 1e-9 at these scales
+        assert scale < 1e8 or any(rep.max_violation > 1e-9 for rep in reports)
+
+    def test_equivalence_fails_a_table_short_by_1e_12(self, monkeypatch):
+        profile = operators.norm_profile
+
+        def shrunk(T):
+            prof = profile(T)
+            return dataclasses.replace(prof, table=prof.table * (1.0 - 1e-12))
+
+        monkeypatch.setattr(operators, "norm_profile", shrunk)
+        pairs = [(seed, P) for seed, P, Q in self.scaled_pairs(1e8) if P is Q]
+        assert not any(norm_equivalence_constants(P, P, 100, seed).passed for seed, P in pairs)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             norm_equivalence_constants(space_l1([1.0]), space_l1([1.0, 1.0]), 10, 0)
@@ -708,6 +779,15 @@ class TestEquivalenceAndUniformBound:
         with pytest.raises(ValueError):
             uniform_bound([], 0.5)
 
+    def test_a_probe_image_beyond_the_float_range_is_an_error(self):
+        # the bound, 4, is finite; the probe's image (4e308, 4e308) is not, as
+        # norm_at would report it
+        P = space_l1([1.0, 1.0])
+        T = LinearOperator(np.full((2, 2), 2.0), P, P)
+        assert uniform_bound([T], 0.5).bound == 4.0
+        with pytest.raises(ValueError, match="image norm overflows the float range"):
+            uniform_bound([T], 0.5, probes=[np.array([1e308, 1e308])])
+
     def test_check_reads_the_probe_sups(self, monkeypatch):
         # a patched uniform_bound reports probe sups just above (or at) the
         # premise bound * ||x||_w; its bound and norms stay exact, so only the
@@ -720,7 +800,7 @@ class TestEquivalenceAndUniformBound:
             def bound_with_probes(family, wp, probes=()):
                 res = real(family, wp, probes)
                 dom_norm = operators._band_norm(family[0].domain, res.w)
-                sups = tuple(res.bound * dom_norm.eval(x) * scale for x in probes)
+                sups = tuple(res.bound * dom_norm.eval_many(x) * scale for x in probes)
                 return dataclasses.replace(res, probe_sups=sups)
 
             return bound_with_probes
@@ -759,7 +839,7 @@ def finite_bound_check(T, w, wp, trials, seed) -> BoundCheckReport:
     bound = operator_norm_exact(T, w, wp)
     dom_norm, cod_norm = operators._band_norm(T.domain, w), operators._band_norm(T.codomain, wp)
     rng = np.random.Generator(np.random.Philox(seed))
-    zero = cod_norm.eval(T.apply(np.zeros(T.domain.dimension)))
+    zero = cod_norm.eval_many(T.apply(np.zeros(T.domain.dimension)))
     X = rng.uniform(-3.0, 3.0, (trials, T.domain.dimension))
     nx = dom_norm.eval_many(X)
     ratios = cod_norm.eval_many(operators._apply_rows(T.matrix, X[nx > 0])) / nx[nx > 0]

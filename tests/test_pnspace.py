@@ -73,11 +73,6 @@ class SquaredL1:
 
     dimension: int
 
-    def eval(self, x) -> float:
-        # norm * norm, as in eval_many: Python's norm ** 2 calls pow, which can round differently
-        norm = float(np.abs(x).sum())
-        return norm * norm
-
     def eval_many(self, X) -> np.ndarray:
         norm = np.abs(X).sum(axis=-1)
         return norm * norm
@@ -94,16 +89,13 @@ class Lopsided:
 
     dimension: int
 
-    def eval(self, x) -> float:
-        return float(np.abs(x).sum()) + float(x[0] > 2.5)
-
     def eval_many(self, X) -> np.ndarray:
         return np.abs(X).sum(axis=-1) + (X[..., 0] > 2.5)
 
 
 def reference_band_values(P: PNSpace, x) -> list:
-    """The per-band loop: each band norm evaluated by its own eval."""
-    return [b.norm.eval(x) for b in P.family.bands]
+    """The per-band loop: each band norm evaluated on x alone."""
+    return [float(b.norm.eval_many(x)) for b in P.family.bands]
 
 
 def reference_prob_norm(P: PNSpace, x) -> StepDF:
@@ -126,7 +118,7 @@ def reference_prob_norm(P: PNSpace, x) -> StepDF:
 def reference_dominates(a, b) -> bool:
     """a >= b by structure, pair by pair: weighted norms of one kind with
     coordinatewise >= weights, or block sums of one split whose parts
-    dominate; a norm kept for its own eval dominates nothing."""
+    dominate; a norm kept for its own eval_many dominates nothing."""
     if type(a) is WeightedNorm and type(b) is WeightedNorm:
         return a.kind is b.kind and all(p >= q for p, q in zip(a.weights, b.weights))
     return (
@@ -159,13 +151,13 @@ TWO_BAND = PNSpace(
 class TestWeightedNorm:
     def test_l1_eval(self):
         n = WeightedNorm(NormKind.L1, (1.0, 2.0))
-        assert n.eval(np.array([1.0, 1.0])) == 3.0
-        assert n.eval(np.array([-1.0, 0.5])) == 2.0
+        assert n.eval_many(np.array([1.0, 1.0])) == 3.0
+        assert n.eval_many(np.array([-1.0, 0.5])) == 2.0
 
     def test_linf_eval(self):
         n = WeightedNorm(NormKind.LINF, (1.0, 2.0))
-        assert n.eval(np.array([1.0, 1.0])) == 2.0
-        assert n.eval(np.array([3.0, -0.5])) == 3.0
+        assert n.eval_many(np.array([1.0, 1.0])) == 2.0
+        assert n.eval_many(np.array([3.0, -0.5])) == 3.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -177,7 +169,8 @@ class TestWeightedNorm:
         # 1 / 5e-324 overflows, so the unit ball would have infinite vertices
         with pytest.raises(ValueError, match="reciprocals"):
             WeightedNorm(NormKind.L1, (5e-324, 1.0))
-        assert next(WeightedNorm(NormKind.L1, (2.0**-1022,))._vertex_blocks())[0, 0] == 2.0**1022
+        tiny = WeightedNorm(NormKind.L1, (2.0**-1022,))
+        assert next(operators._vertex_blocks(tiny))[0, 0] == 2.0**1022
 
     def test_norm_axioms_sampled(self):
         rng = np.random.default_rng(0)
@@ -186,11 +179,11 @@ class TestWeightedNorm:
                 n = int(rng.integers(1, 6))
                 norm = WeightedNorm(kind, tuple(rng.uniform(0.5, 2.0, n)))
                 x, y = gen_vector(rng, n), gen_vector(rng, n)
-                assert norm.eval(x) >= 0.0
-                assert norm.eval(x + y) <= norm.eval(x) + norm.eval(y) + 1e-12
+                assert norm.eval_many(x) >= 0.0
+                assert norm.eval_many(x + y) <= norm.eval_many(x) + norm.eval_many(y) + 1e-12
                 a = float(rng.uniform(-4.0, 4.0))
-                assert norm.eval(a * x) == pytest.approx(abs(a) * norm.eval(x), rel=1e-12)
-        assert WeightedNorm(NormKind.L1, (1.0,)).eval(np.zeros(1)) == 0.0
+                assert norm.eval_many(a * x) == pytest.approx(abs(a) * norm.eval_many(x), rel=1e-12)
+        assert WeightedNorm(NormKind.L1, (1.0,)).eval_many(np.zeros(1)) == 0.0
 
     def test_unit_ball_vertices_on_sphere(self):
         rng = np.random.default_rng(1)
@@ -210,7 +203,7 @@ class TestWeightedNorm:
         with pytest.raises(ValueError) as oracle:
             unit_ball_vertices(big)
         with pytest.raises(ValueError) as library:
-            next(big._vertex_blocks())
+            next(operators._vertex_blocks(big))
         assert str(oracle.value) == str(library.value) == message
 
     def test_linf_vertices_in_product_order(self):
@@ -238,13 +231,13 @@ class TestWeightedNorm:
         rng = np.random.default_rng(13)
         for n in range(1, 19):
             norm = WeightedNorm(NormKind.LINF, tuple(rng.uniform(0.5, 2.0, n)))
-            blocks = [block.copy() for block in norm._vertex_blocks()]
+            blocks = [block.copy() for block in operators._vertex_blocks(norm)]
             assert len(blocks) == max(1, 2 ** (n - 17)), n
             assert all(len(block) == min(2 ** (n - 1), 2**16) for block in blocks), n
             V = unit_ball_vertices(norm)
             assert np.concatenate(blocks).tobytes() == V[: len(V) // 2].tobytes(), n
         l1 = WeightedNorm(NormKind.L1, (0.5, 3.0, 7.0))
-        [block] = l1._vertex_blocks()
+        [block] = operators._vertex_blocks(l1)
         assert block.tobytes() == unit_ball_vertices(l1)[:3].tobytes()
 
 
@@ -299,7 +292,7 @@ class TestSeminormFamily:
             with pytest.raises(ValueError):
                 a[...] = 0.0
         # one (bands x n) array: the nested block sums' parts side by side, and
-        # a zero row for the band kept for its own eval
+        # a zero row for the band kept for its own eval_many
         assert fam._weights.shape == (len(fam.bands), 6 if monotone else 2)
         if not monotone:
             assert fam._weights.tolist() == [[2.0, 1.0], [1.0, 3.0], [0.0, 0.0], [2.0, 1.0]]
@@ -335,8 +328,8 @@ class TestConstructorFuzz:
         assert isinstance(N.kind, NormKind) and N.dimension == len(weights) >= 1
         assert all(type(x) is float and math.isfinite(x) and x > 0.0 for x in w)
         assert all(math.isfinite(1.0 / x) for x in w)
-        assert all(np.isfinite(block).all() for block in N._vertex_blocks())
-        assert N.eval(np.zeros(N.dimension)) == 0.0
+        assert all(np.isfinite(block).all() for block in operators._vertex_blocks(N))
+        assert N.eval_many(np.zeros(N.dimension)) == 0.0
         assert repr(WeightedNorm(N.kind, w)) == repr(N)
 
     @settings(max_examples=400, deadline=None)
@@ -865,10 +858,6 @@ class Octave:
 
     dimension: int
 
-    def eval(self, x) -> float:
-        norm = float(np.abs(x).sum())
-        return 2.0 ** round(math.log2(norm)) if norm else 0.0
-
     def eval_many(self, X) -> np.ndarray:
         norm = np.abs(X).sum(axis=-1)
         with np.errstate(divide="ignore"):  # log2(0) is -inf, masked below
@@ -1023,7 +1012,7 @@ class TestProduct:
             (WeightedNorm(NormKind.L1, (1.0,)), WeightedNorm(NormKind.LINF, (2.0,))),
             (1, 1),
         )
-        assert b.eval(np.array([1.0, 1.0])) == 3.0
+        assert b.eval_many(np.array([1.0, 1.0])) == 3.0
         assert b.dimension == 2
 
 

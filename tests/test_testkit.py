@@ -104,7 +104,7 @@ class TestOracles:
         def refuse(*args):
             raise AssertionError("exact operator-norm path called")
 
-        monkeypatch.setattr(WeightedNorm, "_vertex_blocks", refuse)
+        monkeypatch.setattr(operators, "_vertex_blocks", refuse)
         monkeypatch.setattr(operators, "_norm_table", refuse)
         M = np.array([[1.0, -2.0], [3.0, 0.5]])
         cod = WeightedNorm(NormKind.L1, (1.0, 1.0))

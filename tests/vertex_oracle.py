@@ -1,6 +1,6 @@
 """Reference unit-ball vertices: every vertex of a weighted L1 / Linf ball.
 
-This is the full enumeration that `WeightedNorm._vertex_blocks` replaced,
+This is the full enumeration that `operators._vertex_blocks` replaced,
 kept as it was: 2n rows for L1, and for Linf the 2^n sign vectors from a bit
 matrix, in itertools.product((1, -1), repeat=n) order.  The half set and its
 blocks must reproduce its first half byte for byte, and an exact norm taken
@@ -9,7 +9,8 @@ over it must equal the library's bit for bit.
 
 import numpy as np
 
-from probnorm.pnspace import LINF_VERTEX_DIM_CAP, NormKind
+from probnorm.operators import LINF_VERTEX_DIM_CAP
+from probnorm.pnspace import NormKind
 
 
 def unit_ball_vertices(norm) -> np.ndarray:
