@@ -142,8 +142,10 @@ class SeminormFamily:
     which decides both evaluation and monotonicity in w: band k+1 dominates
     band k when both share a structure and its weights are coordinatewise
     >=; a band kept for its own eval_many has a zero row and dominates nothing.
-    Monotonicity is enforced at construction; enforce_monotone=False admits
-    an externally supplied family for validate_pn_axioms to report on.
+    Monotonicity is decided once, at construction, and enforced there;
+    enforce_monotone=False admits an externally supplied family for
+    validate_pn_axioms to report on.  Either way the verdict is kept for
+    monotone_report and for neighborhood_contains's one-band decision.
     """
 
     dimension: int
@@ -172,18 +174,26 @@ class SeminormFamily:
         keys, weights = zip(*(_structure(b.norm) for b in bands))
         # band k+1 has band k's structure; a band kept for its own eval_many has none
         same = tuple(key is not None and key == prev for prev, key in zip(keys, keys[1:]))
-        object.__setattr__(self, "_same", same)
         # the structure every band shares, or None: bands then use their own eval_many
         object.__setattr__(self, "_key", keys[0] if all(same) else None)
         zero = (0.0,) * self.dimension
-        object.__setattr__(self, "_weights", _frozen([w or zero for w in weights]))
-        if enforce_monotone:
-            ok, msg = self.monotone_report()
-            if not ok:
-                raise ValueError(msg)
+        W = _frozen([w or zero for w in weights])
+        object.__setattr__(self, "_weights", W)
+        # decided whatever enforce_monotone says, so that a family rebuilt
+        # by __reduce__ has it too
+        dominates = np.array(same, dtype=bool) & (W[1:] >= W[:-1]).all(axis=1)
+        if dominates.all():
+            verdict = (True, "monotone")
+        else:
+            k = int(dominates.argmin())
+            verdict = (False, f"band {k + 1} does not dominate band {k}")
+        object.__setattr__(self, "_monotone", verdict)
+        if enforce_monotone and not verdict[0]:
+            raise ValueError(verdict[1])
 
     def __reduce__(self):
-        # pickle the fields alone; the arrays are rebuilt, read-only again
+        # pickle the fields alone; the arrays are rebuilt, read-only again,
+        # and the monotone verdict decided again
         return type(self), (self.dimension, self.bands, False)
 
     def band_values(self, X: np.ndarray) -> np.ndarray:
@@ -209,12 +219,7 @@ class SeminormFamily:
 
     def monotone_report(self) -> tuple[bool, str]:
         """(ok, message) naming the first band that does not dominate the one before."""
-        W = self._weights
-        dominates = np.array(self._same, dtype=bool) & (W[1:] >= W[:-1]).all(axis=1)
-        if dominates.all():
-            return True, "monotone"
-        k = int(dominates.argmin())
-        return False, f"band {k + 1} does not dominate band {k}"
+        return self._monotone
 
     def starts(self) -> tuple[float, ...]:
         return (0.0,) + self.uptos[:-1]
@@ -323,10 +328,36 @@ class PNSpace:
         return self.prob_norm(p - q)
 
     def neighborhood_contains(self, p, t: float, q) -> bool:
-        """Membership q in N_p(t) = {q : nu_{p-q}(t) > 1 - t}."""
+        """Membership q in N_p(t) = {q : nu_{p-q}(t) > 1 - t}.
+
+        On a monotone family of one structure the bands with p(x, w) < t
+        form a prefix, and nu_x(t) is the end of its last band.  So with
+        x = p - q, s = fl(1 - t) and k = bisect_right(uptos, s), the first
+        band that ends past s, q lies in N_p(t) iff
+        - s < 0 (t > 1): always;
+        - s >= 1 (t <= 2**-54): never, as no band ends past 1;
+        - otherwise: p_k(x) < t.
+        Band k and the last band are reduced together as band_values reduces
+        them, so the verdict is nu_x's bit for bit, and an overflow in any
+        band is still _finite's ValueError, whatever t is: the last band
+        holds the largest value.  Any other family (not monotone, of mixed
+        structures, or a lone band kept for its own eval_many, whose values
+        may be negative or -0.0) reads nu_{p-q} from pm_distance.
+        """
         if not t > 0:
             raise ValueError("t must be > 0")
-        return df_eval(self.pm_distance(p, q), t) > 1.0 - t
+        F = self.family
+        if F._key is None or not F._monotone[0]:
+            return df_eval(self.pm_distance(p, q), t) > 1.0 - t
+        p = _check_vector(F, p)
+        q = _check_vector(F, q)
+        s = 1.0 - t
+        k = min(bisect_right(F.uptos, s), len(F.uptos) - 1)
+        with np.errstate(over="ignore"):
+            x = _check_vector(F, p - q)
+            pk, last = _reduce(F._key, np.abs(x) * F._weights[[k, -1]]).tolist()
+        _finite(last)
+        return s < 0.0 or (s < 1.0 and pk < t)
 
     def in_ball(self, center, r: float, w: float, x) -> bool:
         """Membership in the norm ball B_w(center; r) = {x : ||x - center||_w < r}."""

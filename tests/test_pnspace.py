@@ -296,12 +296,12 @@ class TestSeminormFamily:
         assert fam._weights.shape == (len(fam.bands), 6 if monotone else 2)
         if not monotone:
             assert fam._weights.tolist() == [[2.0, 1.0], [1.0, 3.0], [0.0, 0.0], [2.0, 1.0]]
-            assert fam._same == (False, False, False) and fam._key is None
+            assert fam._monotone == (False, "band 1 does not dominate band 0") and fam._key is None
         else:
-            assert all(fam._same) and fam._key is not None
+            assert fam._monotone == (True, "monotone") and fam._key is not None
         # not fields: ==, repr and hash see only the dimension and the bands
         assert [f.name for f in dataclasses.fields(fam)] == ["dimension", "bands"]
-        assert not any(name in repr(fam) for name in ("_weights", "_same", "_key", "_ends"))
+        assert not any(name in repr(fam) for name in ("_weights", "_monotone", "_key", "_ends"))
         assert hash(fam) == hash((fam.dimension, fam.bands))
         back = pickle.loads(pickle.dumps(fam))
         assert back == fam and repr(back) == repr(fam) and hash(back) == hash(fam)
