@@ -4,9 +4,10 @@ A space is a dimension n together with a partition of (0, 1) into half-open
 bands [w_k, w_{k+1}), each carrying a concrete norm on R^n.  The band norms
 are weighted L1 / Linf (or block sums of those, for product spaces), which
 keeps the probabilistic norm, the w-indexed norm family and the operator
-norms downstream exactly computable.  Every band norm, the library's own
-included, is just a `dimension` and an `eval_many(X)` over X's last axis;
-`operators` enumerates the unit-ball vertices.
+norms downstream exactly computable: their unit balls are polytopes, so
+`operators` finds each sup at a vertex.  No other band norm is accepted, and
+every band of a family shares one structure, so a family is one stacked
+weight array read by one reduction.
 """
 
 from __future__ import annotations
@@ -66,23 +67,20 @@ class BlockSumNorm:
     def __post_init__(self):
         if len(self.parts) != len(self.dims) or not self.parts:
             raise ValueError("parts and dims must be nonempty and equal length")
-        for part, d in zip(self.parts, self.dims):
-            if part.dimension != d:
-                raise ValueError("part dimension mismatch")
+        structures = [_structure(part) for part in self.parts]
+        if any(len(w) != d for (_, w), d in zip(structures, self.dims)):
+            raise ValueError("part dimension mismatch")
+        # not a dataclass field, so not in ==, repr or hash
+        key = tuple((part_key, d) for (part_key, _), d in zip(structures, self.dims))
+        object.__setattr__(self, "_structure", (key, sum((w for _, w in structures), ())))
 
     @property
     def dimension(self) -> int:
         return sum(self.dims)
 
-    def _splits(self):
-        off = 0
-        for part, d in zip(self.parts, self.dims):
-            yield part, off, off + d
-            off += d
-
     def eval_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return sum(part.eval_many(X[..., a:b]) for part, a, b in self._splits())
+        key, weights = self._structure
+        return _reduce(key, np.abs(np.asarray(X, dtype=float)) * weights)
 
 
 @dataclass(frozen=True)
@@ -100,19 +98,17 @@ def _frozen(rows) -> np.ndarray:
 
 
 def _structure(norm) -> tuple:
-    """(key, weights) of a band norm, or (None, None) for one evaluated by its own eval_many.
+    """(key, weights) of a band norm.
 
     A weighted norm's key is its kind; a block sum of weighted norms, at any
     depth, has its parts' (key, dim) pairs, with their weights concatenated.
+    Any other object is a ValueError: exact norms need polytope unit balls.
     """
     if type(norm) is WeightedNorm:
         return norm.kind, norm.weights
     if type(norm) is BlockSumNorm:
-        parts = [_structure(part) for part in norm.parts]
-        if all(key is not None for key, _ in parts):
-            key = tuple((part_key, d) for (part_key, _), d in zip(parts, norm.dims))
-            return key, sum((w for _, w in parts), ())
-    return None, None
+        return norm._structure
+    raise ValueError("a band norm must be a WeightedNorm or a BlockSumNorm of them")
 
 
 def _reduce(key, wx: np.ndarray) -> np.ndarray:
@@ -138,14 +134,15 @@ def _reduce(key, wx: np.ndarray) -> np.ndarray:
 class SeminormFamily:
     """Partition of (0, 1) into bands, each carrying a norm on R^n.
 
-    The band weights are stacked once in one read-only (bands x n) array,
-    which decides both evaluation and monotonicity in w: band k+1 dominates
-    band k when both share a structure and its weights are coordinatewise
-    >=; a band kept for its own eval_many has a zero row and dominates nothing.
-    Monotonicity is decided once, at construction, and enforced there;
-    enforce_monotone=False admits an externally supplied family for
-    validate_pn_axioms to report on.  Either way the verdict is kept for
-    monotone_report and for neighborhood_contains's one-band decision.
+    Every band norm is a WeightedNorm or a block sum of them, and all bands
+    share one structure (kinds and block splits), or the family is a
+    ValueError.  The band weights are stacked once in one read-only
+    (bands x n) array, which decides both evaluation and monotonicity in w:
+    band k+1 dominates band k when its weights are coordinatewise >=.
+    Monotonicity is decided once, at construction, and enforced there, before
+    the structure check; enforce_monotone=False admits an externally supplied
+    family for validate_pn_axioms to report on.  Either way the verdict is
+    kept for monotone_report and for neighborhood_contains's one-band decision.
     """
 
     dimension: int
@@ -164,24 +161,21 @@ class SeminormFamily:
             raise ValueError("band ends must be strictly increasing and finish at 1")
         if any(not 0.0 < u <= 1.0 for u in uptos):
             raise ValueError("band ends must lie in (0, 1]")
-        for b in bands:
-            if b.norm.dimension != self.dimension:
-                raise ValueError("band norm dimension mismatch")
+        keys, weights = zip(*(_structure(b.norm) for b in bands))
+        if any(len(w) != self.dimension for w in weights):
+            raise ValueError("band norm dimension mismatch")
         # built once for every band lookup and evaluation; not dataclass
         # fields, so not in ==, repr or hash
         object.__setattr__(self, "uptos", uptos)
         object.__setattr__(self, "_ends", _frozen(uptos))
-        keys, weights = zip(*(_structure(b.norm) for b in bands))
-        # band k+1 has band k's structure; a band kept for its own eval_many has none
-        same = tuple(key is not None and key == prev for prev, key in zip(keys, keys[1:]))
-        # the structure every band shares, or None: bands then use their own eval_many
-        object.__setattr__(self, "_key", keys[0] if all(same) else None)
-        zero = (0.0,) * self.dimension
-        W = _frozen([w or zero for w in weights])
+        object.__setattr__(self, "_key", keys[0])
+        W = _frozen(weights)
         object.__setattr__(self, "_weights", W)
+        # band k+1 has band k's structure
+        same = np.array([key == prev for prev, key in zip(keys, keys[1:])], dtype=bool)
         # decided whatever enforce_monotone says, so that a family rebuilt
         # by __reduce__ has it too
-        dominates = np.array(same, dtype=bool) & (W[1:] >= W[:-1]).all(axis=1)
+        dominates = same & (W[1:] >= W[:-1]).all(axis=1)
         if dominates.all():
             verdict = (True, "monotone")
         else:
@@ -190,6 +184,9 @@ class SeminormFamily:
         object.__setattr__(self, "_monotone", verdict)
         if enforce_monotone and not verdict[0]:
             raise ValueError(verdict[1])
+        if not same.all():
+            k = int(same.argmin())
+            raise ValueError(f"band {k + 1} does not share the structure of band {k}")
 
     def __reduce__(self):
         # pickle the fields alone; the arrays are rebuilt, read-only again,
@@ -200,16 +197,12 @@ class SeminormFamily:
         """p(x, w) on every band, in band order, for each checked vector x
         along the last axis of X; the result has one value per band there.
 
-        A family of one structure reduces the stack in blocks of at most
-        _MASK_CELLS weighted products (one vector at least), bit for bit each
-        vector's own values; any other family stacks one eval_many per band.
+        The stack is reduced in blocks of at most _MASK_CELLS weighted
+        products (one vector at least), bit for bit each vector's own values.
         A value that overflows is inf, with no numpy warning: prob_norm
         reports it as _finite's ValueError.
         """
         with np.errstate(over="ignore"):
-            if self._key is None:
-                values = np.stack([b.norm.eval_many(X) for b in self.bands], axis=-1)
-                return values.astype(float, copy=False)  # a duck may return ints or bools
             rows = np.abs(X).reshape(-1, 1, self.dimension)
             out = np.empty((len(rows), len(self.bands)))
             step = max(1, _MASK_CELLS // self._weights.size)
@@ -270,6 +263,14 @@ def _band_eval(S: SeminormFamily, k: int, x: np.ndarray) -> float:
         return _finite(float(S.bands[k].norm.eval_many(x)))
 
 
+def _difference(S: SeminormFamily, p, q) -> np.ndarray:
+    """p - q of two checked vectors, inf past the float range with no numpy
+    warning; the caller checks it next, so that is _check_vector's ValueError."""
+    p, q = _check_vector(S, p), _check_vector(S, q)
+    with np.errstate(over="ignore"):
+        return p - q
+
+
 @dataclass(frozen=True)
 class PNSpace:
     """A PN-space derived from a seminorm family (probabilistic norm included)."""
@@ -280,27 +281,24 @@ class PNSpace:
     def dimension(self) -> int:
         return self.family.dimension
 
-    def band_values(self, x) -> list[float]:
-        return self.family.band_values(_check_vector(self.family, x)).tolist()
-
     def prob_norm(self, x) -> StepDF:
         """nu_x(t) = m({w in (0,1) : p(x, w) < t}), exactly.
 
-        For a row of band values that is nondecreasing, >= 0 and finite (see
-        _proper_rows) the measure below each distinct value is a band end
-        itself, so the step d.f. is assembled from the family's own floats
-        with no summation error.  An inf or nan value is _finite's ValueError,
-        and a negative one StepDF's.
+        Band values are +0.0, positive or inf.  For a row that is
+        nondecreasing and finite (see _proper_rows) the measure below each
+        distinct value is a band end itself, so the step d.f. is assembled
+        from the family's own floats with no summation error.  An inf value
+        is _finite's ValueError.
         """
         vals = self.family.band_values(_check_vector(self.family, x))
         if _proper_rows(vals):
             # the last band of each distinct value ends where nu_x reaches it.
-            # Canonical as built: those values rise strictly, finite and >= 0
-            # (+ 0.0 clears a duck norm's -0.0), and the band ends they carry
-            # rise strictly in (0, 1], so every breakpoint has a jump
+            # Canonical as built: those values rise strictly, finite and >= 0,
+            # and the band ends they carry rise strictly in (0, 1], so every
+            # breakpoint has a jump
             last = np.append(vals[1:] > vals[:-1], True)
             return StepDF._canonical(
-                tuple((vals[last] + 0.0).tolist()), (0.0, *self.family._ends[last].tolist())
+                tuple(vals[last].tolist()), (0.0, *self.family._ends[last].tolist())
             )
         _finite(vals.max())
         # any other row (diagnostic path): per distinct value c, the
@@ -323,9 +321,7 @@ class PNSpace:
 
     def pm_distance(self, p, q) -> StepDF:
         """Probabilistic distance of the derived PM space: nu_{p-q}."""
-        p = _check_vector(self.family, p)
-        q = _check_vector(self.family, q)
-        return self.prob_norm(p - q)
+        return self.prob_norm(_difference(self.family, p, q))
 
     def neighborhood_contains(self, p, t: float, q) -> bool:
         """Membership q in N_p(t) = {q : nu_{p-q}(t) > 1 - t}.
@@ -340,14 +336,13 @@ class PNSpace:
         Band k and the last band are reduced together as band_values reduces
         them, so the verdict is nu_x's bit for bit, and an overflow in any
         band is still _finite's ValueError, whatever t is: the last band
-        holds the largest value.  Any other family (not monotone, of mixed
-        structures, or a lone band kept for its own eval_many, whose values
-        may be negative or -0.0) reads nu_{p-q} from pm_distance.
+        holds the largest value.  A family that is not monotone reads
+        nu_{p-q} from pm_distance.
         """
         if not t > 0:
             raise ValueError("t must be > 0")
         F = self.family
-        if F._key is None or not F._monotone[0]:
+        if not F._monotone[0]:
             return df_eval(self.pm_distance(p, q), t) > 1.0 - t
         p = _check_vector(F, p)
         q = _check_vector(F, q)
@@ -363,9 +358,7 @@ class PNSpace:
         """Membership in the norm ball B_w(center; r) = {x : ||x - center||_w < r}."""
         if not r > 0:
             raise ValueError("radius must be > 0")
-        x = _check_vector(self.family, x)
-        center = _check_vector(self.family, center)
-        return self.norm_at(x - center, w) < r
+        return self.norm_at(_difference(self.family, x, center), w) < r
 
 
 def single_band_space(norm: WeightedNorm) -> PNSpace:
@@ -427,14 +420,14 @@ _EXACT_SCALARS = (0.5, 2.0, 4.0, 0.25, -0.5, -2.0, -1.0)
 
 
 def _proper_rows(V: np.ndarray) -> np.ndarray:
-    """Which band-value rows (last axis) are nondecreasing, >= 0 and finite.
+    """Which band-value rows (last axis) are nondecreasing and finite.
 
     prob_norm turns such a row into nu_x without raising: its breakpoints
     are the row's distinct values, each reached at the end of its last
     band.  So nu_x and its hat are the row read over the band ends, and
     two such rows give equal d.f.s iff they are equal.
     """
-    return (V[..., 0] >= 0.0) & (V[..., -1] < math.inf) & (V[..., 1:] >= V[..., :-1]).all(axis=-1)
+    return (V[..., -1] < math.inf) & (V[..., 1:] >= V[..., :-1]).all(axis=-1)
 
 
 def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomReport:
@@ -445,15 +438,15 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
     stacked pass and decides from the rows; the first failing sample, in
     order, decides the axiom, and the rng is rewound to just past it.
 
-    Where a sample's rows are nondecreasing, >= 0 and finite (see
-    _proper_rows), the rows decide it exactly as the StepDFs would:
+    Where a sample's rows are nondecreasing and finite (see _proper_rows),
+    the rows decide it exactly as the StepDFs would:
     - N1 fails iff x's row is all 0 (nu_x = H_0);
     - N2 fails iff the rows of -x and x differ;
     - N3 fails iff on some band V(x+y) > s + 1e-12 * (1 + s), with
       s = V(x) + V(y): hat nu_{x+y} > hat nu_x + hat nu_y, the sum of hats
       being hat tau_M(nu_x, nu_y), up to _hat_le's slack for rounding;
     - (S) for the power-of-two scalars fails iff V(alpha x) != |alpha| V(x).
-    Any other sample (non-monotone, mixed or duck-typed families, or a row
+    Any other sample (a row of a non-monotone family that decreases, or one
     that overflows and so raises prob_norm's ValueError) is decided on
     prob_norm's StepDFs and their hats, and df_scale for (S).  (S) for a
     general scalar compares every sample's rows to 1e-12 relative.
@@ -545,11 +538,8 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
 
     ok, msg = P.family.monotone_report()
     monotone = CheckResult(ok, None if ok else msg)
-    if P.prob_norm(np.zeros(n)) != h0:
-        n1_result = CheckResult(False, "nu at the null vector is not H_0")
-    else:
-        n1_result = first_failure(1, n1)
-    return PNAxiomReport(monotone, n1_result, first_failure(1, n2), first_failure(2, n3), scaling())
+    # nu_0 = H_0 needs no check: every band norm of 0 is 0.0
+    return PNAxiomReport(monotone, first_failure(1, n1), first_failure(1, n2), first_failure(2, n3), scaling())
 
 
 def _nonzero(rng, n: int) -> np.ndarray:

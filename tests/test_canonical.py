@@ -11,12 +11,11 @@ import dataclasses
 import math
 from pathlib import Path
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probnorm.distfn import StepDF, quasi_inverse, unit_step
-from probnorm.pnspace import Band, PNSpace, SeminormFamily, product_space
+from probnorm.pnspace import Band, PNSpace, SeminormFamily, WeightedNorm, product_space
 from probnorm.testkit import gen_space
 from probnorm.triangle import TNormKind, tau_inf_conv, tau_sup_conv
 
@@ -92,21 +91,8 @@ class TestQuasiInverse:
             assert_validated_alike(quasi_inverse(F))
 
 
-@dataclasses.dataclass(frozen=True)
-class SignedZeroL1:
-    """scale * sum |x_i|, returned as -0.0 wherever it is 0: a duck band norm
-    whose zero carries a sign, which prob_norm must not print."""
-
-    dimension: int
-    scale: float
-
-    def eval_many(self, X) -> np.ndarray:
-        s = self.scale * np.abs(X).sum(axis=-1)
-        return np.where(s == 0.0, -0.0, s)
-
-
 def draw_space(data) -> PNSpace:
-    shape = data.draw(st.sampled_from(("monotone", "blocks", "duck")))
+    shape = data.draw(st.sampled_from(("monotone", "blocks", "non-monotone")))
     seed = data.draw(st.integers(0, 2**32 - 1))
     n = data.draw(st.integers(1, 6))
     if shape == "monotone":
@@ -114,18 +100,19 @@ def draw_space(data) -> PNSpace:
     if shape == "blocks":
         inner = product_space(gen_space(seed + 1, 2), gen_space(seed + 2, 1))
         return product_space(gen_space(seed, n), inner)
+    # fresh L1 weights per band, so a row may rise, tie or fall
     bands = data.draw(st.integers(1, 6))
-    scale_st = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 10.0)
-    scales = sorted(data.draw(st.lists(scale_st, min_size=bands, max_size=bands)))
+    weight_st = st.sampled_from((1.0, 2.0)) | st.floats(1e-300, 10.0)
+    rows = data.draw(st.lists(st.lists(weight_st, min_size=n, max_size=n), min_size=bands, max_size=bands))
     ends = [*((k + 1) / bands for k in range(bands - 1)), 1.0]
-    family = tuple(Band(u, SignedZeroL1(n, s)) for u, s in zip(ends, scales))
+    family = tuple(Band(u, WeightedNorm("l1", w)) for u, w in zip(ends, rows))
     return PNSpace(SeminormFamily(n, family, enforce_monotone=False))
 
 
 class TestProbNorm:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_monotone_block_sum_and_signed_zero_duck(self, data):
+    def test_monotone_block_sum_and_non_monotone(self, data):
         P = draw_space(data)
         x = fuzz_list(data, P.dimension, P.dimension)
         if not mostly(data):
@@ -137,11 +124,11 @@ class TestProbNorm:
         assert_validated_alike(nu)
         assert_validated_alike(quasi_inverse(nu))
 
-    def test_signed_zero_duck_prints_zero(self):
-        bands = (Band(0.5, SignedZeroL1(2, 0.0)), Band(1.0, SignedZeroL1(2, 1.0)))
-        P = PNSpace(SeminormFamily(2, bands, enforce_monotone=False))
-        assert repr(P.prob_norm([0.0, 0.0])) == repr(StepDF((0.0,), (0.0, 1.0)))
-        assert repr(P.prob_norm([1.0, -2.0])) == repr(StepDF((0.0, 3.0), (0.0, 0.5, 1.0)))
+    def test_signed_zero_vector_prints_zero(self):
+        # |-0.0| * w is +0.0: a band norm's zero carries no sign
+        P = product_space(gen_space(3, 1), gen_space(4, 1))
+        assert repr(P.prob_norm([-0.0, -0.0])) == repr(StepDF((0.0,), (0.0, 1.0)))
+        assert repr(quasi_inverse(P.prob_norm([-0.0, -0.0]))) == repr(quasi_inverse(unit_step(0.0)))
 
 
 # the only producers that may build unchecked, each proving its own canonical form

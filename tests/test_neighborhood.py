@@ -1,14 +1,15 @@
 """Strong-neighbourhood membership decided on one band norm, against nu_{p-q}.
 
-neighborhood_contains decides a monotone family of one structure from band
-k = bisect_right(uptos, 1 - t) and the last band, and any other family from
-pm_distance.  Every verdict, and every error, must be the oracle's, which
-builds nu_{p-q} whole and reads it at t; the one-band path builds no nu.
+neighborhood_contains decides a monotone family from band
+k = bisect_right(uptos, 1 - t) and the last band, and a family that is not
+monotone from pm_distance.  Every verdict, and every error, must be the
+oracle's, which builds nu_{p-q} whole and reads it at t; the one-band path
+builds no nu.
 """
 
-import dataclasses
 import math
 import pickle
+import warnings
 from bisect import bisect_right
 from unittest import mock
 
@@ -18,14 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probnorm import pnspace
-from probnorm.pnspace import Band, NormKind, PNSpace, SeminormFamily, WeightedNorm, product_space
+from probnorm.pnspace import Band, BlockSumNorm, NormKind, PNSpace, SeminormFamily, WeightedNorm, product_space
 
 from neighborhood_oracle import stepdf_neighborhood_contains
 
-# monotone and of one structure: decided on one band
+# monotone: decided on one band
 ONE_BAND = ("l1", "linf", "product", "unenforced")
-# decided on nu_{p-q}
-FALLBACK = ("non-monotone", "mixed", "duck", "duck-last")
+# not monotone: decided on nu_{p-q}
+FALLBACK = ("non-monotone", "non-monotone-product", "last-falls")
 SHAPES = ONE_BAND + FALLBACK
 
 
@@ -56,52 +57,41 @@ def _rows(rng, bands: int, n: int, lattice: bool, monotone: bool) -> list:
     return rows
 
 
-@dataclasses.dataclass(frozen=True)
-class Duck:
-    """A band norm kept for its own eval_many: (sum |x|)^2, or values that
-    are negative, or -0.0 everywhere."""
-
-    dimension: int
-    form: str
-
-    def eval_many(self, X) -> np.ndarray:
-        s = np.abs(X).sum(axis=-1)
-        return {"squared": s * s, "negative": -s, "zero": -0.0 * s}[self.form]
-
-
-def _duck(rng, n: int) -> Duck:
-    return Duck(n, str(rng.choice(["squared", "negative", "zero"])))
-
-
 def space(shape: str, bands: int, n: int, lattice: bool, seed: int) -> PNSpace:
     """A space of about `bands` bands on R^n (R^2 at least for a product)."""
     rng = np.random.default_rng(seed)
 
-    def bands_of(count, d, kind=None, monotone=True):
+    def bands_of(count, d, monotone=True):
         ends = _ends(rng, count, lattice)
         rows = _rows(rng, len(ends), d, lattice, monotone)
-        kinds = [kind or NormKind(rng.choice(["l1", "linf"])) for _ in ends]
-        return tuple(Band(u, WeightedNorm(k, w)) for u, k, w in zip(ends, kinds, rows))
+        return tuple(Band(u, WeightedNorm(kind, w)) for u, w in zip(ends, rows))
 
-    one_kind = NormKind(shape) if shape in ("l1", "linf") else NormKind(rng.choice(["l1", "linf"]))
+    kind = NormKind(shape) if shape in ("l1", "linf") else NormKind(rng.choice(["l1", "linf"]))
     if shape in ("l1", "linf"):
-        return PNSpace(SeminormFamily(n, bands_of(bands, n, one_kind)))
-    if shape == "unenforced":
-        return PNSpace(SeminormFamily(n, bands_of(bands, n, one_kind), enforce_monotone=False))
+        return PNSpace(SeminormFamily(n, bands_of(bands, n)))
     if shape == "product":
         n = max(2, n)
         d = int(rng.integers(1, n))
-        P, Q = (PNSpace(SeminormFamily(k, bands_of(bands // 2 + 1, k, one_kind))) for k in (d, n - d))
+        P, Q = (PNSpace(SeminormFamily(k, bands_of(bands // 2 + 1, k))) for k in (d, n - d))
         return product_space(P, Q)
-    if shape == "non-monotone":
-        family = bands_of(bands, n, one_kind, monotone=False)
-    elif shape == "mixed":
-        family = bands_of(bands, n)
-    elif shape == "duck":
-        family = (Band(1.0, _duck(rng, n)),)
+    if shape == "non-monotone-product":
+        # block sums of one split and kinds, fresh weights per band
+        n = max(2, n)
+        d = int(rng.integers(1, n))
+        other = NormKind(rng.choice(["l1", "linf"]))
+        ends = _ends(rng, bands, lattice)
+        rows = _rows(rng, len(ends), n, lattice, monotone=False)
+        family = tuple(
+            Band(u, BlockSumNorm((WeightedNorm(kind, w[:d]), WeightedNorm(other, w[d:])), (d, n - d)))
+            for u, w in zip(ends, rows)
+        )
+    elif shape == "last-falls":
+        # monotone up to the last band, which has half its predecessor's weights
+        family = bands_of(max(2, bands), n)
+        last = WeightedNorm(kind, np.array(family[-2].norm.weights) / 2.0)
+        family = (*family[:-1], Band(1.0, last))
     else:
-        family = bands_of(bands, n, one_kind)
-        family = (*family[:-1], Band(1.0, _duck(rng, n)))
+        family = bands_of(bands, n, monotone=shape == "unenforced")
     return PNSpace(SeminormFamily(n, family, enforce_monotone=False))
 
 
@@ -215,9 +205,8 @@ def verdicts(P: PNSpace, seed: int) -> list:
 
 
 class TestNoNuBuilt:
-    """A monotone family of one structure answers with prob_norm,
-    pm_distance and band_values all refused; any other family reaches
-    prob_norm."""
+    """A monotone family answers with prob_norm, pm_distance and band_values
+    all refused; a family that is not monotone reaches prob_norm."""
 
     def test_monotone_families_build_no_nu(self, monkeypatch):
         spaces = monotone_spaces()
@@ -292,12 +281,19 @@ class TestEdges:
             got, want = both(P, p, 0.5, q)
             assert got == want and got.startswith("ValueError"), (p, q)
 
-    @pytest.mark.parametrize("P", EDGE_SPACES[:3], ids=["one-band", "last-band", "product"])
+    @pytest.mark.parametrize("P", EDGE_SPACES, ids=["one-band", "last-band", "product", "non-monotone"])
     def test_difference_past_the_float_range(self, P):
-        # the one-band path raises _check_vector's error with no numpy
-        # warning; the oracle's p - q warns, and raises the same behind it
+        # p - q overflows: neighborhood_contains (either path), pm_distance,
+        # in_ball and the oracle raise _check_vector's error, with no numpy warning
         p, q = [1e308, 0.0], [-1e308, 0.0]
-        with pytest.raises(ValueError, match="vector entries must be finite"):
-            P.neighborhood_contains(p, 0.5, q)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="vector entries must be finite"):
-            stepdf_neighborhood_contains(P, p, 0.5, q)
+        calls = (
+            P.neighborhood_contains,
+            lambda p, t, q: stepdf_neighborhood_contains(P, p, t, q),
+            lambda p, t, q: P.pm_distance(p, q),
+            lambda p, t, q: P.in_ball(q, t, t, p),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="vector entries must be finite"):
+                    call(p, 0.5, q)

@@ -43,6 +43,7 @@ from probnorm.testkit import _scan_eval_many, gen_space, gen_vector
 from probnorm.triangle import TNormKind, tau_sup_conv
 
 from axioms_oracle import stepdf_validate_pn_axioms
+from band_values import band_values
 from fuzz import fuzz_list, mostly
 from prefix_limits import strong_convergence_index
 from vertex_oracle import unit_ball_vertices
@@ -67,30 +68,14 @@ def measure_oracle(P: PNSpace, x, t: float, step: float = 1e-5) -> float:
     return float(np.count_nonzero(np.array(vals)[idx] < t)) * step
 
 
-@dataclasses.dataclass(frozen=True)
-class SquaredL1:
-    """(sum |x_i|)^2: homogeneous of degree 2 and superadditive, so not a norm."""
-
-    dimension: int
-
-    def eval_many(self, X) -> np.ndarray:
-        norm = np.abs(X).sum(axis=-1)
-        return norm * norm
-
-
-def squared_l1_space(n: int) -> PNSpace:
-    return PNSpace(SeminormFamily(n, (Band(1.0, SquaredL1(n)),)))
-
-
-@dataclasses.dataclass(frozen=True)
-class Lopsided:
-    """|x|_1, plus 1 where x_0 > 2.5: 0 only at 0 but not even, so N2 fails
-    at a sample with |x_0| > 2.5 and N3 where x_0 + y_0 alone crosses 2.5."""
-
-    dimension: int
-
-    def eval_many(self, X) -> np.ndarray:
-        return np.abs(X).sum(axis=-1) + (X[..., 0] > 2.5)
+def crossing_space(kind: NormKind = NormKind.L1, heavy: float = 10.0) -> PNSpace:
+    """Two bands of R^2 whose weights (1, heavy) and (heavy, 1) cross, so the
+    family is not monotone: nu_{e1} = nu_{e2} has hat (1, heavy), while
+    hat nu_{e1+e2} is (1 + heavy, 1 + heavy) for L1 and (heavy, heavy) for
+    Linf, which exceeds hat nu_{e1} + hat nu_{e2} = (2, 2 heavy) on the first
+    band: N3 fails."""
+    bands = (Band(0.5, WeightedNorm(kind, (1.0, heavy))), Band(1.0, WeightedNorm(kind, (heavy, 1.0))))
+    return PNSpace(SeminormFamily(2, bands, enforce_monotone=False))
 
 
 def reference_band_values(P: PNSpace, x) -> list:
@@ -118,7 +103,7 @@ def reference_prob_norm(P: PNSpace, x) -> StepDF:
 def reference_dominates(a, b) -> bool:
     """a >= b by structure, pair by pair: weighted norms of one kind with
     coordinatewise >= weights, or block sums of one split whose parts
-    dominate; a norm kept for its own eval_many dominates nothing."""
+    dominate."""
     if type(a) is WeightedNorm and type(b) is WeightedNorm:
         return a.kind is b.kind and all(p >= q for p, q in zip(a.weights, b.weights))
     return (
@@ -284,21 +269,20 @@ class TestSeminormFamily:
         if monotone:
             fam = product_space(gen_space(1, 2), product_space(gen_space(2, 3), gen_space(3, 1))).family
         else:
-            l1, linf = WeightedNorm(NormKind.L1, (2.0, 1.0)), WeightedNorm(NormKind.LINF, (1.0, 3.0))
-            bands = (Band(0.25, l1), Band(0.5, linf), Band(0.75, SquaredL1(2)), Band(1.0, l1))
+            weights = ((2.0, 1.0), (1.0, 3.0), (0.5, 0.5), (2.0, 1.0))
+            bands = tuple(Band(u, WeightedNorm(NormKind.L1, w)) for u, w in zip((0.25, 0.5, 0.75, 1.0), weights))
             fam = SeminormFamily(2, bands, enforce_monotone=False)
         for a in (fam._ends, fam._weights):
             assert not a.flags.writeable and a.flags.c_contiguous
             with pytest.raises(ValueError):
                 a[...] = 0.0
-        # one (bands x n) array: the nested block sums' parts side by side, and
-        # a zero row for the band kept for its own eval_many
+        # one (bands x n) array: the nested block sums' parts side by side
         assert fam._weights.shape == (len(fam.bands), 6 if monotone else 2)
         if not monotone:
-            assert fam._weights.tolist() == [[2.0, 1.0], [1.0, 3.0], [0.0, 0.0], [2.0, 1.0]]
-            assert fam._monotone == (False, "band 1 does not dominate band 0") and fam._key is None
+            assert fam._weights.tolist() == [list(w) for w in weights]
+            assert fam._monotone == (False, "band 1 does not dominate band 0") and fam._key is NormKind.L1
         else:
-            assert fam._monotone == (True, "monotone") and fam._key is not None
+            assert fam._monotone == (True, "monotone") and fam._key == fam.bands[0].norm._structure[0]
         # not fields: ==, repr and hash see only the dimension and the bands
         assert [f.name for f in dataclasses.fields(fam)] == ["dimension", "bands"]
         assert not any(name in repr(fam) for name in ("_weights", "_monotone", "_key", "_ends"))
@@ -382,32 +366,34 @@ def _monotone(rng, bands: int, n: int, kind: NormKind) -> PNSpace:
     return PNSpace(SeminormFamily(n, tuple(out)))
 
 
-def _any_norm(rng, n: int, depth: int = 0, duck: bool = True):
-    # a weighted norm of either kind, the duck-typed SquaredL1 (else an L1
-    # norm in its place), or a block sum of two or three such norms, nested
-    # up to two levels
-    pick = rng.integers(4 if depth < 2 and n > 1 else 3)
-    if pick == 3:
+def _any_norm(rng, n: int, depth: int = 0):
+    # a weighted norm of either kind, or a block sum of two or three such
+    # norms, nested up to two levels
+    pick = rng.integers(3 if depth < 2 and n > 1 else 2)
+    if pick == 2:
         cuts = np.unique(rng.integers(1, n, 2))
         dims = tuple(np.diff([0, *cuts, n]).tolist())
-        return BlockSumNorm(tuple(_any_norm(rng, d, depth + 1, duck) for d in dims), dims)
-    if pick == 2 and duck:
-        return SquaredL1(n)
-    return WeightedNorm(NormKind(("l1", "linf")[pick % 2]), _weights(rng, n))
+        return BlockSumNorm(tuple(_any_norm(rng, d, depth + 1) for d in dims), dims)
+    return WeightedNorm(NormKind(("l1", "linf")[pick]), _weights(rng, n))
 
 
 def _scaled(norm, f: np.ndarray):
     """norm with each weight multiplied by its coordinate's factor in f."""
     if type(norm) is WeightedNorm:
         return WeightedNorm(norm.kind, np.array(norm.weights) * f)
-    if type(norm) is BlockSumNorm:
-        offs = np.cumsum((0, *norm.dims))
-        parts = (_scaled(p, f[a:b]) for p, a, b in zip(norm.parts, offs, offs[1:]))
-        return BlockSumNorm(tuple(parts), norm.dims)
-    return norm
+    offs = np.cumsum((0, *norm.dims))
+    parts = (_scaled(p, f[a:b]) for p, a, b in zip(norm.parts, offs, offs[1:]))
+    return BlockSumNorm(tuple(parts), norm.dims)
 
 
-SHAPES = ("l1", "linf", "mixed", "duck", "product-right", "product-left", "blocks")
+def _reweighted(rng, norm):
+    """norm's structure with fresh weights, so neither need dominate the other."""
+    if type(norm) is WeightedNorm:
+        return WeightedNorm(norm.kind, _weights(rng, norm.dimension))
+    return BlockSumNorm(tuple(_reweighted(rng, part) for part in norm.parts), norm.dims)
+
+
+SHAPES = ("l1", "linf", "fresh-l1", "fresh-linf", "product-right", "product-left", "blocks")
 
 
 @st.composite
@@ -425,16 +411,13 @@ def stacked_cases(draw):
         P, Q, R = (_monotone(rng, max(1, bands // 3), d, NormKind(rng.choice(["l1", "linf"]))) for d in dims)
         P = product_space(P, product_space(Q, R)) if shape == "product-right" else product_space(product_space(P, Q), R)
     else:
-        # non-monotone: fresh weights per band, kinds mixed, duck-typed bands
-        def norm():
-            if shape == "blocks":
-                return _any_norm(rng, n)
-            if shape == "duck" and rng.random() < 0.3:
-                return SquaredL1(n)
-            kind = NormKind.L1 if shape != "mixed" or rng.random() < 0.5 else NormKind.LINF
-            return WeightedNorm(kind, _weights(rng, n))
-
-        family = tuple(Band(u, norm()) for u in _ends(rng, bands))
+        # non-monotone: one structure (a kind, or block sums of any split)
+        # with fresh weights per band
+        if shape == "blocks":
+            norm = _any_norm(rng, n)
+        else:
+            norm = WeightedNorm(shape.removeprefix("fresh-"), _weights(rng, n))
+        family = tuple(Band(u, _reweighted(rng, norm)) for u in _ends(rng, bands))
         P = PNSpace(SeminormFamily(n, family, enforce_monotone=False))
     x = rng.uniform(-3.0, 3.0, P.dimension) * (rng.random(P.dimension) < draw(st.sampled_from((0.0, 0.5, 0.9, 1.0))))
     return P, x
@@ -446,19 +429,18 @@ def grown_families(draw):
 
     Each band either repeats the weights before it (equal rows), multiplies
     them by U(1, 1.3) per coordinate, rarely with one coordinate dropping,
-    or rarely starts a fresh structure; some bands interrupt the growth
-    with a one-off norm, so members of one structure need not be adjacent.
+    or rarely starts from fresh weights; some bands interrupt the growth
+    with one-off weights, so the growth need not be adjacent.
     """
     n = draw(st.integers(1, 12))
-    duck = draw(st.booleans())
     rare = draw(st.sampled_from((0.0, 0.02, 0.1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    norm, bands = _any_norm(rng, n, duck=duck), []
+    norm, bands = _any_norm(rng, n), []
     for u in _ends(rng, draw(st.integers(1, 40))):
-        bands.append(Band(u, _any_norm(rng, n, duck=duck) if rng.random() < rare else norm))
+        bands.append(Band(u, _reweighted(rng, norm) if rng.random() < rare else norm))
         r = rng.random()
         if r < rare:
-            norm = _any_norm(rng, n, duck=duck)
+            norm = _reweighted(rng, norm)
         elif r > 0.3:
             f = rng.uniform(1.0, 1.3, n)
             if rng.random() < 0.05:
@@ -518,19 +500,63 @@ class TestMonotoneReport:
         S = case[0].family
         assert S.monotone_report() == reference_monotone_report(S)
 
-    def test_duck_typed_band_fails_the_construction(self):
-        bands = (Band(0.5, WeightedNorm("l1", (1.0, 1.0))), Band(1.0, SquaredL1(2)))
-        with pytest.raises(ValueError, match="band 1 does not dominate band 0"):
-            SeminormFamily(2, bands)
 
-    def test_duck_typed_part_is_a_monotone_fail(self):
-        bands = tuple(
-            Band(u, BlockSumNorm((SquaredL1(1), WeightedNorm("l1", (w,))), (1, 1)))
-            for u, w in ((0.5, 1.0), (1.0, 2.0))
-        )
-        P = PNSpace(SeminormFamily(2, bands, enforce_monotone=False))
-        report = validate_pn_axioms(P, samples=3)
-        assert report.monotone == CheckResult(False, "band 1 does not dominate band 0")
+class TestOneStructure:
+    """A band norm is a WeightedNorm or a block sum of them, and the bands of
+    a family share one structure; anything else is a ValueError at
+    construction."""
+
+    def test_duck_typed_band_fails_the_construction(self):
+        # min |x_i| is even but not convex: from the L1 unit ball of R^2 the
+        # identity's vertex sup of it is 0.0, below its value 0.5 at (0.5, 0.5)
+        min_abs = types.SimpleNamespace(dimension=2, eval_many=lambda X: np.abs(X).min(axis=-1))
+        with pytest.raises(ValueError, match="a band norm must be a WeightedNorm or a BlockSumNorm"):
+            single_band_space(min_abs)
+        with pytest.raises(ValueError, match="a band norm must be a WeightedNorm or a BlockSumNorm"):
+            SeminormFamily(2, (Band(0.5, WeightedNorm("l1", (1.0, 1.0))), Band(1.0, min_abs)), enforce_monotone=False)
+
+    def test_duck_typed_part_fails_the_block_sum(self):
+        duck = types.SimpleNamespace(dimension=1, eval_many=lambda X: np.abs(X).sum(axis=-1))
+        for parts in ((duck, WeightedNorm("l1", (1.0,))), (WeightedNorm("l1", (1.0,)), duck)):
+            with pytest.raises(ValueError, match="a band norm must be a WeightedNorm or a BlockSumNorm"):
+                BlockSumNorm(parts, (1, 1))
+        # a nested duck too
+        inner = BlockSumNorm((WeightedNorm("linf", (1.0,)), WeightedNorm("l1", (2.0,))), (1, 1))
+        with pytest.raises(ValueError, match="a band norm must be"):
+            BlockSumNorm((inner, BlockSumNorm((duck,), (1,))), (2, 1))
+
+    @pytest.mark.parametrize(
+        "bands, band",
+        [
+            ((("l1", (1.0, 1.0)), ("linf", (2.0, 2.0))), 1),
+            ((("linf", (1.0, 1.0)), ("linf", (2.0, 3.0)), ("l1", (2.0, 3.0))), 2),
+            ((("l1", (1.0, 1.0)), "blocks"), 1),
+        ],
+        ids=["l1-linf", "third-band", "weighted-then-block-sum"],
+    )
+    def test_mixed_structures_fail_naming_the_band(self, bands, band):
+        blocks = BlockSumNorm((WeightedNorm("l1", (1.0,)), WeightedNorm("l1", (1.0,))), (1, 1))
+        norms = [blocks if b == "blocks" else WeightedNorm(*b) for b in bands]
+        family = tuple(Band((k + 1) / len(norms), norm) for k, norm in enumerate(norms))
+        with pytest.raises(ValueError) as e:
+            SeminormFamily(2, family, enforce_monotone=False)
+        assert str(e.value) == f"band {band} does not share the structure of band {band - 1}"
+        # a monotone family is checked for dominance first, and a band of
+        # another structure dominates nothing
+        with pytest.raises(ValueError) as e:
+            SeminormFamily(2, family)
+        assert str(e.value) == f"band {band} does not dominate band {band - 1}"
+
+    def test_block_sums_share_a_structure_only_with_one_split(self):
+        l1, l1_2 = WeightedNorm("l1", (1.0,)), WeightedNorm("l1", (1.0, 1.0))
+        one_two, two_one = BlockSumNorm((l1, l1_2), (1, 2)), BlockSumNorm((l1_2, l1), (2, 1))
+        with pytest.raises(ValueError, match="band 1 does not share the structure of band 0"):
+            SeminormFamily(3, (Band(0.5, one_two), Band(1.0, two_one)), enforce_monotone=False)
+        nested = BlockSumNorm((BlockSumNorm((l1, l1), (1, 1)), l1), (2, 1))
+        flat = BlockSumNorm((l1, l1, l1), (1, 1, 1))
+        with pytest.raises(ValueError, match="band 1 does not share the structure of band 0"):
+            SeminormFamily(3, (Band(0.5, nested), Band(1.0, flat)), enforce_monotone=False)
+        assert SeminormFamily(3, (Band(0.5, nested), Band(1.0, nested))).monotone_report()[0]
 
 
 class TestStackedBands:
@@ -540,7 +566,7 @@ class TestStackedBands:
     @given(stacked_cases())
     def test_matches_the_per_band_loop(self, case):
         P, x = case
-        got, want = P.band_values(x), reference_band_values(P, x)
+        got, want = band_values(P, x), reference_band_values(P, x)
         assert [v.hex() for v in got] == [float(v).hex() for v in want]
         assert repr(P.prob_norm(x)) == repr(reference_prob_norm(P, x))
 
@@ -557,15 +583,11 @@ class TestStackedBands:
         assert P.family.band_values(X[:0]).shape == (0, len(P.family.bands))
 
     @pytest.mark.parametrize("cells", [1, 100, 2**16])
-    @pytest.mark.parametrize(
-        "shape, stacked",
-        [("l1", True), ("linf", True), ("product", True), ("mixed", False), ("duck", False)],
-    )
-    def test_one_reduce_per_block_when_every_band_shares_a_structure(self, monkeypatch, shape, stacked, cells):
+    @pytest.mark.parametrize("shape", ["l1", "linf", "product", "non-monotone"])
+    def test_one_reduce_per_block(self, monkeypatch, shape, cells):
         # top-level _reduce calls per band_values call on a stack of 7
-        # vectors: one per block of at most _MASK_CELLS weighted products (one
-        # vector at least) when every band shares a structure; otherwise each
-        # weighted band reduces the whole stack in its own eval_many
+        # vectors: one per block of at most _MASK_CELLS weighted products
+        # (one vector at least), monotone or not
         rng = np.random.default_rng(5)
         if shape in ("l1", "linf"):
             S = _monotone(rng, 8, 3, NormKind(shape)).family
@@ -573,8 +595,7 @@ class TestStackedBands:
             P, Q, R = (_monotone(rng, 4, 2, kind) for kind in (NormKind.L1, NormKind.LINF, NormKind.L1))
             S = product_space(P, product_space(Q, R)).family
         else:
-            last = WeightedNorm(NormKind.LINF, (1.0, 1.0, 1.0)) if shape == "mixed" else SquaredL1(3)
-            bands = (Band(0.5, WeightedNorm(NormKind.L1, (1.0, 2.0, 3.0))), Band(1.0, last))
+            bands = tuple(Band(u, WeightedNorm(NormKind.L1, w)) for u, w in ((0.5, (1.0, 2.0, 3.0)), (1.0, (3.0, 2.0, 1.0))))
             S = SeminormFamily(3, bands, enforce_monotone=False)
         shapes, depth, reduce = [], [0], pnspace._reduce
 
@@ -593,28 +614,7 @@ class TestStackedBands:
         S.band_values(X)
         bands, n = len(S.bands), S.dimension
         step = max(1, cells // (bands * n))
-        if stacked:
-            assert shapes == [(min(step, 7 - i), bands, n) for i in range(0, 7, step)]
-        else:
-            assert shapes == [(7, n)] * sum(type(b.norm) is WeightedNorm for b in S.bands)
-
-    def test_duck_typed_norms_use_their_own_eval_many(self, monkeypatch):
-        # one eval_many per duck-typed band, on the whole stack at once
-        calls = []
-
-        def seven(self, X):
-            calls.append(np.shape(X))
-            return np.full(np.shape(X)[:-1], 7.0)
-
-        monkeypatch.setattr(SquaredL1, "eval_many", seven)
-        l1 = WeightedNorm(NormKind.L1, (1.0, 1.0))
-        inner = BlockSumNorm((SquaredL1(1), WeightedNorm(NormKind.LINF, (2.0,))), (1, 1))
-        bands = (Band(0.5, SquaredL1(2)), Band(0.75, l1), Band(1.0, inner))
-        P = PNSpace(SeminormFamily(2, bands, enforce_monotone=False))
-        assert P.band_values([1.0, -1.0]) == [7.0, 2.0, 9.0]
-        assert calls == [(2,), (1,)]
-        assert P.family.band_values(np.ones((5, 2))).tolist() == [[7.0, 2.0, 9.0]] * 5
-        assert calls[2:] == [(5, 2), (5, 1)]
+        assert shapes == [(min(step, 7 - i), bands, n) for i in range(0, 7, step)]
 
 
 def reference_equivalence(P1: PNSpace, P2: PNSpace, trials: int, seed: int) -> float:
@@ -630,22 +630,20 @@ def reference_equivalence(P1: PNSpace, P2: PNSpace, trials: int, seed: int) -> f
 
 @st.composite
 def weighted_families(draw, n: int):
-    """A family of 1-12 weighted bands on R^n: monotone of one kind, or of
-    fresh weights and mixed kinds per band."""
+    """A family of 1-12 weighted bands of one kind on R^n: monotone, or of
+    fresh weights per band."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bands = draw(st.integers(1, 12))
+    kind = NormKind(rng.choice(["l1", "linf"]))
     if draw(st.booleans()):
-        return _monotone(rng, bands, n, NormKind(rng.choice(["l1", "linf"])))
-    family = tuple(
-        Band(u, WeightedNorm(NormKind(rng.choice(["l1", "linf"])), _weights(rng, n))) for u in _ends(rng, bands)
-    )
+        return _monotone(rng, bands, n, kind)
+    family = tuple(Band(u, WeightedNorm(kind, _weights(rng, n))) for u in _ends(rng, bands))
     return PNSpace(SeminormFamily(n, family, enforce_monotone=False))
 
 
 class TestOneProtocol:
-    """The library evaluates band norms through eval_many alone: band_values,
-    prob_norm, norm_at and norm_equivalence_constants equal the per-band
-    eval loop bit for bit, at any block size."""
+    """band_values, prob_norm, norm_at and norm_equivalence_constants equal
+    the per-band eval_many loop bit for bit, at any block size."""
 
     @settings(max_examples=150, deadline=None)
     @given(stacked_cases(), st.sampled_from((1, 97, 2**16)), st.floats(0.0, 1.0, exclude_min=True))
@@ -667,25 +665,6 @@ class TestOneProtocol:
         P1, P2 = spaces
         report = operators.norm_equivalence_constants(P1, P2, trials, seed)
         assert report.max_violation.hex() == reference_equivalence(P1, P2, trials, seed).hex()
-
-    def test_a_band_norm_needs_only_dimension_and_eval_many(self):
-        # a duck with no eval of its own, as a band in every role that takes one
-        duck = types.SimpleNamespace(dimension=2, eval_many=lambda X: 2.0 * np.abs(X).sum(axis=-1))
-        l1 = WeightedNorm(NormKind.L1, (1.0, 1.0))
-        P = PNSpace(SeminormFamily(2, (Band(0.5, l1), Band(1.0, duck)), enforce_monotone=False))
-        assert P.band_values([1.0, -2.0]) == [3.0, 6.0]
-        assert P.prob_norm([1.0, -2.0]) == StepDF([3.0, 6.0], [0.0, 0.5, 1.0])
-        assert P.norm_at([1.0, -2.0], 0.75) == seminorm_eval(P.family, [1.0, -2.0], 0.75) == 6.0
-        assert validate_pn_axioms(P, samples=5).n3.passed
-        T = operators.LinearOperator(np.eye(2), single_band_space(l1), P)
-        assert operators.norm_profile(T).table.tolist() == [[1.0, 2.0]]
-        assert operators.bound_check(T, 0.5, 0.75, trials=20, seed=0).passed
-        # a duck returning ints still gives float band values, so sums of them cannot wrap
-        ints = types.SimpleNamespace(dimension=2, eval_many=lambda X: np.abs(X).sum(axis=-1).astype(np.int64))
-        Q = PNSpace(SeminormFamily(2, (Band(0.5, ints), Band(1.0, ints)), enforce_monotone=False))
-        assert Q.family.band_values(np.array([[1.0, -2.0], [0.0, 4.0]])).dtype == np.float64
-        assert [type(v) for v in Q.band_values([1.0, -2.0])] == [float, float]
-        assert validate_pn_axioms(Q, samples=5).n3.passed
 
     def test_validator_memory_is_bounded_in_samples(self, monkeypatch):
         # 1024 monotone L1 bands in R^16: band_values reduces blocks of at
@@ -751,7 +730,7 @@ class TestProbNorm:
             P = gen_space(seed, 2)
             x = gen_vector(rng, 2)
             F = P.prob_norm(x)
-            for t in [v + d for v in P.band_values(x) for d in (-0.11, 0.003, 0.11)]:
+            for t in [v + d for v in band_values(P, x) for d in (-0.11, 0.003, 0.11)]:
                 if t <= 0:
                     continue
                 assert df_eval(F, t) == pytest.approx(measure_oracle(P, x, t), abs=2e-5)
@@ -783,25 +762,22 @@ class TestProbNorm:
         with pytest.raises(ValueError, match="samples"):
             validate_pn_axioms(gen_space(3, 2), samples=-5)
 
-    def test_zero_samples_still_check_the_null_vector(self):
+    def test_zero_samples_pass(self):
+        # every band norm of 0 is 0.0, so nu_0 = H_0 and no sample can fail
         assert validate_pn_axioms(gen_space(3, 2), samples=0).ok
-        # a band "norm" that is 1 at the null vector gives nu_0 = H_1
-        one = types.SimpleNamespace(dimension=1, eval_many=lambda X: np.ones(np.shape(X)[:-1]))
-        P = PNSpace(SeminormFamily(1, (Band(1.0, one),), enforce_monotone=False))
-        report = validate_pn_axioms(P, samples=0)
-        assert report.n1 == CheckResult(False, "nu at the null vector is not H_0")
-        assert report.n2.passed and report.n3.passed and report.scaling.passed
+        assert validate_pn_axioms(crossing_space(), samples=0) == stepdf_validate_pn_axioms(crossing_space(), 0)
 
     @pytest.mark.parametrize(
         "shape, calls_per_sample",
-        [("monotone", 0), ("mixed-kinds", 0), ("decreasing", 1 + 2 + 3 + 8)],
+        [("monotone", 0), ("non-monotone", 0), ("decreasing", 1 + 2 + 3 + 8)],
     )
     def test_axioms_build_nu_only_where_rows_cannot_decide(self, monkeypatch, shape, calls_per_sample):
-        # prob_norm builds nu at the null vector, and per sample only where a
-        # row is not nondecreasing: then N1 1 call, N2 2, N3 3, scaling
-        # 1 + 7 scalars = 8; |x|_1 <= 2 |x|_inf in R^2, so the rows of the
-        # non-monotone mixed-kind family are nondecreasing all the same
-        second = {"monotone": None, "mixed-kinds": ("linf", (2.0, 2.0)), "decreasing": ("l1", (0.5, 0.5))}
+        # prob_norm builds nu per sample only where a row is not
+        # nondecreasing: then N1 1 call, N2 2, N3 3, scaling 1 + 7 scalars
+        # = 8; the non-monotone family's second band falls below its first
+        # only where |x_0| < |x_1| / 3000, so its rows here are
+        # nondecreasing all the same
+        second = {"monotone": None, "non-monotone": ("l1", (4.0, 0.999)), "decreasing": ("l1", (0.5, 0.5))}
         P = gen_space(4, 3)
         if second[shape]:
             bands = (Band(0.5, WeightedNorm("l1", (1.0, 1.0))), Band(1.0, WeightedNorm(*second[shape])))
@@ -811,15 +787,16 @@ class TestProbNorm:
         monkeypatch.setattr(PNSpace, "prob_norm", lambda P, x: calls.append(1) or prob_norm(P, x))
         report = validate_pn_axioms(P, samples=6, seed=4)
         assert report.n1.passed and report.n2.passed and report.n3.passed and report.scaling.passed
-        assert len(calls) == 1 + calls_per_sample * 6
+        assert len(calls) == calls_per_sample * 6
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vector_rejected(self, bad):
         P = gen_space(2, 2)
         calls = (
             lambda x: P.norm_at(x, 0.5),
-            P.band_values,
             P.prob_norm,
+            lambda x: P.pm_distance(x, [0.0, 1.0]),
+            lambda x: P.in_ball([0.0, 1.0], 1.0, 0.5, x),
         )
         for call in calls:
             with pytest.raises(ValueError, match="finite"):
@@ -833,12 +810,14 @@ class TestProbNorm:
         assert not report.monotone.passed
         assert report.monotone.witness
 
-    def test_n3_fails_on_a_superadditive_band(self):
-        # p(x + y) = 4 > p(x) + p(y) = 2 at x = e1, y = e2: nu_{x+y} lags
-        # tau_M(nu_x, nu_y) by a whole interval
-        report = validate_pn_axioms(squared_l1_space(2), 50, 0)
-        assert report.n1.passed and report.n2.passed
-        assert not report.n3.passed
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_n3_fails_on_a_non_monotone_family(self, kind):
+        # crossing weights: on the first band nu_{x+y} lags tau_M(nu_x, nu_y)
+        P = crossing_space(kind)
+        report = validate_pn_axioms(P, 50, 0)
+        assert report == stepdf_validate_pn_axioms(P, 50, 0)
+        assert report.n1.passed and report.n2.passed and report.scaling.passed
+        assert not report.monotone.passed and not report.n3.passed
         assert report.n3.witness.startswith("N3 fails at x = ")
 
     def test_n3_equality_for_colinear(self):
@@ -849,19 +828,6 @@ class TestProbNorm:
             lhs = P.prob_norm(2.0 * x)
             rhs = tau_sup_conv(TNormKind.MIN, P.prob_norm(x), P.prob_norm(x))
             assert levy_metric(lhs, rhs).value <= 1e-9
-
-
-@dataclasses.dataclass(frozen=True)
-class Octave:
-    """|x|_1 rounded to the nearest power of two in log scale: homogeneous for
-    power-of-two scalars, so (S) fails only off them, by a tolerance."""
-
-    dimension: int
-
-    def eval_many(self, X) -> np.ndarray:
-        norm = np.abs(X).sum(axis=-1)
-        with np.errstate(divide="ignore"):  # log2(0) is -inf, masked below
-            return np.where(norm > 0.0, 2.0 ** np.round(np.log2(norm)), 0.0)
 
 
 def axioms_outcome(validate, P: PNSpace, samples: int, seed: int):
@@ -875,7 +841,7 @@ def axioms_outcome(validate, P: PNSpace, samples: int, seed: int):
 def _top_weight(norm) -> float:
     if type(norm) is WeightedNorm:
         return max(norm.weights)
-    return max(map(_top_weight, norm.parts)) if type(norm) is BlockSumNorm else 0.0
+    return max(map(_top_weight, norm.parts))
 
 
 def huge(S: SeminormFamily) -> PNSpace:
@@ -889,21 +855,12 @@ def huge(S: SeminormFamily) -> PNSpace:
 @st.composite
 def axiom_families(draw):
     """A family for the axiom checks: a stacked case's (monotone L1, Linf and
-    block sums in dimension 1-40; non-monotone, mixed-kind and duck-typed
-    bands) or a grown one, its weights sometimes scaled to 1e307; or a
-    duck-typed band that fails N3 (SquaredL1), N2 and N3 (Lopsided) or (S)
-    off the power-of-two scalars (Octave)."""
-    pick = draw(st.sampled_from(("stacked", "grown", "squared", "lopsided", "octave")))
-    n = draw(st.integers(1, 4))
-    if pick == "squared":
-        return squared_l1_space(n)
-    if pick == "octave":
-        return PNSpace(SeminormFamily(n, (Band(1.0, Octave(n)),)))
-    if pick == "lopsided":
-        bands = (Band(1.0, Lopsided(n)),)
-        if draw(st.booleans()):
-            bands = (Band(0.5, WeightedNorm(NormKind.L1, (1.0,) * n)), *bands)
-        return PNSpace(SeminormFamily(n, bands, enforce_monotone=False))
+    block sums in dimension 1-40; non-monotone ones of each structure) or a
+    grown one, its weights sometimes scaled to 1e307; or a crossing family,
+    whose rows decrease and which fails N3 for a heavy weight."""
+    pick = draw(st.sampled_from(("stacked", "grown", "crossing")))
+    if pick == "crossing":
+        return crossing_space(draw(st.sampled_from(NormKind)), draw(st.floats(1.0, 50.0)))
     S = draw(stacked_cases())[0].family if pick == "stacked" else draw(grown_families())
     return huge(S) if draw(st.integers(0, 4)) == 0 else PNSpace(S)
 
@@ -921,13 +878,14 @@ class TestAxiomRows:
     @pytest.mark.parametrize(
         "P, seed, failed",
         [
-            (squared_l1_space(2), 0, ["n3", "scaling"]),
-            # N2 fails at the seventh of ten samples, and the witnesses of N3
-            # and (S) show where it left the rng
-            (PNSpace(SeminormFamily(2, (Band(1.0, Lopsided(2)),))), 4, ["n2", "n3", "scaling"]),
-            (PNSpace(SeminormFamily(2, (Band(1.0, Octave(2)),))), 0, ["n3", "scaling"]),
+            (crossing_space(NormKind.L1), 0, ["n3"]),
+            (crossing_space(NormKind.LINF, 3.0), 1, ["n3"]),
+            (PNSpace(SeminormFamily(2, tuple(
+                Band(u, BlockSumNorm((WeightedNorm("l1", (a,)), WeightedNorm("linf", (b,))), (1, 1)))
+                for u, a, b in ((0.5, 1.0, 10.0), (1.0, 10.0, 1.0))
+            ), enforce_monotone=False)), 2, ["n3"]),
         ],
-        ids=["squared-l1", "lopsided", "octave"],
+        ids=["crossing-l1", "crossing-linf", "crossing-blocks"],
     )
     def test_failing_families(self, P, seed, failed):
         want = stepdf_validate_pn_axioms(P, 10, seed)
@@ -946,14 +904,6 @@ class TestAxiomRows:
             with pytest.raises(ValueError, match="band norm of x is inf: the weighted sum overflows") as e:
                 validate(P, 10, seed)
             assert axiom in [frame.name for frame in traceback.extract_tb(e.value.__traceback__)]
-
-    def test_negative_band_value_raises_at_the_first_sample(self):
-        # a nondecreasing row below 0 is no d.f.'s breakpoints
-        negative = types.SimpleNamespace(dimension=2, eval_many=lambda X: -np.abs(X).sum(axis=-1))
-        P = PNSpace(SeminormFamily(2, (Band(1.0, negative),), enforce_monotone=False))
-        for validate in (stepdf_validate_pn_axioms, validate_pn_axioms):
-            with pytest.raises(ValueError, match="breakpoints must be finite and >= 0"):
-                validate(P, 10, 0)
 
     @settings(max_examples=150, deadline=None)
     @given(axiom_families(), st.integers(1, 8), st.integers(0, 2**16))
@@ -1028,10 +978,11 @@ class TestMetricAndBalls:
                 assert P.pm_distance(p, q) != unit_step(0.0)
 
     def test_pm_axioms_check_catches_a_lagging_distance(self):
-        # p, q, r = 0, 1, 2: F_pr = H_4 lags tau_M(F_pq, F_qr) = tau_M(H_1, H_1) = H_2
-        points = iter(([0.0], [1.0], [2.0]))
+        # p, q, r = 0, e1, e1 + e2: hat F_pr = (11, 11) lags
+        # hat F_pq + hat F_qr = (1, 10) + (1, 10) on the first band
+        points = iter(([0.0, 0.0], [1.0, 0.0], [1.0, 1.0]))
         rng = types.SimpleNamespace(uniform=lambda lo, hi, n: np.array(next(points)))
-        assert not checks._pm_axioms(squared_l1_space(1), rng)
+        assert not checks._pm_axioms(crossing_space(), rng)
 
     def test_neighborhood_examples(self):
         P = single_band_space(WeightedNorm(NormKind.L1, (1.0,)))

@@ -365,6 +365,22 @@ class TestCLI:
             'use the Monte-Carlo bound instead"}}\n'
         )
 
+    def test_mixed_kind_domain_is_an_error_object(self, capsys, files):
+        # an L1 band then an Linf band: the dominance check names band 1
+        # before the family is refused for mixing structures
+        domain = {
+            "dimension": 2,
+            "bands": [
+                {"upto": 0.5, "kind": "l1", "weights": [1.0, 1.0]},
+                {"upto": 1.0, "kind": "linf", "weights": [2.0, 2.0]},
+            ],
+        }
+        op = files("op.json", {**OP, "domain": domain})
+        code = main(["op-norm", "--op", op, "--w", "0.5", "--wp", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert out == '{"error":{"where":"--op.domain","message":"band 1 does not dominate band 0"}}\n'
+
     def test_op_norm(self, capsys, files):
         code, out = self.run(
             capsys, "op-norm", "--op", files("op.json", OP), "--w", "0.5", "--wp", "0.5"
