@@ -583,7 +583,7 @@ class TestStackedBands:
         assert P.family.band_values(X[:0]).shape == (0, len(P.family.bands))
 
     @pytest.mark.parametrize("cells", [1, 100, 2**16])
-    @pytest.mark.parametrize("shape", ["l1", "linf", "product", "non-monotone"])
+    @pytest.mark.parametrize("shape", ["l1", "linf", "product", "non-monotone", "non-monotone-product"])
     def test_one_reduce_per_block(self, monkeypatch, shape, cells):
         # top-level _reduce calls per band_values call on a stack of 7
         # vectors: one per block of at most _MASK_CELLS weighted products
@@ -594,9 +594,17 @@ class TestStackedBands:
         elif shape == "product":
             P, Q, R = (_monotone(rng, 4, 2, kind) for kind in (NormKind.L1, NormKind.LINF, NormKind.L1))
             S = product_space(P, product_space(Q, R)).family
-        else:
+        elif shape == "non-monotone":
             bands = tuple(Band(u, WeightedNorm(NormKind.L1, w)) for u, w in ((0.5, (1.0, 2.0, 3.0)), (1.0, (3.0, 2.0, 1.0))))
             S = SeminormFamily(3, bands, enforce_monotone=False)
+        else:
+            up, down = (1.0, 2.0, 3.0), (3.0, 2.0, 1.0)
+            bands = tuple(
+                Band(u, BlockSumNorm((WeightedNorm(NormKind.L1, a), WeightedNorm(NormKind.LINF, b)), (3, 3)))
+                for u, a, b in ((0.5, up, down), (1.0, down, up))
+            )
+            S = SeminormFamily(6, bands, enforce_monotone=False)
+            assert not S.monotone_report()[0]
         shapes, depth, reduce = [], [0], pnspace._reduce
 
         def counted(key, wx):
