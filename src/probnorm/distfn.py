@@ -245,6 +245,15 @@ LEVY_TOL = 1e-9
 # the grid of window sizes: the largest power of two <= 2 * LEVY_TOL (2^-29)
 _LEVY_STEP = math.ldexp(1.0, math.frexp(2.0 * LEVY_TOL)[1] - 1)
 _LEVY_CELLS = 1 << 16  # most value and breakpoint gaps formed at once
+# fewest breakpoints, F's and G's together, from which a width is checked
+# by _joint_condition's numpy pass instead of the levy_condition loop.  The
+# pass costs ~40 numpy calls per width whatever the size, the loop about a
+# microsecond per event read, so the loop wins on small pairs.  levy_metric
+# per pair, numpy pass over loop, median of 9 rounds over 20 lattice and
+# continuous pairs per total (three draws, numpy 2.4.6, 2 shared cores):
+# total 24: 1.28-1.42; 32: 1.00-1.15; 36: 0.96-1.24; 40: 0.91-0.98;
+# 48: 0.76-0.88; 64: 0.44; 128: 0.36
+_LEVY_JOINT_MIN = 40
 
 
 def _levy_candidates(F: StepDF, G: StepDF) -> np.ndarray:
@@ -279,6 +288,54 @@ def _levy_candidates(F: StepDF, G: StepDF) -> np.ndarray:
     return ks[np.concatenate((ks[:1] > 0, ks[1:] != ks[:-1]))]
 
 
+def _joint_condition(F: StepDF, G: StepDF):
+    """The predicate ok(k) = levy_condition(F, G, h) and levy_condition(G, F, h)
+    at h = k * _LEVY_STEP, decided in one numpy pass over both directions.
+
+    The events of both directions are one array, base + shift * h with
+    shift in {0, -1, +1}: t + (-h) is t - h in floats.  Those inside
+    (-1/h, 1/h) (|e| < 1/h, as -1.0 / h = -(1.0 / h)) are read at the point
+    itself, then at its right limit, with a return at the first limit that
+    fails.  x - h and x + h of one direction's events and x of the other's
+    make one query array per d.f., so one searchsorted each gives every
+    bisect_left; the breakpoints rise strictly and end in an inf pad, so
+    bisect_right is that index plus (padded[idx] == q).  Every float
+    expression is levy_condition's, so the verdict is too.
+    """
+    fb, gb = np.array(F.breakpoints), np.array(G.breakpoints)
+    fv, gv = np.array(F.values), np.array(G.values)
+    fpad, gpad = np.append(fb, INF), np.append(gb, INF)
+    nf, ng = len(fb), len(gb)
+    # the events of levy_condition(F, G, h), then those of (G, F, h)
+    base = np.concatenate((gb, fb, fb, fb, gb, gb))
+    shift = np.repeat([0.0, -1.0, 1.0, 0.0, -1.0, 1.0], [ng, nf, nf, nf, ng, ng])
+
+    def ok(k: int) -> bool:
+        h = k * _LEVY_STEP
+        e = base + shift * h
+        inside = np.abs(e) < 1.0 / h
+        n = np.count_nonzero(inside[: ng + 2 * nf])
+        e = e[inside]
+        ef, eg = e[:n], e[n:]
+        m = len(eg)
+        qf = np.concatenate((ef - h, ef + h, eg))  # where F is read
+        qg = np.concatenate((eg - h, eg + h, ef))  # where G is read
+        i, j = np.searchsorted(fb, qf), np.searchsorted(gb, qg)
+        for right in (False, True):
+            if right:
+                i, j = i + (fpad[i] == qf), j + (gpad[j] == qg)
+            a, b = fv[i], gv[j]
+            low = np.concatenate((a[:n], b[:m])) - h
+            mid = np.concatenate((b[2 * m :], a[2 * n :]))
+            up = np.concatenate((a[n : 2 * n], b[m : 2 * m])) + h
+            held = (low <= mid) & (mid <= up)
+            if np.count_nonzero(held) < held.size:
+                return False
+        return True
+
+    return ok
+
+
 def levy_metric(F: StepDF, G: StepDF) -> LevyDistance:
     """Modified Levy metric on the grid of _LEVY_STEP = 2^-29.
 
@@ -295,12 +352,18 @@ def levy_metric(F: StepDF, G: StepDF) -> LevyDistance:
     first, then a check at hi - 1 (k = hi unless the float threshold sits
     just below the candidate), then bisection of what is left.  The
     candidates only steer: whatever they hold, the result is the same.
+
+    A width is checked by levy_condition both ways, a loop over the events,
+    or from _LEVY_JOINT_MIN breakpoints in all by _joint_condition's one
+    numpy pass, which gives the same verdict at a fixed cost per width.
     """
 
-    def ok(k: int) -> bool:
+    def loop_ok(k: int) -> bool:
         h = k * _LEVY_STEP
         return levy_condition(F, G, h) and levy_condition(G, F, h)
 
+    joint = len(F.breakpoints) + len(G.breakpoints) >= _LEVY_JOINT_MIN
+    ok = _joint_condition(F, G) if joint else loop_ok
     lo, hi = 0, round(1.0 / _LEVY_STEP)  # h = 0 and h = 1, neither checked
     ks = _levy_candidates(F, G)
     i, j = 0, len(ks)  # the candidates inside (lo, hi) are ks[i:j]

@@ -341,6 +341,66 @@ def edge_stepdfs(draw):
     return StepDF(bps, [0.0, *df_values(draw, n)])
 
 
+@st.composite
+def far_stepdfs(draw):
+    """A d.f. with breakpoints in [2^28, 2^30], and maybe some in [0, 3]: at
+    h = k * 2^-29 with k < 4 some of its events lie past the window end 1/h."""
+    far = draw(st.lists(st.floats(2.0**28, 2.0**30), min_size=1, max_size=4))
+    near = draw(st.lists(st.floats(0.0, 3.0), max_size=3))
+    bps = sorted(set(far + near))
+    return StepDF(bps, [0.0, *df_values(draw, len(bps))])
+
+
+def sized_stepdf(rng, n: int, proper: bool = True) -> StepDF:
+    """n breakpoints on the lattice of 1/16 in (0, 2n], or uniform in (0, 3)
+    for odd n; proper or improper."""
+    if n % 2:
+        bps = np.sort(rng.uniform(0.0, 3.0, n))
+    else:
+        bps = np.sort(rng.choice(np.arange(1, 32 * n + 1), n, replace=False)) / 16.0
+    vals = np.sort(rng.uniform(0.0, 1.0, n))
+    if proper:
+        vals[-1] = 1.0
+    else:
+        vals *= 0.9  # keep the terminal value clear of 1
+    return StepDF(bps, [0.0, *vals])
+
+
+def joint_path(F: StepDF, G: StepDF) -> str:
+    """The path levy_metric checks a width of (F, G) on."""
+    return "joint" if len(F.breakpoints) + len(G.breakpoints) >= distfn._LEVY_JOINT_MIN else "loop"
+
+
+def route_checks(monkeypatch, condition=None) -> list:
+    """Record each width h that levy_metric checks as (path, h): on the loop
+    path it reaches levy_condition through the module global, on the numpy
+    path _joint_condition.  With a condition, every check on either path is
+    decided by condition(F, G, h) and condition(G, F, h) instead.  No width
+    is checked twice in one call, so the distinct h are the widths checked.
+    """
+    checks = []
+    joint_condition = distfn._joint_condition
+    loop_condition = condition or levy_condition
+
+    def loop(F, G, h):
+        checks.append(("loop", h))
+        return loop_condition(F, G, h)
+
+    def joint(F, G):
+        real = None if condition else joint_condition(F, G)
+
+        def ok(k):
+            h = k * distfn._LEVY_STEP
+            checks.append(("joint", h))
+            return real(k) if real else condition(F, G, h) and condition(G, F, h)
+
+        return ok
+
+    monkeypatch.setattr(distfn, "levy_condition", loop)
+    monkeypatch.setattr(distfn, "_joint_condition", joint)
+    return checks
+
+
 def levy_hs(F: StepDF, G: StepDF) -> list:
     """Window sizes where the condition can flip: breakpoint differences and
     value gaps with their float neighbours, and 1, 1e-300 and 5e-324."""
@@ -364,12 +424,16 @@ class TestLevy:
 
     def test_metric_matches_reference(self, monkeypatch):
         pairs = [(gen_stepdf(s), gen_stepdf(s + 300, proper=s % 4 != 0)) for s in range(40)]
+        rng = np.random.default_rng(11)
+        pairs += [(sized_stepdf(rng, n), sized_stepdf(rng, 48 - n, proper=n % 3 != 0)) for n in range(4, 44, 4)]
         got = [levy_metric(F, G) for F, G in pairs]
-        # levy_metric reaches levy_condition through the module global
-        monkeypatch.setattr(distfn, "levy_condition", reference_levy_condition)
+        checks = route_checks(monkeypatch, reference_levy_condition)
         for (F, G), d in zip(pairs, got):
+            checks.clear()
             want = levy_metric(F, G)
             assert (d.value.hex(), d.tolerance.hex()) == (want.value.hex(), want.tolerance.hex())
+            # the search ran on the reference, on the path the size picks
+            assert checks and {path for path, _ in checks} == {joint_path(F, G)}
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
     def test_distance_needs_a_finite_positive_tolerance(self, tolerance):
@@ -528,25 +592,31 @@ class TestLevySearch:
         assert [bracket(levy_metric(F, G)) for F, G in pairs] == want
 
     def test_never_more_checks_than_bisection(self, monkeypatch):
-        calls = []
+        pairs = [(gen_stepdf(s), gen_stepdf(s + 300, proper=s % 4 != 0)) for s in range(100)]
+        rng = np.random.default_rng(12)
+        pairs += [(sized_stepdf(rng, n), sized_stepdf(rng, m, proper=n != m)) for n, m in
+                  ((20, 20), (8, 32), (16, 48), (32, 32), (5, 64), (64, 64))]
+        checks = route_checks(monkeypatch)
+        bisected = []
 
         def counted(F, G, h):
-            calls.append(h)
+            bisected.append(h)
             return levy_condition(F, G, h)
 
-        # both reach levy_condition through their module's global
-        monkeypatch.setattr(distfn, "levy_condition", counted)
+        # the oracle reaches levy_condition through its module's global
         monkeypatch.setattr(levy_oracle, "levy_condition", counted)
-        for seed in range(100):
-            F, G = gen_stepdf(seed), gen_stepdf(seed + 300, proper=seed % 4 != 0)
+        paths = set()
+        for F, G in pairs:
             for A, B in ((F, G), (F, F)):
-                calls.clear()
+                checks.clear()
                 levy_metric(A, B)
-                searched = len(calls)
-                assert 1.0 not in calls  # it always holds there (test_condition_holds_at_one)
-                calls.clear()
+                hs = {h for _, h in checks}
+                assert 1.0 not in hs  # it always holds there (test_condition_holds_at_one)
+                paths |= {path for path, _ in checks}
+                bisected.clear()
                 bisection_levy_metric(A, B)
-                assert searched <= len(calls)
+                assert len(hs) <= len(set(bisected))
+        assert paths == {"loop", "joint"}
 
     def test_candidate_memory_is_bounded(self, monkeypatch):
         # 3,000 breakpoints each: one outer difference of the values would
@@ -579,6 +649,63 @@ class TestLevySearch:
         # 6001^2 gaps are too many: only the 1 + 2 * 6000 per-breakpoint ones
         assert len(sizes) == 1 and 0 < sizes[0] <= 1 + 2 * 6000
         assert bracket(got) == bracket(bisection_levy_metric(F, G))
+
+
+any_stepdfs = st.one_of(levy_stepdfs(), edge_stepdfs(), far_stepdfs())
+
+
+class TestJointCondition:
+    """_joint_condition's numpy pass gives the verdict of levy_condition both
+    ways at every width, and levy_metric the bisection's result on both paths."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(any_stepdfs, any_stepdfs, st.booleans(), st.lists(st.integers(1, 2**29 - 1), max_size=4))
+    def test_matches_levy_condition(self, F, G, same, draws):
+        if same:
+            G = F
+        candidates = distfn._levy_candidates(F, G).tolist()
+        # each candidate, the grid point below it, and the ends of the grid
+        ks = {*candidates, *(k - 1 for k in candidates if k > 1), 1, 2**29 - 1, *draws}
+        ok = distfn._joint_condition(F, G)
+        for k in sorted(ks):
+            h = k * 2.0**-29
+            assert ok(k) == (levy_condition(F, G, h) and levy_condition(G, F, h))
+
+    def test_events_past_the_window_are_not_read(self):
+        # F and G agree on (-1/h, 1/h) = (-2^29, 2^29) at k = 1, and only
+        # there: past 2^29 + 8, F is 1 and G stays at 0.5
+        F = StepDF([0.5, 2.0**29 + 8], [0.0, 0.5, 1.0])
+        G = StepDF([0.5], [0.0, 0.5])
+        assert levy_condition(F, G, 2.0**-29) and levy_condition(G, F, 2.0**-29)
+        assert distfn._joint_condition(F, G)(1) and distfn._joint_condition(G, F)(1)
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    def test_metric_matches_bisection_at_the_threshold(self, monkeypatch, offset):
+        total = distfn._LEVY_JOINT_MIN + offset
+        rng = np.random.default_rng(total)
+        pairs = [
+            (sized_stepdf(rng, n), sized_stepdf(rng, total - n, proper=proper))
+            for n in (1, total // 4, total // 2 - 1, total // 2)
+            for proper in (True, False)
+        ]
+        assert all(len(F.breakpoints) + len(G.breakpoints) == total for F, G in pairs)
+        pairs += [(G, G) for _, G in pairs[:2]]  # 2 * (total - 1) breakpoints
+        checks = route_checks(monkeypatch)
+        for F, G in pairs:
+            checks.clear()
+            assert bracket(levy_metric(F, G)) == bracket(bisection_levy_metric(F, G))
+            assert {path for path, _ in checks} == {joint_path(F, G)}
+        assert joint_path(*pairs[0]) == ("joint" if offset >= 0 else "loop")
+
+    @pytest.mark.parametrize("n, m", [(8, 128), (64, 64), (32, 128), (128, 128)])
+    def test_metric_matches_bisection_on_large_pairs(self, monkeypatch, n, m):
+        rng = np.random.default_rng(n * m)
+        checks = route_checks(monkeypatch)
+        for proper in (True, False):
+            F, G = sized_stepdf(rng, n), sized_stepdf(rng, m, proper=proper)
+            checks.clear()
+            assert bracket(levy_metric(F, G)) == bracket(bisection_levy_metric(F, G))
+            assert {path for path, _ in checks} == {"joint"}
 
 
 class TestConstructorFuzz:

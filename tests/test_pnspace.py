@@ -777,12 +777,12 @@ class TestProbNorm:
 
     @pytest.mark.parametrize(
         "shape, calls_per_sample",
-        [("monotone", 0), ("non-monotone", 0), ("decreasing", 1 + 2 + 3 + 8)],
+        [("monotone", 0), ("non-monotone", 0), ("decreasing", 1 + 3 + 8)],
     )
     def test_axioms_build_nu_only_where_rows_cannot_decide(self, monkeypatch, shape, calls_per_sample):
         # prob_norm builds nu per sample only where a row is not
-        # nondecreasing: then N1 1 call, N2 2, N3 3, scaling 1 + 7 scalars
-        # = 8; the non-monotone family's second band falls below its first
+        # nondecreasing: then N1 1 call, N3 3, scaling 1 + 7 scalars = 8,
+        # and N2 none, as -x and x share a row; the non-monotone family's second band falls below its first
         # only where |x_0| < |x_1| / 3000, so its rows here are
         # nondecreasing all the same
         second = {"monotone": None, "non-monotone": ("l1", (4.0, 0.999)), "decreasing": ("l1", (0.5, 0.5))}
@@ -912,6 +912,24 @@ class TestAxiomRows:
             with pytest.raises(ValueError, match="band norm of x is inf: the weighted sum overflows") as e:
                 validate(P, 10, seed)
             assert axiom in [frame.name for frame in traceback.extract_tb(e.value.__traceback__)]
+
+    def test_weights_of_1e308(self):
+        # most samples overflow: the same report or error as the StepDF loop
+        # on every seed, N2's own overflow among them
+        P = PNSpace(SeminormFamily(2, (
+            Band(0.5, WeightedNorm("l1", (1e308, 1e308))), Band(1.0, WeightedNorm("l1", (1e308, 1.5e308)))
+        )))
+        raised_in = set()
+        for seed in range(40):
+            for samples in (1, 2):
+                want = axioms_outcome(stepdf_validate_pn_axioms, P, samples, seed)
+                try:
+                    got = validate_pn_axioms(P, samples, seed)
+                except ValueError as e:
+                    got = repr(e)
+                    raised_in |= {frame.name for frame in traceback.extract_tb(e.__traceback__)}
+                assert got == want
+        assert "n2" in raised_in and "n1" in raised_in
 
     @settings(max_examples=150, deadline=None)
     @given(axiom_families(), st.integers(1, 8), st.integers(0, 2**16))

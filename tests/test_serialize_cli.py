@@ -22,6 +22,8 @@ from probnorm.pnspace import Band, PNSpace, SeminormFamily, WeightedNorm
 from probnorm.serialize import SchemaError
 from probnorm.testkit import gen_operator, gen_space, gen_stepdf
 
+from levy_oracle import bisection_levy_metric
+
 
 class TestSerialize:
     def test_stepdf_round_trip(self):
@@ -275,6 +277,27 @@ class TestCLI:
         blob = json.loads(out)
         assert blob["value"] == pytest.approx(0.3, abs=1e-9)
         assert blob["tolerance"] <= 1e-9
+
+    def test_df_levy_prints_the_bisection(self, capsys, files):
+        # 1-5 breakpoints a side take the levy_condition loop, 64 + 64 the
+        # numpy pass; either way the line is the bisection's, bit for bit
+        pairs = [(gen_stepdf(s), gen_stepdf(s + 300, proper=s % 4 != 0)) for s in range(12)]
+        rng = np.random.default_rng(26)
+        lattice = [np.sort(rng.choice(np.arange(1, 2049), 64, replace=False)) / 16.0 for _ in range(2)]
+        values = [np.sort(rng.uniform(0.0, 1.0, 64)) for _ in range(2)]
+        values[0][-1] = 1.0
+        pairs.append(tuple(StepDF(b, [0.0, *v]) for b, v in zip(lattice, values)))
+        sizes = [len(F.breakpoints) + len(G.breakpoints) for F, G in pairs]
+        assert max(sizes[:-1]) < distfn._LEVY_JOINT_MIN <= sizes[-1]
+        for F, G in pairs:
+            d = bisection_levy_metric(F, G)
+            code, out = self.run(
+                capsys, "df-levy",
+                "--f", files("f.json", serialize.stepdf_to_json(F)),
+                "--g", files("g.json", serialize.stepdf_to_json(G)),
+            )
+            assert code == 0
+            assert out == json.dumps({"value": d.value, "tolerance": d.tolerance}, separators=(",", ":")) + "\n"
 
     def test_df_qinv(self, capsys, files):
         f = files("f.json", {"breakpoints": [1.0, 2.0], "values": [0.0, 0.5, 1.0]})
