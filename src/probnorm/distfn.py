@@ -200,17 +200,33 @@ def qf_eval(Q: StepQuantile, w: float) -> float:
 
 
 def qf_add(Q1: StepQuantile, Q2: StepQuantile) -> StepQuantile:
-    """Exact pointwise sum of two quantile functions (+inf absorbing)."""
+    """Exact pointwise sum of two quantile functions (+inf absorbing).
+
+    A sum of two finite qvalues beyond the float range is a ValueError, not
+    the +inf of an improper d.f.  The sums rise, and a +inf input stays +inf
+    to the end, so the first +inf sum decides.
+    """
     merged = sorted(set(Q1.wbreaks) | set(Q2.wbreaks))
     sums = [qf_eval(Q1, w) + qf_eval(Q2, w) for w in merged]
+    k = bisect_left(sums, INF)
+    if k < len(sums) and qf_eval(Q1, merged[k]) < INF and qf_eval(Q2, merged[k]) < INF:
+        raise ValueError("qvalue sum overflows the float range")
     return StepQuantile(tuple(merged), tuple(sums))
 
 
 def qf_scale(Q: StepQuantile, h: float) -> StepQuantile:
-    """Exact pointwise scaling h * Q for h > 0."""
+    """Exact pointwise scaling h * Q for h > 0.
+
+    A finite qvalue times h beyond the float range is a ValueError, decided
+    by the first +inf product as in qf_add.
+    """
     if not h > 0:
         raise ValueError("scale factor must be > 0")
-    return StepQuantile(Q.wbreaks, tuple(q * h for q in Q.qvalues))
+    scaled = [q * h for q in Q.qvalues]
+    k = bisect_left(scaled, INF)
+    if k < len(scaled) and Q.qvalues[k] < INF:
+        raise ValueError("scaled qvalue overflows the float range")
+    return StepQuantile(Q.wbreaks, tuple(scaled))
 
 
 def levy_condition(F: StepDF, G: StepDF, h: float) -> bool:

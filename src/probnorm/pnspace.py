@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .distfn import StepDF, StepQuantile, df_eval, df_scale, qf_add, qf_eval, quasi_inverse, unit_step
+from .distfn import StepDF, StepQuantile, df_eval, qf_eval, quasi_inverse
 
 
 class NormKind(enum.Enum):
@@ -28,6 +28,13 @@ class NormKind(enum.Enum):
 
 
 _MASK_CELLS = 2**16  # cells of one block of band_values' products or prob_norm's mask
+
+
+def _check_count(n, what: str):
+    """n, if it is an int or a numpy integer but not a bool; else a ValueError."""
+    if type(n) is bool or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,8 @@ class BlockSumNorm:
     def __post_init__(self):
         if len(self.parts) != len(self.dims) or not self.parts:
             raise ValueError("parts and dims must be nonempty and equal length")
+        for d in self.dims:
+            _check_count(d, "a block dimension")
         structures = [_structure(part) for part in self.parts]
         if any(len(w) != d for (_, w), d in zip(structures, self.dims)):
             raise ValueError("part dimension mismatch")
@@ -152,7 +161,7 @@ class SeminormFamily:
     def __post_init__(self, enforce_monotone: bool):
         bands = tuple(self.bands)
         object.__setattr__(self, "bands", bands)
-        if self.dimension < 1:
+        if _check_count(self.dimension, "dimension") < 1:
             raise ValueError("dimension must be >= 1")
         if not bands:
             raise ValueError("at least one band required")
@@ -344,12 +353,10 @@ class PNSpace:
         F = self.family
         if not F._monotone[0]:
             return df_eval(self.pm_distance(p, q), t) > 1.0 - t
-        p = _check_vector(F, p)
-        q = _check_vector(F, q)
+        x = _check_vector(F, _difference(F, p, q))
         s = 1.0 - t
         k = min(bisect_right(F.uptos, s), len(F.uptos) - 1)
         with np.errstate(over="ignore"):
-            x = _check_vector(F, p - q)
             pk, last = _reduce(F._key, np.abs(x) * F._weights[[k, -1]]).tolist()
         _finite(last)
         return s < 0.0 or (s < 1.0 and pk < t)
@@ -402,21 +409,23 @@ class PNAxiomReport:
         )
 
 
-def _hat_le(Q1: StepQuantile, Q2: StepQuantile) -> bool:
-    """Q1 <= Q2 on (0, 1], up to 1e-12 relative to Q2 for sums that differ by rounding.
+def _hat_le(Q1: StepQuantile, *Q2: StepQuantile) -> bool:
+    """Q1 <= the sum of Q2 on (0, 1], up to 1e-12 relative to the sum for
+    sums that differ by rounding; a sum past the float range is +inf.
 
-    Both are constant on each band between consecutive wbreaks of either, so
+    All are constant on each band between consecutive wbreaks of any, so
     the wbreaks cover every band.  For left-continuous d.f.s, F >= G
-    everywhere iff hat F <= hat G, so this decides F >= G on their hats.
+    everywhere iff hat F <= hat G, so this decides F >= G on their hats, and
+    F >= tau_M(G, H) on hat F and the addends hat G, hat H of its hat.
     """
-    for w in set(Q1.wbreaks) | set(Q2.wbreaks):
-        q2 = qf_eval(Q2, w)
+    for w in set(Q1.wbreaks).union(*(Q.wbreaks for Q in Q2)):
+        q2 = sum(qf_eval(Q, w) for Q in Q2)
         if qf_eval(Q1, w) > q2 + 1e-12 * (1.0 + q2):
             return False
     return True
 
 
-_EXACT_SCALARS = (0.5, 2.0, 4.0, 0.25, -0.5, -2.0, -1.0)
+_EXACT_SCALARS = (0.5, 2.0, 4.0, 0.25)
 
 
 def _proper_rows(V: np.ndarray) -> np.ndarray:
@@ -436,32 +445,41 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
     One rng is drawn in the order N1, N2, N3, (S), one vector at a time.
     Each axiom draws all its samples, evaluates their band values in one
     stacked pass and decides from the rows; the first failing sample, in
-    order, decides the axiom, and the rng is rewound to just past it.
+    order, decides the axiom, and the rng is rewound to just past it.  A
+    row that overflows raises prob_norm's ValueError (_finite's) at the
+    sample and axiom where nu_x would: in (S), x's row first, then each
+    scalar's in order.
 
-    Where a sample's rows are nondecreasing and finite (see _proper_rows),
-    the rows decide it exactly as the StepDFs would:
-    - N1 fails iff x's row is all 0 (nu_x = H_0);
-    - N3 fails iff on some band V(x+y) > s + 1e-12 * (1 + s), with
-      s = V(x) + V(y): hat nu_{x+y} > hat nu_x + hat nu_y, the sum of hats
-      being hat tau_M(nu_x, nu_y), up to _hat_le's slack for rounding;
-    - (S) for the power-of-two scalars fails iff V(alpha x) != |alpha| V(x).
-    Any other sample (a row of a non-monotone family that decreases, or one
-    that overflows and so raises prob_norm's ValueError) is decided on
-    prob_norm's StepDFs and their hats, and df_scale for (S).  (S) for a
-    general scalar compares every sample's rows to 1e-12 relative.
-
-    N2 cannot fail: band_values reads |x|, so -x and x have one row and
-    nu_-x = nu_x.  Its samples are drawn, and their rows evaluated only so
-    that one that overflows raises prob_norm's ValueError, as nu_-x would.
-
-    Power-of-two scaling commutes with the float norm evaluation only while
-    the band values stay normal; near the subnormal range (S) can fail.
+    Every band norm reads |x| through positive weights, so for N1, N2 and
+    (S) a row decides what nu_x decides, whether or not it is monotone,
+    while its values stay clear of the subnormal range:
+    - N1 fails iff x's row is all 0 (nu_x = H_0).  With a positive band,
+      nu_x(0+) is the total length of the zero bands, below 1; a nonzero x
+      has a zero band only where every weighted product underflows.
+    - N2 cannot fail: -x and x have one row, so nu_-x = nu_x.  Its samples
+      are drawn, and their rows evaluated only so that one that overflows
+      raises, as nu_-x would.
+    - (S) for alpha = 2^k fails at the first alpha whose row is not
+      |alpha| V(x) bit for bit.  A row that scales exactly gives a nu that
+      scales exactly: distinct values map one to one and the band lengths
+      stay the same.  Only a subnormal product or an overflow keeps a row
+      from scaling exactly, so near the subnormal range (S) can fail.
+      The scalars are the |alpha| alone: the rows of -alpha and alpha are
+      one row.  (S) for a general scalar compares the rows to 1e-12
+      relative.
+    N3 alone needs nu where a row decreases.  V(x+y) <= V(x) + V(y) holds
+    band by band on every family, but a non-monotone one can still fail
+    N3 through the hats, which sort each row.  So where the rows of x + y,
+    x and y are nondecreasing and finite (see _proper_rows), N3 fails iff
+    on some band V(x+y) > s + 1e-12 * (1 + s), with s = V(x) + V(y): hat
+    nu_{x+y} > hat nu_x + hat nu_y, the sum of hats being hat tau_M(nu_x,
+    nu_y), up to _hat_le's slack for rounding.  Any other sample is
+    decided on prob_norm's StepDFs and their hats.
     """
-    if samples < 0:
+    if _check_count(samples, "samples") < 0:
         raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
     n = P.dimension
-    h0 = unit_step(0.0)
 
     def first_failure(per, failures) -> CheckResult:
         """FAIL at the first (i, witness) of failures(X) on samples x per x n
@@ -477,12 +495,10 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
 
     def n1(X):
         x = X[:, 0]
-        V = P.family.band_values(x)
-        zero = V[:, -1] == 0.0  # a proper row's largest value is its last
-        proper = _proper_rows(V)
-        for i in np.flatnonzero(zero | ~proper):
-            if zero[i] if proper[i] else P.prob_norm(x[i]) == h0:
-                yield i, f"nu_x = H_0 at x = {x[i].tolist()}"
+        top = P.family.band_values(x).max(axis=1)
+        for i in np.flatnonzero((top == 0.0) | (top == math.inf)):
+            _finite(top[i])
+            yield i, f"nu_x = H_0 at x = {x[i].tolist()}"
 
     def n2(X):  # see the docstring: only an overflow shows
         _finite(P.family.band_values(X[:, 0]).max(initial=0.0))
@@ -491,16 +507,13 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
     def n3(X):
         x, y = X[:, 0], X[:, 1]
         V = P.family.band_values(np.stack((x + y, x, y), axis=1))
-        # s overflows to inf on large proper rows; rows that are not proper
-        # may hold inf and nan, and fall back
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):  # s overflows to inf on large rows
             s = V[:, 1] + V[:, 2]
             above = (V[:, 0] > s + 1e-12 * (1.0 + s)).any(axis=1)
         proper = _proper_rows(V).all(axis=1)
         for i in np.flatnonzero(above | ~proper):
             if above[i] if proper[i] else not _hat_le(
-                quasi_inverse(P.prob_norm(x[i] + y[i])),
-                qf_add(quasi_inverse(P.prob_norm(x[i])), quasi_inverse(P.prob_norm(y[i]))),
+                *(quasi_inverse(P.prob_norm(v)) for v in (x[i] + y[i], x[i], y[i]))
             ):
                 yield i, f"N3 fails at x = {x[i].tolist()}, y = {y[i].tolist()}"
 
@@ -516,22 +529,18 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
         scalars = [[a] * samples for a in _EXACT_SCALARS] + [alphas]
         A = np.array(scalars).reshape(len(scalars), samples, 1)
         V = P.family.band_values(np.concatenate(([x], A * x)))
-        with np.errstate(over="ignore", invalid="ignore"):  # as in n3
+        # an inf row against an inf |alpha| V(x) is inf - inf = nan: not off
+        with np.errstate(over="ignore", invalid="ignore"):
             scaled = np.abs(A) * V[0]
             exact = (V[1:-1] == scaled[:-1]).all(axis=2)
             off = (np.abs(V[-1] - scaled[-1]) > 1e-12 * (1.0 + scaled[-1])).any(axis=1)
-        proper = _proper_rows(V[:-1]).all(axis=0)
-        for i in np.flatnonzero(~exact.all(axis=0) | off | ~proper):
-            if proper[i]:
-                failed = (a for a, ok in zip(_EXACT_SCALARS, exact[:, i]) if not ok)
-            else:
-                nu = P.prob_norm(x[i])
-                failed = (a for a in _EXACT_SCALARS if P.prob_norm(a * x[i]) != df_scale(nu, abs(a)))
-            alpha = next(failed, None)
-            if alpha is not None:
-                return CheckResult(False, f"(S) fails at alpha = {alpha}")
-            if off[i]:
-                return CheckResult(False, f"(S) off tolerance at alpha = {alphas[i]}")
+        for i in np.flatnonzero(np.isinf(V[:-1]).any(axis=(0, 2)) | ~exact.all(axis=0) | off):
+            _finite(V[0, i].max())
+            for alpha, row, ok in zip(_EXACT_SCALARS, V[1:-1, i], exact[:, i]):
+                _finite(row.max())
+                if not ok:
+                    return CheckResult(False, f"(S) fails at alpha = {alpha}")
+            return CheckResult(False, f"(S) off tolerance at alpha = {alphas[i]}")
         return CheckResult(True)
 
     ok, msg = P.family.monotone_report()

@@ -1,6 +1,7 @@
 """Step d.f. algebra: examples, quasi-inverse oracle checks, Levy metric."""
 
 import math
+import sys
 import tracemalloc
 from bisect import bisect_right
 
@@ -221,6 +222,39 @@ class TestQuasiInverse:
             lhs = qf_add(quasi_inverse(F), quasi_inverse(G))
             rhs = quasi_inverse(tau_sup_conv(TNormKind.MIN, F, G))
             assert lhs == rhs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_add_overflows_exactly_when_min_convolution_does(self, data):
+        # on proper pairs, near the top of the float range or not
+        def draw_proper():
+            bp_st = st.floats(0.0, 1e300) | st.floats(1e307, sys.float_info.max) | st.sampled_from((0.0, 1e308))
+            bps = sorted(data.draw(st.lists(bp_st, min_size=1, max_size=4, unique=True)))
+            vals = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(bps) - 1, max_size=len(bps) - 1)))
+            return StepDF(bps, (0.0, *vals, 1.0))
+
+        F, G = draw_proper(), draw_proper()
+        try:
+            want = quasi_inverse(tau_sup_conv(TNormKind.MIN, F, G))
+        except ValueError as e:
+            assert "overflows the float range" in str(e)
+            with pytest.raises(ValueError, match="overflows the float range"):
+                qf_add(quasi_inverse(F), quasi_inverse(G))
+        else:
+            assert qf_add(quasi_inverse(F), quasi_inverse(G)) == want
+
+    def test_overflow_is_not_an_improper_hat(self):
+        Q = quasi_inverse(unit_step(1e308))
+        for call in (lambda: qf_add(Q, Q), lambda: qf_scale(Q, 2.0)):
+            with pytest.raises(ValueError, match="qvalue .*overflows the float range"):
+                call()
+        # a finite qvalue that overflows below an improper input's +inf
+        with pytest.raises(ValueError, match="overflows"):
+            qf_add(StepQuantile((0.5, 1.0), (1e308, INF)), Q)
+        # +inf from an improper input stays legal
+        improper = quasi_inverse(StepDF([1.0], [0.0, 0.5]))
+        assert qf_add(improper, Q) == StepQuantile((0.5, 1.0), (1e308, INF))
+        assert qf_scale(improper, 2.0) == StepQuantile((0.5, 1.0), (2.0, INF))
 
     def test_order_reversal(self):
         # G raises F's values pointwise (same breakpoints), so F <= G

@@ -1,5 +1,6 @@
 """PN-spaces from seminorm families: probabilistic norms, axioms, products."""
 
+import ast
 import dataclasses
 import itertools
 import math
@@ -8,6 +9,7 @@ import traceback
 import tracemalloc
 import types
 from bisect import bisect_right
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -42,6 +44,7 @@ from probnorm.pnspace import (
 from probnorm.testkit import _scan_eval_many, gen_space, gen_vector
 from probnorm.triangle import TNormKind, tau_sup_conv
 
+import axioms_oracle
 from axioms_oracle import stepdf_validate_pn_axioms
 from band_values import band_values
 from fuzz import fuzz_list, mostly
@@ -241,6 +244,33 @@ class TestSeminormFamily:
         # the same family is accepted as a diagnostic object
         fam = SeminormFamily(1, (Band(0.5, n1), Band(1.0, weaker)), enforce_monotone=False)
         assert not fam.monotone_report()[0]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bands: SeminormFamily(2.0, bands),
+            lambda bands: SeminormFamily(True, bands),
+            lambda bands: SeminormFamily(np.bool_(True), bands),
+            lambda bands: BlockSumNorm(bands[0].norm.parts, (1.0, 1.0)),
+            lambda bands: BlockSumNorm(bands[0].norm.parts, (True, 1)),
+            lambda bands: validate_pn_axioms(PNSpace(SeminormFamily(2, bands)), 2.5),
+            lambda bands: validate_pn_axioms(PNSpace(SeminormFamily(2, bands)), True),
+        ],
+        ids=["float-dimension", "bool-dimension", "numpy-bool-dimension", "float-dims", "bool-dims",
+             "float-samples", "bool-samples"],
+    )
+    def test_sizes_must_be_integers(self, make):
+        # rejected where they enter, not later as a TypeError
+        parts = (WeightedNorm("l1", (1.0,)), WeightedNorm("linf", (2.0,)))
+        with pytest.raises(ValueError, match="must be an integer"):
+            make((Band(1.0, BlockSumNorm(parts, (1, 1))),))
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        parts = (WeightedNorm("l1", (1.0,)), WeightedNorm("linf", (2.0,)))
+        norm = BlockSumNorm(parts, (np.int64(1), np.int32(1)))
+        P = PNSpace(SeminormFamily(np.int64(2), (Band(1.0, norm),)))
+        assert P.prob_norm([1.0, 1.0]) == unit_step(3.0)
+        assert validate_pn_axioms(P, np.int64(3)).ok
 
     def test_band_lookup(self):
         fam = TWO_BAND.family
@@ -777,14 +807,14 @@ class TestProbNorm:
 
     @pytest.mark.parametrize(
         "shape, calls_per_sample",
-        [("monotone", 0), ("non-monotone", 0), ("decreasing", 1 + 3 + 8)],
+        [("monotone", 0), ("non-monotone", 0), ("decreasing", 3)],
     )
     def test_axioms_build_nu_only_where_rows_cannot_decide(self, monkeypatch, shape, calls_per_sample):
-        # prob_norm builds nu per sample only where a row is not
-        # nondecreasing: then N1 1 call, N3 3, scaling 1 + 7 scalars = 8,
-        # and N2 none, as -x and x share a row; the non-monotone family's second band falls below its first
-        # only where |x_0| < |x_1| / 3000, so its rows here are
-        # nondecreasing all the same
+        # prob_norm builds nu per sample only in N3, and only where a row
+        # is not nondecreasing: 3 calls, for x + y, x and y.  N1, N2 and
+        # (S) decide every row themselves.  The non-monotone family's second
+        # band falls below its first only where |x_0| < |x_1| / 3000, so its
+        # rows here are nondecreasing all the same
         second = {"monotone": None, "non-monotone": ("l1", (4.0, 0.999)), "decreasing": ("l1", (0.5, 0.5))}
         P = gen_space(4, 3)
         if second[shape]:
@@ -836,6 +866,48 @@ class TestProbNorm:
             lhs = P.prob_norm(2.0 * x)
             rhs = tau_sup_conv(TNormKind.MIN, P.prob_norm(x), P.prob_norm(x))
             assert levy_metric(lhs, rhs).value <= 1e-9
+
+
+# what builds nu or its hat; the validator may read these only in N3
+NU_BUILDERS = {"prob_norm", "quasi_inverse", "qf_add", "_hat_le"}
+
+
+def nu_builder_reads(source: str, function: str) -> list[str]:
+    """function.scope for every read of a NU_BUILDERS name (an attribute, a
+    name or a string) inside the top-level function of source, one entry
+    per read."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                inner = (*scope, getattr(child, "name", "<lambda>"))
+            elif (
+                (isinstance(child, ast.Attribute) and child.attr in NU_BUILDERS)
+                or (isinstance(child, ast.Name) and child.id in NU_BUILDERS)
+                or (isinstance(child, ast.Constant) and child.value in NU_BUILDERS)
+            ):
+                found.append(".".join(scope))
+            visit(child, inner)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            visit(node, (function,))
+    return sorted(found)
+
+
+def test_nu_scanner_finds_every_read():
+    source = (
+        "def f(P):\n    P.prob_norm(1)\n    def n3():\n        return _hat_le(quasi_inverse(0))\n"
+        "    g = lambda: getattr(P, 'qf_add')\ndef h(P):\n    P.prob_norm(1)\n"
+    )
+    assert nu_builder_reads(source, "f") == ["f", "f.<lambda>", "f.n3", "f.n3"]
+
+
+def test_the_validator_builds_nu_only_in_n3():
+    source = Path(pnspace.__file__).read_text()
+    assert set(nu_builder_reads(source, "validate_pn_axioms")) == {"validate_pn_axioms.n3"}
 
 
 def axioms_outcome(validate, P: PNSpace, samples: int, seed: int):
@@ -930,6 +1002,37 @@ class TestAxiomRows:
                     raised_in |= {frame.name for frame in traceback.extract_tb(e.__traceback__)}
                 assert got == want
         assert "n2" in raised_in and "n1" in raised_in
+
+    def test_n1_witness(self, monkeypatch):
+        # every vector with x_0 > 0 shrinks to at most 3e-300, whose products
+        # with weights of 1e-30 underflow to 0: its row is all 0, nu_x = H_0
+        nonzero = pnspace._nonzero
+
+        def tiny(rng, n):
+            x = nonzero(rng, n)
+            return x * 1e-300 if x[0] > 0 else x
+
+        monkeypatch.setattr(pnspace, "_nonzero", tiny)
+        monkeypatch.setattr(axioms_oracle, "_nonzero", tiny)
+        P = PNSpace(SeminormFamily(2, (
+            Band(0.5, WeightedNorm("l1", (1e-30, 1e-30))), Band(1.0, WeightedNorm("l1", (2e-30, 1e-30)))
+        )))
+        for seed in range(4):
+            report = validate_pn_axioms(P, 10, seed)
+            assert report == stepdf_validate_pn_axioms(P, 10, seed)
+            assert report.n1.witness.startswith("nu_x = H_0 at x = ")
+            assert report.n2.passed and report.n3.passed and report.scaling.passed
+
+    def test_scaling_off_tolerance_witness(self):
+        # 12 * weight stays below the float max, so no exact scalar (|alpha|
+        # <= 4) overflows.  At seed 278 the fourth general scalar, -4.46...,
+        # puts |alpha x| * weight just past it while |alpha| * V(x) stays
+        # below: the row is inf against a finite |alpha| V(x)
+        P = PNSpace(SeminormFamily(1, (Band(1.0, WeightedNorm("l1", (1.4501033479524368e307,))),)))
+        report = validate_pn_axioms(P, 5, 278)
+        assert report == stepdf_validate_pn_axioms(P, 5, 278)
+        assert report.scaling == CheckResult(False, "(S) off tolerance at alpha = -4.462139799092359")
+        assert report.n1.passed and report.n2.passed and report.n3.passed
 
     @settings(max_examples=150, deadline=None)
     @given(axiom_families(), st.integers(1, 8), st.integers(0, 2**16))
