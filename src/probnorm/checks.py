@@ -362,8 +362,8 @@ SUITES = tuple(_SUITE_FNS)
 
 
 def run_suites(suite: str, seed: int, cases: int) -> list[CheckRow]:
-    if cases < 1:
-        raise ValueError(f"cases must be >= 1, got {cases}")
+    pnspace._check_count(seed, "seed")
+    pnspace._check_count(cases, "cases", 1)
     names = SUITES if suite == "all" else (suite,)
     rows: list[CheckRow] = []
     for name in names:

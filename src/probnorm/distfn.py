@@ -66,8 +66,8 @@ class StepDF:
                 keep_bp.append(b)
                 keep_vals.append(vals[i + 1])
         if not keep_bp:
-            # constant-zero (fully improper) d.f.; keep a single mute breakpoint
-            keep_bp = [bp[0]]
+            # constant-zero (fully improper) d.f.: the one mute breakpoint 0.0
+            keep_bp = [0.0]
             keep_vals = [0.0, 0.0]
         object.__setattr__(self, "breakpoints", tuple(keep_bp))
         object.__setattr__(self, "values", tuple(keep_vals))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pnspace import NormKind, PNSpace, WeightedNorm, _check_vector
+from .pnspace import NormKind, PNSpace, WeightedNorm, _check_count, _check_vector
 
 LINF_VERTEX_DIM_CAP = 20
 _VERTEX_BLOCK_BITS = 16  # a block of Linf sign vertices holds at most 2^16 rows
@@ -138,6 +138,11 @@ def operator_norm_exact(T: LinearOperator, w: float, wp: float) -> float:
     return float(_norm_table(dom_norm, (T.matrix,), (cod_norm,))[0, 0])
 
 
+def _philox(seed) -> np.random.Generator:
+    """The seeded counter-based Philox stream of the sampled checks."""
+    return np.random.Generator(np.random.Philox(_check_count(seed, "seed")))
+
+
 def _mc_directions(rng, n: int, samples: int, dom_norm) -> np.ndarray:
     """Stratified sample of directions: dense Gaussians, sparse-support
     Gaussians and sign patterns, the latter two with a small dense jitter so
@@ -167,8 +172,8 @@ def operator_norm_mc(T: LinearOperator, w: float, wp: float, samples: int, seed:
     n = T.domain.dimension
     dom_norm = _band_norm(T.domain, w)
     cod_norm = _band_norm(T.codomain, wp)
-    rng = np.random.Generator(np.random.Philox(seed))
-    X = _mc_directions(rng, n, samples, dom_norm)
+    rng = _philox(seed)
+    X = _mc_directions(rng, n, _check_count(samples, "samples"), dom_norm)
     # a norm that overflows is inf, and an image past the float range may
     # hold nan from inf - inf, with no numpy warning: both are handled below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,9 +257,9 @@ def bound_check(T: LinearOperator, w: float, wp: float, trials: int, seed: int) 
     ratio is within gamma_k of the exact one and an exactly tight sample
     passes at any scale; the 1e-9 is the slack left for cancelling entries.
     """
+    rng, trials = _philox(seed), _check_count(trials, "trials")
     bound = operator_norm_exact(T, w, wp)
     dom_norm, cod_norm = _band_norm(T.domain, w), _band_norm(T.codomain, wp)
-    rng = np.random.Generator(np.random.Philox(seed))
     X = rng.uniform(-3.0, 3.0, (trials, T.domain.dimension))
     with np.errstate(over="ignore"):  # as in operator_norm_mc
         nx = dom_norm.eval_many(X)
@@ -270,11 +275,13 @@ def bound_check(T: LinearOperator, w: float, wp: float, trials: int, seed: int) 
 
 
 def functional_norm(f: LinearOperator, w: float) -> float:
-    """||f||_w for a functional: inf over w' > w of the (w', .) operator norm.
+    """||f||_w for a functional: the (w', .) operator norm in the limit
+    w' -> w+, read on the band whose [start, upto) holds w, the band just
+    right of w.
 
-    With band-constant families the inf is the entry of the band sitting just
-    to the right of w, so the band lookup is right-continuous here (unlike
-    norm_at's left limit).
+    The lookup is right-continuous here, unlike norm_at's left limit.  On a
+    monotone domain family this is the inf over w' > w; on any other it is
+    that one band's norm, not the inf.
     """
     cod = f.codomain.family
     ok = (
@@ -333,10 +340,10 @@ def open_mapping_check(T: LinearOperator, w: float, samples: int, seed: int) -> 
 
     A sample whose norm ||y||_{W,w} overflows is skipped, as in bound_check.
     """
+    rng, samples = _philox(seed), _check_count(samples, "samples")
     res = open_mapping_delta(T, w)
     radius = res.delta * _OPEN_MAPPING_SHRINK * (1.0 - 1e-9)
     inv = np.linalg.inv(T.matrix)
-    rng = np.random.Generator(np.random.Philox(seed))
     D = rng.standard_normal((samples, T.codomain.dimension))
     with np.errstate(over="ignore"):
         ny = _band_norm(T.codomain, w).eval_many(D)
@@ -369,10 +376,10 @@ def norm_equivalence_constants(
     """
     if P1.dimension != P2.dimension:
         raise ValueError("spaces must share a dimension")
+    rng, trials = _philox(seed), _check_count(trials, "trials")
     eye = np.eye(P1.dimension)
     forward = norm_profile(LinearOperator(eye, P1, P2))
     backward = norm_profile(LinearOperator(eye, P2, P1))
-    rng = np.random.Generator(np.random.Philox(seed))
     X = rng.uniform(-3.0, 3.0, (trials, P1.dimension))
     # (trials, bands) norms at the band midpoints, checked over every band pair at once
     nx1, nx2 = P1.family.band_values(X), P2.family.band_values(X)

@@ -27,13 +27,16 @@ class NormKind(enum.Enum):
     LINF = "linf"
 
 
-_MASK_CELLS = 2**16  # cells of one block of band_values' products or prob_norm's mask
+_MASK_CELLS = 2**16  # cells of one block of band_values' weighted products
 
 
-def _check_count(n, what: str):
-    """n, if it is an int or a numpy integer but not a bool; else a ValueError."""
+def _check_count(n, what: str, least: int = 0):
+    """n, if it is an int or a numpy integer (not a bool) no less than least;
+    else a ValueError.  Every count and seed is checked here where it enters."""
     if type(n) is bool or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
     return n
 
 
@@ -161,8 +164,7 @@ class SeminormFamily:
     def __post_init__(self, enforce_monotone: bool):
         bands = tuple(self.bands)
         object.__setattr__(self, "bands", bands)
-        if _check_count(self.dimension, "dimension") < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_count(self.dimension, "dimension", 1)
         if not bands:
             raise ValueError("at least one band required")
         uptos = tuple(b.upto for b in bands)
@@ -293,11 +295,13 @@ class PNSpace:
     def prob_norm(self, x) -> StepDF:
         """nu_x(t) = m({w in (0,1) : p(x, w) < t}), exactly.
 
-        Band values are +0.0, positive or inf.  For a row that is
-        nondecreasing and finite (see _proper_rows) the measure below each
-        distinct value is a band end itself, so the step d.f. is assembled
-        from the family's own floats with no summation error.  An inf value
-        is _finite's ValueError.
+        Band values are +0.0, positive or inf.  Each value of nu_x is the
+        exact measure of its bands, rounded once.  For a row that is
+        nondecreasing and finite (see _proper_rows) that measure is a band
+        end itself, so the step d.f. is assembled from the family's own
+        floats.  Any other row is sorted once, and its measures are exact
+        integer sums of the band lengths.  An inf value is _finite's
+        ValueError.
         """
         vals = self.family.band_values(_check_vector(self.family, x))
         if _proper_rows(vals):
@@ -310,21 +314,24 @@ class PNSpace:
                 tuple(vals[last].tolist()), (0.0, *self.family._ends[last].tolist())
             )
         _finite(vals.max())
-        # any other row (diagnostic path): per distinct value c, the
-        # lengths of the bands with p <= c, summed in band order; a running
-        # sum adds them in the order sum() would, a block of values at a time
-        lengths = np.diff(self.family._ends, prepend=0.0)
-        distinct = np.unique(vals)
-        step = max(1, _MASK_CELLS // len(vals))
-        dfv = np.concatenate([
-            np.cumsum(np.where(vals <= c[:, None], lengths, 0.0), axis=1)[:, -1]
-            for c in (distinct[i : i + step] for i in range(0, len(distinct), step))
-        ])
-        dfv[-1] = 1.0
-        return StepDF(distinct.tolist(), [0.0, *dfv.tolist()])
+        # any other row: sorted once; below each distinct value the measure
+        # is the exact sum of the band lengths so far, in whole units of 1/D,
+        # D the largest denominator of the band ends (all powers of two),
+        # divided by D once, which Python rounds correctly.  The last sum is
+        # all of (0, 1): 1.0 exactly
+        order = np.argsort(vals, kind="stable")
+        ratios = [u.as_integer_ratio() for u in (0.0, *self.family._ends.tolist())]
+        D = max(den for _, den in ratios)
+        ends = np.array([num * (D // den) for num, den in ratios], dtype=object)
+        vals, sums = vals[order], np.cumsum(np.diff(ends)[order])
+        last = np.append(vals[1:] > vals[:-1], True)
+        return StepDF(vals[last].tolist(), [0.0, *(sums[last] / D).tolist()])
 
     def norm_at(self, x, w: float) -> float:
-        """The left-limit band norm ||x||_w = sup_{w' < w} p(x, w')."""
+        """The left-limit band norm ||x||_w = lim_{w' -> w-} p(x, w'): the
+        band that holds the w' just below w, the previous one exactly at a
+        start.  On a monotone family this is sup_{w' < w} p(x, w'); on any
+        other it is that one band's norm, not the sup."""
         x = _check_vector(self.family, x)
         return _band_eval(self.family, self.family.band_index_left(w), x)
 
@@ -476,9 +483,8 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
     nu_y), up to _hat_le's slack for rounding.  Any other sample is
     decided on prob_norm's StepDFs and their hats.
     """
-    if _check_count(samples, "samples") < 0:
-        raise ValueError("samples must be >= 0")
-    rng = np.random.default_rng(seed)
+    _check_count(samples, "samples")
+    rng = np.random.default_rng(_check_count(seed, "seed"))
     n = P.dimension
 
     def first_failure(per, failures) -> CheckResult:

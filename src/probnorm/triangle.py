@@ -119,31 +119,34 @@ def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF
     """
     if F.breakpoints[-1] + G.breakpoints[-1] == math.inf:
         raise ValueError("breakpoint sum overflows the float range")
-    a, b = np.array(F.breakpoints), np.array(G.breakpoints)
-    cands = np.unique(a[:, None] + b[None, :])
-    sign = 1.0 if take_max else -1.0
+    sign = 1 if take_max else -1
 
     def ends(x):
         # sup: the low ends (-inf, x); inf: the negated high ends -(x, +inf)
-        return np.concatenate(([-math.inf], x) if take_max else (-x, [-math.inf]))
+        return np.concatenate(([-math.inf], x) if take_max else (np.negative(x), [-math.inf]))
 
-    keys = (ends(a)[:, None] + ends(b)[None, :]).ravel()
+    keys = (ends(F.breakpoints)[:, None] + ends(G.breakpoints)[None, :]).ravel()
     order = np.argsort(keys)
     best = np.maximum.accumulate((sign * pair_vals).ravel()[order])
-    at = np.searchsorted(keys[order], ends(cands), "right") - 1
-    return _step_df(cands, sign * best[at])
+    keys = keys[order]
+    # each run of equal keys ends at a fence: the -inf run, then one run per
+    # distinct sum, ascending for sup; for inf the negated sums ascend, so
+    # the sums and values are read backwards, into x order
+    at = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+    return _step_df((sign * keys[at[1:]])[::sign], (sign * best[at])[::sign])
 
 
 def _step_df(cands: np.ndarray, out_vals: np.ndarray) -> StepDF:
     # canonical as built: the sums are finite, >= 0 and strictly increasing
-    # (np.unique), and out_vals is nondecreasing from 0 in [0, 1], so the sums
-    # that carry a jump, with their values (each above one >= 0, so never
-    # -0.0), are the canonical d.f.; with no jump it is the mute one
+    # (one per run of sorted keys), and out_vals is nondecreasing from 0 in
+    # [0, 1], so the sums that carry a jump, with their values (each above
+    # one >= 0, so never -0.0), are the canonical d.f.; with no jump it is
+    # the mute one, whose one breakpoint is 0.0 as in StepDF
     keep = out_vals[1:] > out_vals[:-1]
     if keep.any():
         bps, vals = tuple(cands[keep].tolist()), (0.0, *out_vals[1:][keep].tolist())
     else:
-        bps, vals = (float(cands[0]),), (0.0, 0.0)
+        bps, vals = (0.0,), (0.0, 0.0)
     return StepDF._canonical(bps, vals)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probnorm.distfn import StepDF, quasi_inverse, unit_step
+from probnorm.distfn import StepDF, df_scale, qf_add, quasi_inverse, unit_step
 from probnorm.pnspace import Band, PNSpace, SeminormFamily, WeightedNorm, product_space
 from probnorm.testkit import gen_space
 from probnorm.triangle import TNormKind, tau_inf_conv, tau_sup_conv
@@ -64,10 +64,11 @@ class TestConvolutions:
                 assert_validated_alike(conv(T, G, F))
 
     def test_mute_results(self):
-        # T(0, u) = 0 and T*(0, 0) = 0: all-zero outputs keep one mute breakpoint
+        # T(0, u) = 0 and T*(0, 0) = 0: all-zero outputs are the mute d.f.,
+        # whose one breakpoint is 0.0
         zero = StepDF([0.5, 2.0], [0.0, 0.0, 0.0])
         G = StepDF([0.25, 1.0], [0.0, 0.5, 1.0])
-        mute = [((0.75,), (0.0, 0.0))] * 2 + [((1.0,), (0.0, 0.0))]
+        mute = [((0.0,), (0.0, 0.0))] * 3
         for T in TNormKind:
             results = (
                 tau_sup_conv(T, zero, G), tau_sup_conv(T, G, zero), tau_inf_conv(T, zero, zero)
@@ -75,6 +76,23 @@ class TestConvolutions:
             assert [(R.breakpoints, R.values) for R in results] == mute
             for R in results:
                 assert_validated_alike(R)
+
+
+    def test_mute_dfs_are_one(self):
+        # the constant-zero d.f. has one form, breakpoint 0.0, however it is
+        # built, and tau and df_scale keep it; a mute input far out adds no
+        # breakpoint sum past the float range
+        mutes = [StepDF(b, [0.0] * (len(b) + 1)) for b in ((1.0,), (2.0,), (0.5, 3.0), (1e308,))]
+        assert all(M == mutes[0] and M.breakpoints == (0.0,) for M in mutes)
+        G = StepDF([0.25, 1e308], [0.0, 0.5, 1.0])
+        for T in TNormKind:
+            for M in mutes:
+                assert tau_sup_conv(T, M, G) == tau_sup_conv(T, G, M) == mutes[0]
+                assert tau_inf_conv(T, M, M) == mutes[0]
+        assert df_scale(mutes[0], 7.0) == mutes[0]
+        assert quasi_inverse(tau_sup_conv(TNormKind.MIN, mutes[3], G)) == qf_add(
+            quasi_inverse(mutes[3]), quasi_inverse(G)
+        )
 
 
 class TestQuasiInverse:

@@ -571,6 +571,14 @@ class TestFunctionals:
         assert functional_norm(f, 0.5) == 0.5
         assert functional_norm(f, 0.7) == 0.5
 
+    def test_non_monotone_domain_reads_the_band_right_of_w(self):
+        # weights 1, 0.5, 4 over bands ending at 0.3, 0.6, 1: the band just
+        # right of w = 0.1 gives 1.0, while the inf over w' > 0.1 is 0.25
+        bands = (Band(u, WeightedNorm("l1", (wt,))) for u, wt in ((0.3, 1.0), (0.6, 0.5), (1.0, 4.0)))
+        dom = PNSpace(SeminormFamily(1, tuple(bands), enforce_monotone=False))
+        f = LinearOperator(np.array([[1.0]]), dom, single_band_space(WeightedNorm("l1", (1.0,))))
+        assert [functional_norm(f, w) for w in (0.1, 0.3, 0.45, 0.6, 0.8)] == [1.0, 2.0, 2.0, 0.25, 0.25]
+
     def test_inequality(self):
         rng = np.random.default_rng(5)
         for seed in range(20):

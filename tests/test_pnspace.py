@@ -9,6 +9,7 @@ import traceback
 import tracemalloc
 import types
 from bisect import bisect_right
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -96,11 +97,10 @@ def reference_prob_norm(P: PNSpace, x) -> StepDF:
             [v for v, keep in zip(vals, last) if keep],
             [0.0, *(u for u, keep in zip(uptos, last) if keep)],
         )
-    lengths = [u - s for s, u in zip(P.family.starts(), uptos)]
+    # the exact measure of the bands with p <= c, rounded once
+    lengths = [Fraction(u) - Fraction(s) for s, u in zip(P.family.starts(), uptos)]
     bps = sorted(set(vals))
-    dfv = [0.0, *(sum(l for v, l in zip(vals, lengths) if v <= c) for c in bps)]
-    dfv[-1] = 1.0
-    return StepDF(bps, dfv)
+    return StepDF(bps, [0.0, *(float(sum(l for v, l in zip(vals, lengths) if v <= c)) for c in bps)])
 
 
 def reference_dominates(a, b) -> bool:
@@ -1188,3 +1188,11 @@ class TestHatOrder:
     def test_decides_df_order(self, data):
         A, B = lattice_stepdf(data.draw), lattice_stepdf(data.draw)
         assert _hat_le(quasi_inverse(A), quasi_inverse(B)) == df_ge_everywhere(A, B)
+
+
+def test_norm_at_on_a_non_monotone_family_reads_the_left_limit_band():
+    # band norms 2|x| on [0, 0.5) and |x| on [0.5, 1): at w = 0.75 the left
+    # limit is 1.0, while the sup over w' < 0.75 is 2.0
+    bands = (Band(0.5, WeightedNorm("l1", (2.0,))), Band(1.0, WeightedNorm("l1", (1.0,))))
+    P = PNSpace(SeminormFamily(1, bands, enforce_monotone=False))
+    assert [P.norm_at([1.0], w) for w in (0.25, 0.5, 0.75, 1.0)] == [2.0, 2.0, 1.0, 1.0]

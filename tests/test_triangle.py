@@ -482,6 +482,23 @@ class TestSortOnce:
                 got = _conv(F, G, pair_vals, take_max)
                 assert df_bytes(got) == df_bytes(conv_range(F, G, pair_vals, take_max))
 
+    def test_one_sort_and_no_fence_search(self, monkeypatch):
+        # the fences are read off the one sort of the band pairs: no second
+        # sort of the sums (np.unique) and no search for them (np.searchsorted)
+        def refused(*args, **kwargs):
+            raise AssertionError("_conv sorts or searches its sums again")
+
+        sorts, argsort = [], np.argsort
+        monkeypatch.setattr(np, "unique", refused)
+        monkeypatch.setattr(np, "searchsorted", refused)
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+        F = StepDF([k / 16.0 for k in range(1, 20)], [0.0, *(k / 19.0 for k in range(1, 20))])
+        G = StepDF([0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75])
+        for kind in KINDS:
+            for conv in (tau_sup_conv, tau_inf_conv):
+                conv(kind, F, G)
+        assert len(sorts) == 2 * len(KINDS)
+
     def test_signed_zero_input_gives_a_positive_zero(self):
         # StepDF turns a values[0] of -0.0 into 0.0; no output value may
         # carry that sign, whichever argument comes first
