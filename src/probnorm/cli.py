@@ -210,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
-        p.set_defaults(cmd=cmd)
+        p.set_defaults(cmd=cmd, parser=p)
         for arg in cmd.args:
             p.add_argument(arg.flag, **arg.options)
     return parser
@@ -219,6 +219,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     cmd = args.cmd
+    for a in cmd.args:
+        # argparse reads --flag=-- as an empty list, past type and choices
+        if isinstance(getattr(args, a.dest), list):
+            args.parser.error(f"argument {a.flag}: expected one argument")
     try:
         values = [a.load(getattr(args, a.dest), a.flag) for a in cmd.args]
         result = cmd.call(*values)

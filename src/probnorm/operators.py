@@ -146,19 +146,27 @@ def _philox(seed) -> np.random.Generator:
 def _mc_directions(rng, n: int, samples: int, dom_norm) -> np.ndarray:
     """Stratified sample of directions: dense Gaussians, sparse-support
     Gaussians and sign patterns, the latter two with a small dense jitter so
-    near-vertex values are seen without ever reproducing a vertex exactly."""
-    k1 = samples // 3
-    k2 = samples // 3
-    k3 = samples - k1 - k2
-    dense = rng.standard_normal((k1, n))
+    near-vertex values are seen without ever reproducing a vertex exactly.
+
+    The strata are drawn in that order straight into their rows of one
+    (samples x n) array and finished in place: the same draws and the same
+    arithmetic as drawing each stratum apart and stacking them, without the
+    stacked copy.
+    """
+    k1 = k2 = samples // 3
+    X = np.empty((samples, n))
+    dense, sparse, signs = X[:k1], X[k1 : k1 + k2], X[k1 + k2 :]
+    rng.standard_normal(out=dense)
     sizes = rng.integers(1, n + 1, k2)
     mask = rng.random((k2, n)).argsort(axis=1) < sizes[:, None]
-    sparse = rng.standard_normal((k2, n)) * mask + MC_JITTER * rng.standard_normal((k2, n))
-    base = rng.choice((-1.0, 1.0), (k3, n))
+    rng.standard_normal(out=sparse)
+    sparse *= mask
+    sparse += MC_JITTER * rng.standard_normal(sparse.shape)
+    signs[...] = rng.choice((-1.0, 1.0), signs.shape)
     if isinstance(dom_norm, WeightedNorm):
-        base = base / np.array(dom_norm.weights)
-    signs = base + MC_JITTER * rng.standard_normal((k3, n))
-    return np.concatenate((dense, sparse, signs))
+        signs /= dom_norm.weights
+    signs += MC_JITTER * rng.standard_normal(signs.shape)
+    return X
 
 
 def operator_norm_mc(T: LinearOperator, w: float, wp: float, samples: int, seed: int) -> float:
@@ -180,7 +188,8 @@ def operator_norm_mc(T: LinearOperator, w: float, wp: float, samples: int, seed:
         den = dom_norm.eval_many(X)
         # zero norms have no direction, and overflowed ones no finite ratio
         keep = (den > 0) & (den < np.inf)
-        X, den = X[keep], den[keep]
+        if not keep.all():
+            X, den = X[keep], den[keep]
         images = X @ T.matrix.T
         # same homogeneous quantity through two float paths; the min plus a
         # 1e-14 relative shave keeps each sampled value a true lower bound even

@@ -126,15 +126,19 @@ def _structure(norm) -> tuple:
 def _reduce(key, wx: np.ndarray) -> np.ndarray:
     """Norm values of one structure from wx = |x| * weights, along the last axis.
 
-    numpy reduces each row along the last axis the way it reduces one vector
-    (pairwise for the sum), so a stacked row is bit for bit its norm's
-    eval_many of that one vector; block sums add their parts left to right
-    from 0.0, as sum() does.
+    The L1 sum stays on the rows: numpy sums each row along the last axis
+    the way it sums one vector (pairwise from 8 terms on), so a stacked row
+    is bit for bit its norm's eval_many of that one vector.  A max is exact
+    in any order, and a nan (from inf - inf in an operator image) wins
+    either way, so the Linf max runs across the coordinates instead: one
+    contiguous copy with the coordinate axis first, then elementwise maxima
+    of whole rows, rather than one short inner reduction per vector.  Block
+    sums add their parts left to right from 0.0, as sum() does.
     """
     if key is NormKind.L1:
         return wx.sum(axis=-1)
     if key is NormKind.LINF:
-        return wx.max(axis=-1)
+        return np.ascontiguousarray(wx.transpose(-1, *range(wx.ndim - 1))).max(axis=0)
     vals, off = 0.0, 0
     for part, d in key:
         vals = vals + _reduce(part, wx[..., off : off + d])

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from probnorm import checks, operators
+from probnorm import checks, operators, pnspace
 from probnorm.operators import (
     BoundCheckReport,
     LinearOperator,
@@ -428,10 +428,14 @@ class TestKernelAgainstFullEnumeration:
         with pytest.raises(ValueError, match=OVERFLOW):
             operator_norm_exact(LinearOperator(M, P, SCALAR), 0.5, 0.5)
 
-    def test_memory_is_one_block(self):
-        # n = 20: the full enumeration held 2^20 x 20 floats (168 MB) at once
+    @pytest.mark.parametrize(
+        "cod", [space_l1([1.0, 2.0, 3.0]), space_linf(np.linspace(1.0, 3.0, 8))], ids=["l1-m3", "linf-m8"]
+    )
+    def test_memory_is_one_block(self, cod):
+        # n = 20: the full enumeration held 2^20 x 20 floats (168 MB) at once;
+        # an Linf codomain adds one transposed copy of a block's images
         P = space_linf(np.linspace(0.5, 2.0, 20))
-        T = gen_operator(20, P, space_l1([1.0, 2.0, 3.0]))
+        T = gen_operator(20, P, cod)
         tracemalloc.start()
         try:
             value = operator_norm_exact(T, 0.5, 0.5)
@@ -498,6 +502,118 @@ class TestMonteCarlo:
         for call in (operator_norm_exact, lambda *a: operator_norm_mc(*a, samples=2000, seed=0)):
             with pytest.raises(ValueError, match="operator norm overflows the float range"):
                 call(T, 0.5, 0.5)
+
+
+def mc_cases() -> dict:
+    """name: (operator, w, w', samples, seed) over L1, Linf and block-sum
+    domains and codomains, with domain norms that overflow (dropped
+    samples) and images that overflow, to inf or, through a one-row
+    product, to nan (measured again on the unit sphere)."""
+    L1, LINF = NormKind.L1, NormKind.LINF
+    prod = product_space(banded(L1, 11, 2, 2), banded(LINF, 12, 3, 3))
+    nested = product_space(product_space(banded(LINF, 13, 2, 2), banded(L1, 14, 2, 1)), banded(LINF, 15, 2, 2))
+    return {
+        "l1-l1": (gen_operator(1, banded(L1, 1, 3, 2), banded(L1, 2, 2, 2)), 0.3, 0.6, 0, 1),
+        "l1-linf": (gen_operator(2, banded(L1, 3, 4, 3), banded(LINF, 4, 3, 2)), 0.5, 0.2, 1, 2),
+        "linf-l1": (gen_operator(3, banded(LINF, 5, 3, 2), banded(L1, 6, 4, 3)), 0.8, 0.4, 2, 3),
+        "linf-linf": (gen_operator(4, banded(LINF, 7, 5, 2), banded(LINF, 8, 4, 2)), 0.6, 0.7, 5, 4),
+        "linf-linf-3000": (gen_operator(5, banded(LINF, 9, 8, 3), banded(LINF, 10, 8, 2)), 0.4, 0.9, 3000, 5),
+        "l1-linf-3000": (gen_operator(6, banded(L1, 16, 16, 2), banded(LINF, 17, 3, 2)), 0.7, 0.3, 3000, 6),
+        "product-l1": (gen_operator(7, prod, banded(L1, 18, 3, 2)), 0.6, 0.5, 3000, 7),
+        "l1-nested": (gen_operator(8, banded(L1, 19, 4, 2), nested), 0.2, 0.8, 3000, 8),
+        "product-nested": (gen_operator(9, prod, nested), 0.9, 0.1, 5, 9),
+        "l1-drop": (LinearOperator(np.array([[1.0, 0.5], [0.0, 1.0]]), space_l1([1e308] * 2), space_l1([1e308] * 2)), 0.5, 0.5, 3000, 0),
+        "linf-drop": (gen_operator(10, space_linf([1e308] * 3), banded(LINF, 20, 3, 2)), 0.5, 0.5, 3000, 10),
+        "l1-inf-images": (LinearOperator(np.full((2, 4), 3e307), space_l1([1.0] * 4), space_l1([1.0] * 2)), 0.5, 0.5, 3000, 11),
+        "linf-nan-images": (LinearOperator(np.array([[1e308, -1e308, 1e308, -1e308]]), space_l1([1.0] * 4), space_linf([1.0])), 0.5, 0.5, 3000, 12),
+    }
+
+
+# operator_norm_mc(...).hex() of each case, as the stacked strata and the
+# per-row Linf max computed it
+MC_PINNED = {
+    "l1-l1": "0x0.0p+0",
+    "l1-linf": "0x1.4e49e2fdd9657p+0",
+    "linf-l1": "0x1.335743c3cd1f9p+2",
+    "linf-linf": "0x1.7a4c6a3630909p+2",
+    "linf-linf-3000": "0x1.ac2c69aa106dbp+3",
+    "l1-linf-3000": "0x1.c2e5477c02d6dp+1",
+    "product-l1": "0x1.6895ed72a9a06p+2",
+    "l1-nested": "0x1.5dc95868509b0p+3",
+    "product-nested": "0x1.3381d6d51b2a9p+2",
+    "l1-drop": "0x1.7fffdab8c00c2p+0",
+    "linf-drop": "0x1.bd415c91a4a99p-1022",
+    "l1-inf-images": "0x1.55c576d8156edp+1022",
+    "linf-nan-images": "0x1.1ccf385ebc870p+1023",
+}
+
+
+class TestMonteCarloPinned:
+    @pytest.mark.parametrize("name", MC_PINNED)
+    def test_bound_is_pinned(self, name):
+        T, w, wp, samples, seed = mc_cases()[name]
+        assert operator_norm_mc(T, w, wp, samples, seed).hex() == MC_PINNED[name]
+
+    def test_the_cases_reach_every_branch(self):
+        # samples dropped for an overflowing domain norm, and images that
+        # overflow to inf and to nan
+        cases, seen = mc_cases(), {}
+        for name in ("l1-drop", "linf-drop", "l1-inf-images", "linf-nan-images"):
+            T, w, wp, samples, seed = cases[name]
+            dom_norm = operators._band_norm(T.domain, w)
+            X = operators._mc_directions(operators._philox(seed), T.domain.dimension, samples, dom_norm)
+            with np.errstate(over="ignore", invalid="ignore"):
+                den = dom_norm.eval_many(X)
+                images = X[den < np.inf] @ T.matrix.T
+            seen[name] = [int(v.sum()) for v in (den == np.inf, np.isinf(images), np.isnan(images))]
+        assert seen["l1-drop"][0] > 0 and seen["linf-drop"][0] > 0
+        assert seen["l1-inf-images"][1] > 0 and seen["linf-nan-images"][2] > 0
+
+    def test_one_buffer_and_a_max_across_coordinates(self, monkeypatch):
+        # the strata are drawn into one array, not stacked; the Linf max
+        # runs across the coordinates, not along each row's last axis
+        def refused(*args, **kwargs):
+            raise AssertionError("_mc_directions stacks its strata")
+
+        class RowMax(np.ndarray):
+            def max(self, axis=None, **kwargs):
+                if self.ndim > 1 and axis is not None and axis % self.ndim == self.ndim - 1:
+                    raise AssertionError("the Linf max runs along the last axis")
+                return super().max(axis=axis, **kwargs)
+
+        wx = np.arange(12.0).reshape(3, 4).view(RowMax)
+        assert pnspace._reduce(NormKind.LINF, wx).tolist() == [3.0, 7.0, 11.0]
+        norm = WeightedNorm(NormKind.LINF, (0.5, 1.0, 2.0))
+        rngs = [operators._philox(7) for _ in range(2)]
+        want = reference_mc_directions(rngs[0], 3, 100, norm)
+        monkeypatch.setattr(np, "concatenate", refused)
+        assert operators._mc_directions(rngs[1], 3, 100, norm).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("samples", [0, 1, 2, 5, 3001])
+    @pytest.mark.parametrize("n", [1, 7, 17])
+    def test_directions_are_the_stacked_strata(self, n, samples):
+        weighted = WeightedNorm(NormKind.L1, np.linspace(0.3, 3.0, n))
+        for norm in (weighted, product_space(space_l1([1.0] * n), SCALAR).family.bands[0].norm):
+            dim = norm.dimension
+            got = operators._mc_directions(operators._philox(n + samples), dim, samples, norm)
+            want = reference_mc_directions(operators._philox(n + samples), dim, samples, norm)
+            assert got.shape == want.shape == (samples, dim)
+            assert got.tobytes() == want.tobytes()
+
+
+def reference_mc_directions(rng, n: int, samples: int, dom_norm) -> np.ndarray:
+    """_mc_directions drawn stratum by stratum and stacked."""
+    k1 = k2 = samples // 3
+    k3 = samples - k1 - k2
+    dense = rng.standard_normal((k1, n))
+    sizes = rng.integers(1, n + 1, k2)
+    mask = rng.random((k2, n)).argsort(axis=1) < sizes[:, None]
+    sparse = rng.standard_normal((k2, n)) * mask + operators.MC_JITTER * rng.standard_normal((k2, n))
+    base = rng.choice((-1.0, 1.0), (k3, n))
+    if isinstance(dom_norm, WeightedNorm):
+        base = base / np.array(dom_norm.weights)
+    signs = base + operators.MC_JITTER * rng.standard_normal((k3, n))
+    return np.concatenate((dense, sparse, signs))
 
 
 def all_c(c: float) -> LinearOperator:

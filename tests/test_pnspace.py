@@ -655,6 +655,42 @@ class TestStackedBands:
         assert shapes == [(min(step, 7 - i), bands, n) for i in range(0, 7, step)]
 
 
+def reference_reduce(key, wx: np.ndarray) -> np.ndarray:
+    """_reduce with each row's Linf max taken along the last axis."""
+    if key is NormKind.L1:
+        return wx.sum(axis=-1)
+    if key is NormKind.LINF:
+        return wx.max(axis=-1)
+    vals, off = 0.0, 0
+    for part, d in key:
+        vals = vals + reference_reduce(part, wx[..., off : off + d])
+        off += d
+    return vals
+
+
+# +0.0, subnormals, ordinary values, near the float max, inf, and the nan
+# an operator image holds after inf - inf
+REDUCE_ENTRIES = np.array([0.0, 5e-324, 2.5e-310, 1e-300, 0.5, 1.0, 3.0, 1e300, 1.7e308, np.finfo(float).max, np.inf, np.nan])
+
+
+class TestLinfReduce:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_the_row_max(self, n):
+        rng = np.random.default_rng(n)
+        l1, linf = WeightedNorm("l1", (1.0,)), WeightedNorm("linf", (1.0,) * (n + 1))
+        inner = BlockSumNorm((WeightedNorm("linf", (1.0,) * n), l1), (n, 1))
+        # a block sum nested two deep: slices of slices of the last axis
+        nested = BlockSumNorm((inner, linf, l1), (n + 1, n + 1, 1))
+        for key, dim in ((NormKind.LINF, n), (nested._structure[0], nested.dimension)):
+            for shape in ((dim,), (7, dim), (5, 3, dim), (0, dim)):
+                for pool in (REDUCE_ENTRIES, REDUCE_ENTRIES[:-1], REDUCE_ENTRIES[:-2], REDUCE_ENTRIES[:2]):
+                    wx = rng.choice(pool, shape)
+                    with np.errstate(over="ignore"):
+                        got, want = pnspace._reduce(key, wx), reference_reduce(key, wx)
+                    assert np.shape(got) == np.shape(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def reference_equivalence(P1: PNSpace, P2: PNSpace, trials: int, seed: int) -> float:
     """norm_equivalence_constants' max_violation from the per-band loop's values."""
     eye = np.eye(P1.dimension)

@@ -471,6 +471,30 @@ class TestCLI:
             main(["no-such-command"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize(
+        "cmd, arg",
+        [(cmd, arg) for cmd in cli.COMMANDS for arg in cmd.args],
+        ids=lambda v: v.name if isinstance(v, cli.Command) else v.flag,
+    )
+    def test_flag_written_equals_dashes_is_a_usage_error(self, capsys, monkeypatch, cmd, arg):
+        # argparse reads --flag=-- as an empty list, past type and choices;
+        # it is a usage error naming the flag, before any loader runs
+        def refused(*args, **kwargs):
+            raise AssertionError("a loader or the call ran")
+
+        refusing = tuple(
+            c._replace(args=tuple(a._replace(load=refused) for a in c.args), call=refused)
+            for c in cli.COMMANDS
+        )
+        monkeypatch.setattr(cli, "COMMANDS", refusing)
+        monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+        others = [a for a in cmd.args if a is not arg and a.options["required"]]
+        argv = [f"{a.flag}={a.options.get('choices', [1])[0]}" for a in others]
+        with pytest.raises(SystemExit) as e:
+            main([cmd.name, *argv, f"{arg.flag}=--"])
+        assert e.value.code == 2
+        assert f"argument {arg.flag}: " in capsys.readouterr().err
+
     def test_check_runs_and_is_deterministic(self, capsys):
         code, out1 = self.run(capsys, "check", "--suite", "distfn", "--seed", "7", "--cases", "3")
         assert code == 0
