@@ -31,13 +31,13 @@ def tnorm_eval(T: TNormKind, a: float, b: float) -> float:
     rounded.  PROD and MIN agree bit for bit with their scalar closed forms,
     except for the sign of a zero result when the arguments mix 0.0 and -0.0.
     """
-    return _eval_at(_tnorm, T, a, b)
+    return _eval_at(_tnorm, TNormKind(T), a, b)
 
 
 def tconorm_eval(T: TNormKind, a: float, b: float) -> float:
     """Dual conorm T*(a, b) = 1 - T(1-a, 1-b), by the formula the
     convolutions use; PROD's a + b - ab is computed as hi + lo (1 - hi)."""
-    return _eval_at(_tconorm, T, a, b)
+    return _eval_at(_tconorm, TNormKind(T), a, b)
 
 
 def _tnorm(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -65,8 +65,10 @@ def _tconorm(T: TNormKind, v: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _conv(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> StepDF:
-    """Shared exact convolution: sup (take_max) or inf of pair_vals over the
-    achievable band pairs, by one sort of all band pairs.
+    """Exact convolution for W and PROD: sup (take_max) or inf of pair_vals
+    over the achievable band pairs, by one sort of all band pairs.  MIN runs
+    the O(n + m) _min_conv instead; on MIN's pair values this gives the same
+    d.f., and the tests keep it as that merge's oracle.
 
     F splits the line into bands (a_i, a_{i+1}] with value v_i (a_0 = -inf,
     a_{n+1} = +inf), likewise G with bands (b_j, b_{j+1}].  The output
@@ -150,13 +152,67 @@ def _step_df(cands: np.ndarray, out_vals: np.ndarray) -> StepDF:
     return StepDF._canonical(bps, vals)
 
 
+def _min_conv(F: StepDF, G: StepDF) -> StepDF:
+    """tau_M(F, G), which is also tau_{M*}(F, G), exactly, by one merge of
+    the hats.
+
+    With the hat q_F(w) = sup{t : F(t) < w}: tau_M(F, G)(x) < w iff every s
+    has F(s) < w or G(x - s) < w, and tau_{M*}(F, G)(x) < w iff some s has
+    F(s) < w and G(x - s) < w; each holds iff x <= q_F(w) + q_G(w).  In
+    floats the sum is the rounded q_F(w) (+) q_G(w), and float addition is
+    monotone, so both d.f.s are read off the same nondecreasing step
+    function of w: tau(x) >= w iff x > q_F(w) (+) q_G(w).
+
+    For w in (fv[i-1], fv[i]], q_F(w) = fb[i-1], and above fv[-1] it is
+    +inf.  So the merge walks the levels of F.values[1:] and G.values[1:]
+    upward; at the level w = min(fv[i], gv[j]) the sum is fb[i-1] + gb[j-1],
+    the float sum that _conv forms, and it is a breakpoint whose value is
+    the largest level at that sum.  Once either list is spent that hat is
+    +inf, and the d.f. stays at the last level: the improper top.
+
+    O(n + m) time and memory.  A breakpoint sum beyond the float range is a
+    ValueError, decided first as in _conv: on an improper pair the merge
+    can stop before it forms the overflowing sum.
+    """
+    fb, fv, gb, gv = F.breakpoints, F.values, G.breakpoints, G.values
+    if fb[-1] + gb[-1] == math.inf:
+        raise ValueError("breakpoint sum overflows the float range")
+    bps, vals = [], [0.0]
+    i = j = 1
+    while i < len(fv) and j < len(gv):
+        v, u = fv[i], gv[j]
+        w = v if v <= u else u
+        if w > 0.0:  # level 0.0 is only the mute d.f.'s, and adds nothing
+            s = fb[i - 1] + gb[j - 1]
+            if bps and bps[-1] == s:
+                vals[-1] = w
+            else:
+                bps.append(s)
+                vals.append(w)
+        i += v <= u  # advance each list whose head is w
+        j += u <= v
+    if not bps:
+        bps, vals = [0.0], [0.0, 0.0]
+    # canonical as built: the sums are finite (at most the checked last one),
+    # >= 0 and, with equal neighbours merged, strictly increasing; the levels
+    # rise strictly in (0, 1], as both value lists do past their 0.0
+    return StepDF._canonical(tuple(bps), tuple(vals))
+
+
 def tau_sup_conv(T: TNormKind, F: StepDF, G: StepDF) -> StepDF:
     """tau_T(F, G)(x) = sup{T(F(s), G(t)) : s + t = x}, exactly."""
+    T = TNormKind(T)
+    if T is TNormKind.MIN:
+        return _min_conv(F, G)
     vals = _tnorm(T, np.array(F.values)[:, None], np.array(G.values))
     return _conv(F, G, vals, take_max=True)
 
 
 def tau_inf_conv(T: TNormKind, F: StepDF, G: StepDF) -> StepDF:
-    """tau_{T*}(F, G)(x) = inf{T*(F(s), G(t)) : s + t = x}, exactly."""
+    """tau_{T*}(F, G)(x) = inf{T*(F(s), G(t)) : s + t = x}, exactly; for MIN
+    the same d.f. as tau_M (see _min_conv)."""
+    T = TNormKind(T)
+    if T is TNormKind.MIN:
+        return _min_conv(F, G)
     vals = _tconorm(T, np.array(F.values)[:, None], np.array(G.values))
     return _conv(F, G, vals, take_max=False)

@@ -20,7 +20,7 @@ import numpy as np
 
 from probnorm.distfn import StepDF
 from probnorm.testkit import _scan_eval_many
-from probnorm.triangle import TNormKind, _tconorm, _tnorm
+from probnorm.triangle import TNormKind, _conv, _tconorm, _tnorm
 
 
 def _band_ends(F: StepDF, G: StepDF):
@@ -89,6 +89,14 @@ def conv_range(F: StepDF, G: StepDF, pair_vals: np.ndarray, take_max: bool) -> S
         bounds = np.array((lo, hi)).T.ravel()
         fold(out_vals, fold.reduceat(padded[i], bounds)[::2], out=out_vals)
     return StepDF(cands.tolist(), out_vals.tolist())
+
+
+def pair_sort_min(F: StepDF, G: StepDF, take_max: bool) -> StepDF:
+    """tau_M (take_max) or tau_{M*} by _conv's sort of all band pairs: the
+    oracle of the O(n + m) merge that the library runs for MIN."""
+    formula = _tnorm if take_max else _tconorm
+    pair_vals = formula(TNormKind.MIN, np.array(F.values)[:, None], np.array(G.values))
+    return _conv(F, G, pair_vals, take_max)
 
 
 def _s_grid(F: StepDF, G: StepDF, x: float, step: float) -> np.ndarray:

@@ -153,6 +153,7 @@ class TestProbNorm:
 CANONICAL_CALLERS = [
     "distfn.quasi_inverse",
     "pnspace.PNSpace.prob_norm",
+    "triangle._min_conv",
     "triangle._step_df",
 ]
 

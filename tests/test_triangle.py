@@ -4,6 +4,7 @@ import itertools
 import math
 import struct
 import sys
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from conv_oracles import (
     exact_tconorm,
     exact_tnorm,
     oracle_conv_dense,
+    pair_sort_min,
     ulps_off,
 )
 
@@ -44,6 +46,7 @@ class TestTNorms:
         assert tnorm_eval(TNormKind.W, 0.3, 0.4) == 0.0
         assert tnorm_eval(TNormKind.PROD, 0.7, 0.8) == pytest.approx(0.56, abs=1e-15)
         assert tnorm_eval(TNormKind.MIN, 0.7, 0.8) == 0.7
+        assert tnorm_eval("W", 0.5, 0.5) == 0.0
 
     def test_conorm_point_values(self):
         assert tconorm_eval(TNormKind.W, 0.7, 0.8) == 1.0
@@ -182,7 +185,7 @@ class TestSupConv:
     def test_hat_additivity_min(self):
         for seed in range(200):
             F, G = gen_stepdf(seed), gen_stepdf(seed + 2000)
-            lhs = quasi_inverse(tau_sup_conv(TNormKind.MIN, F, G))
+            lhs = quasi_inverse(pair_sort_min(F, G, True))
             rhs = qf_add(quasi_inverse(F), quasi_inverse(G))
             assert lhs == rhs
 
@@ -277,6 +280,23 @@ def test_overflowing_breakpoint_sums_are_an_error(conv, T):
     assert conv(T, half, half) == unit_step(sys.float_info.max)
 
 
+@pytest.mark.parametrize(
+    "entry", [tnorm_eval, tconorm_eval, tau_sup_conv, tau_inf_conv], ids=lambda f: f.__name__
+)
+def test_kinds_are_coerced_or_refused(entry):
+    # a kind is a TNormKind or its value; anything else is a ValueError, not
+    # MIN by default
+    if entry in (tnorm_eval, tconorm_eval):
+        args = (0.25, 0.5)
+    else:
+        args = (unit_step(1.0), StepDF([0.5, 2.0], [0.0, 0.5, 1.0]))
+    for T in KINDS:
+        assert entry(T.value, *args) == entry(T, *args)
+    for bad in ("w", "MIN", None, 3):
+        with pytest.raises(ValueError, match="is not a valid TNormKind"):
+            entry(bad, *args)
+
+
 class TestDenseOracleBitwise:
     def test_prod_inf_near_one_stays_a_df(self):
         # the a + b - ab form of the conorm dipped a few ulps below 1 on this
@@ -355,7 +375,8 @@ def draw_adjacent_float_dfs(data) -> list:
 
 
 class TestMinInfIsMinSup:
-    """tau_{M*}(F, G) == tau_M(F, G), bit for bit.
+    """tau_{M*}(F, G) == tau_M(F, G), bit for bit, on _conv's pair sort (the
+    library computes both by one merge of the hats, see TestMinMerge).
 
     On hats: tau_{M*}(F, G)(x) < w iff some s has F(s) < w and G(x - s) < w,
     iff x <= F^(w) + G^(w).  tau_M(F, G)(x) < w iff every s has F(s) < w or
@@ -377,8 +398,8 @@ class TestMinInfIsMinSup:
 
     @staticmethod
     def assert_equal(F: StepDF, G: StepDF):
-        sup = tau_sup_conv(TNormKind.MIN, F, G)
-        assert df_bytes(tau_inf_conv(TNormKind.MIN, F, G)) == df_bytes(sup), (F, G)
+        sup = pair_sort_min(F, G, True)
+        assert df_bytes(pair_sort_min(F, G, False)) == df_bytes(sup), (F, G)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -389,6 +410,81 @@ class TestMinInfIsMinSup:
     @given(st.data())
     def test_adjacent_float_breakpoints(self, data):
         self.assert_equal(*draw_adjacent_float_dfs(data))
+
+
+def draw_scaled_dfs(data) -> list:
+    """Two d.f.s, each proper, improper or mute, on breakpoints k * unit for
+    a unit in the subnormals, near 1e-300, 1/16, near 1e300 or at the float
+    maximum / 64, where the last sums overflow."""
+    unit = data.draw(st.sampled_from((5e-324, 1e-300, 1 / 16, 1e300, sys.float_info.max / 64)))
+    dfs = []
+    for _ in range(2):
+        ks = data.draw(st.lists(st.floats(0.0, 64.0) | st.integers(0, 64), min_size=1, max_size=8))
+        bps = sorted({k * unit for k in ks})
+        vals = sorted(data.draw(st.lists(VALUE_ST, min_size=len(bps), max_size=len(bps))))
+        kind = data.draw(st.sampled_from(("proper", "improper", "mute")))
+        if kind == "proper":
+            vals[-1] = 1.0
+        elif kind == "mute":
+            vals = [0.0] * len(vals)
+        dfs.append(StepDF(bps, (0.0, *vals)))
+    return dfs
+
+
+def outcome(conv, *args):
+    # a result's bytes, or the message of its ValueError
+    try:
+        return df_bytes(conv(*args))
+    except ValueError as e:
+        return str(e)
+
+
+class TestMinMerge:
+    """tau_M and tau_{M*} by the merge of the hats, against _conv's pair sort."""
+
+    @staticmethod
+    def assert_matches(F: StepDF, G: StepDF):
+        for A, B in ((F, G), (G, F)):
+            for take_max, conv in ((True, tau_sup_conv), (False, tau_inf_conv)):
+                want = outcome(pair_sort_min, A, B, take_max)
+                assert outcome(conv, TNormKind.MIN, A, B) == want, (A, B, take_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edge_values(self, data):
+        self.assert_matches(*draw_edge_dfs(data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_adjacent_float_breakpoints(self, data):
+        self.assert_matches(*draw_adjacent_float_dfs(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_scaled_improper_and_mute(self, data):
+        self.assert_matches(*draw_scaled_dfs(data))
+
+    def test_overflow_is_decided_before_the_merge(self):
+        # the hats of this improper pair never add the overflowing breakpoints
+        F = StepDF([1.0, 1e308], [0.0, 0.5, 1.0])
+        G = StepDF([1.0, 1e308], [0.0, 0.25, 0.4])
+        for conv in (tau_sup_conv, tau_inf_conv):
+            with pytest.raises(ValueError, match="breakpoint sum overflows the float range"):
+                conv(TNormKind.MIN, F, G)
+
+    def test_cost_is_linear(self):
+        # the pair sort would sort (n + 1)(m + 1) = 16M keys of 8 bytes
+        n = 4000
+        F = StepDF([k / 8.0 for k in range(1, n + 1)], [0.0, *(k / n for k in range(1, n + 1))])
+        G = StepDF([k / 3.0 for k in range(1, n + 1)], [0.0, *(k / (n + 1) for k in range(1, n + 1))])
+        tracemalloc.start()
+        try:
+            sup, inf = tau_sup_conv(TNormKind.MIN, F, G), tau_inf_conv(TNormKind.MIN, F, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert sup == inf and len(sup.breakpoints) == 2 * n - 1
 
 
 # 0, then 1 - k ULP for k = 12 down to 0: the values where float rounding
@@ -495,9 +591,11 @@ class TestSortOnce:
         F = StepDF([k / 16.0 for k in range(1, 20)], [0.0, *(k / 19.0 for k in range(1, 20))])
         G = StepDF([0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75])
         for kind in KINDS:
+            sorts.clear()
             for conv in (tau_sup_conv, tau_inf_conv):
                 conv(kind, F, G)
-        assert len(sorts) == 2 * len(KINDS)
+            # W and PROD sort once per side; MIN merges the hats and sorts nothing
+            assert len(sorts) == (0 if kind is TNormKind.MIN else 2), kind
 
     def test_signed_zero_input_gives_a_positive_zero(self):
         # StepDF turns a values[0] of -0.0 into 0.0; no output value may
