@@ -23,7 +23,7 @@ from .distfn import (
     quasi_inverse,
     unit_step,
 )
-from .triangle import TNormKind, _conv, _tconorm, tau_inf_conv, tau_sup_conv
+from .triangle import TNormKind, _conv, _tconorm, _tnorm, tau_inf_conv, tau_sup_conv
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,14 @@ def _df_pairs(base: int, cases: int) -> list:
     return [(gen(base + i), gen(base + i + 7919)) for i in range(cases)]
 
 
+def _min_pair_sort(F, G, take_max: bool):
+    """tau_M (take_max) or tau_{M*} by _conv's pair sort, not off qf_add of
+    the hats as the library computes them, so a row compares two algorithms."""
+    formula = _tnorm if take_max else _tconorm
+    vals = formula(TNormKind.MIN, np.array(F.values)[:, None], np.array(G.values))
+    return _conv(F, G, vals, take_max)
+
+
 def _distfn_suite(seed: int, cases: int) -> list[CheckRow]:
     rec = _Recorder("distfn")
     base = seed * 100003
@@ -75,7 +83,7 @@ def _distfn_suite(seed: int, cases: int) -> list[CheckRow]:
     rec.run(
         "hat-additivity",
         (
-            quasi_inverse(tau_sup_conv(TNormKind.MIN, F, G)) == qf_add(hat, quasi_inverse(G))
+            quasi_inverse(_min_pair_sort(F, G, True)) == qf_add(hat, quasi_inverse(G))
             for (F, G), hat in zip(pairs, hats)
         ),
     )
@@ -104,14 +112,9 @@ def _triangle_suite(seed: int, cases: int) -> list[CheckRow]:
     # tau_T per pair and T, and tau_{T*} per T on oracle pairs
     sups = [{T: tau_sup_conv(T, F, G) for T in kinds} for F, G in pairs]
     infs = [{T: tau_inf_conv(T, F, G) for T in kinds} for F, G in pairs[:n_oracle]]
-    # hats of tau_T(F, G) per T and of tau_{M*}(F, G): F <= G iff hat F >= hat G.
-    # tau_{M*} comes from the pair sort on MIN's conorm values, not from the
-    # hat merge that tau_M runs, so sup-below-inf compares two algorithms
+    # hats of tau_T(F, G) per T and of tau_{M*}(F, G): F <= G iff hat F >= hat G
     sup_hats = [{T: quasi_inverse(sup[T]) for T in kinds} for sup in sups]
-    inf_hats = []
-    for F, G in pairs:
-        vals = _tconorm(TNormKind.MIN, np.array(F.values)[:, None], np.array(G.values))
-        inf_hats.append(quasi_inverse(_conv(F, G, vals, take_max=False)))
+    inf_hats = [quasi_inverse(_min_pair_sort(F, G, False)) for F, G in pairs]
     xs = [_off_breakpoint_xs(F, G, base + 13 * k, 10) for k, (F, G) in enumerate(pairs[:n_oracle])]
     rec.run(
         "step-identity",

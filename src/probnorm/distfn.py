@@ -166,9 +166,9 @@ def df_eval(F: StepDF, x: float) -> float:
 
 
 def df_scale(F: StepDF, h: float) -> StepDF:
-    """x -> F(x / h) for h > 0: breakpoints scaled by h, values unchanged."""
-    if not h > 0:
-        raise ValueError("scale factor must be > 0")
+    """x -> F(x / h) for finite h > 0: breakpoints scaled by h, values unchanged."""
+    if not 0.0 < h < INF:
+        raise ValueError("scale factor must be > 0 and finite")
     return StepDF(tuple(b * h for b in F.breakpoints), F.values)
 
 
@@ -199,29 +199,54 @@ def qf_eval(Q: StepQuantile, w: float) -> float:
     return Q.qvalues[bisect_left(Q.wbreaks, w)]
 
 
-def qf_add(Q1: StepQuantile, Q2: StepQuantile) -> StepQuantile:
-    """Exact pointwise sum of two quantile functions (+inf absorbing).
+def _walk(a_ends, a_vals, b_ends, b_vals):
+    """(end, a value, b value) at each end of the union of two ascending band
+    end lists with the same last end, ascending; each value is that of the
+    first band whose end is >= that end, the band bisect_left finds."""
+    i = j = 0
+    while i < len(a_ends):  # both lists are spent at their shared last end
+        a, b = a_ends[i], b_ends[j]
+        yield (a if a <= b else b), a_vals[i], b_vals[j]
+        if a <= b:  # a branch, not i += a <= b: adding a bool is slower
+            i += 1
+        if b <= a:
+            j += 1
 
-    A sum of two finite qvalues beyond the float range is a ValueError, not
-    the +inf of an improper d.f.  The sums rise, and a +inf input stays +inf
-    to the end, so the first +inf sum decides.
-    """
-    merged = sorted(set(Q1.wbreaks) | set(Q2.wbreaks))
-    sums = [qf_eval(Q1, w) + qf_eval(Q2, w) for w in merged]
-    k = bisect_left(sums, INF)
-    if k < len(sums) and qf_eval(Q1, merged[k]) < INF and qf_eval(Q2, merged[k]) < INF:
-        raise ValueError("qvalue sum overflows the float range")
-    return StepQuantile(tuple(merged), tuple(sums))
+
+def qf_add(Q1: StepQuantile, Q2: StepQuantile) -> StepQuantile:
+    """Exact pointwise sum of two quantile functions (+inf absorbing), by one
+    merge of their wbreaks.  A sum of two finite qvalues beyond the float
+    range is a ValueError, not the +inf of an improper d.f."""
+    ends = {}  # sum -> its largest wbreak
+    for w, a, b in _walk(Q1.wbreaks, Q1.qvalues, Q2.wbreaks, Q2.qvalues):
+        s = a + b
+        if s == INF and a < INF and b < INF:
+            raise ValueError("qvalue sum overflows the float range")
+        ends[s] = w
+    # canonical as built: the merged wbreaks rise strictly to the shared 1,
+    # float addition keeps the sums >= 0 nondecreasing, so equal sums are
+    # neighbours, and each distinct sum is one key, at its largest wbreak
+    return StepQuantile._canonical(tuple(ends.values()), tuple(ends))
+
+
+def _df_of_hat(Q: StepQuantile) -> StepDF:
+    """quasi_inverse run backwards: the finite qvalues are the breakpoints
+    and their wbreaks the values; with none it is the mute d.f."""
+    k = bisect_left(Q.qvalues, INF)
+    # canonical Q: its finite qvalues rise strictly from >= 0 and its wbreaks
+    # in (0, 1], so each breakpoint carries a jump (the mute one as in StepDF)
+    bps, vals = (Q.qvalues[:k], (0.0, *Q.wbreaks[:k])) if k else ((0.0,), (0.0, 0.0))
+    return StepDF._canonical(bps, vals)
 
 
 def qf_scale(Q: StepQuantile, h: float) -> StepQuantile:
-    """Exact pointwise scaling h * Q for h > 0.
+    """Exact pointwise scaling h * Q for finite h > 0.
 
     A finite qvalue times h beyond the float range is a ValueError, decided
-    by the first +inf product as in qf_add.
+    by the first +inf product: a +inf qvalue stays +inf to the end.
     """
-    if not h > 0:
-        raise ValueError("scale factor must be > 0")
+    if not 0.0 < h < INF:
+        raise ValueError("scale factor must be > 0 and finite")
     scaled = [q * h for q in Q.qvalues]
     k = bisect_left(scaled, INF)
     if k < len(scaled) and Q.qvalues[k] < INF:

@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .distfn import StepDF, StepQuantile, df_eval, qf_eval, quasi_inverse
+from .distfn import StepDF, StepQuantile, _walk, df_eval, quasi_inverse
 
 
 class NormKind(enum.Enum):
@@ -390,12 +390,9 @@ def product_space(P: PNSpace, Q: PNSpace) -> PNSpace:
     Each merged band carries the block sum of the covering band norms, so the
     probabilistic norm of a pair equals tau_M of the component norms.
     """
-    merged = sorted(set(P.family.uptos) | set(Q.family.uptos))
-    bands = []
-    for u in merged:
-        pn = P.family.bands[P.family.band_index_left(u)].norm
-        qn = Q.family.bands[Q.family.band_index_left(u)].norm
-        bands.append(Band(u, BlockSumNorm((pn, qn), (P.dimension, Q.dimension))))
+    dims = (P.dimension, Q.dimension)
+    walk = _walk(P.family.uptos, P.family.bands, Q.family.uptos, Q.family.bands)
+    bands = [Band(u, BlockSumNorm((p.norm, q.norm), dims)) for u, p, q in walk]
     return PNSpace(SeminormFamily(P.dimension + Q.dimension, tuple(bands)))
 
 
@@ -429,11 +426,11 @@ def _hat_le(Q1: StepQuantile, *Q2: StepQuantile) -> bool:
     everywhere iff hat F <= hat G, so this decides F >= G on their hats, and
     F >= tau_M(G, H) on hat F and the addends hat G, hat H of its hat.
     """
-    for w in set(Q1.wbreaks).union(*(Q.wbreaks for Q in Q2)):
-        q2 = sum(qf_eval(Q, w) for Q in Q2)
-        if qf_eval(Q1, w) > q2 + 1e-12 * (1.0 + q2):
-            return False
-    return True
+    ends, sums = Q2[0].wbreaks, Q2[0].qvalues
+    for Q in Q2[1:]:
+        ends, sums = zip(*[(w, a + b) for w, a, b in _walk(ends, sums, Q.wbreaks, Q.qvalues)])
+    walk = _walk(Q1.wbreaks, Q1.qvalues, ends, sums)
+    return not any(q1 > q2 + 1e-12 * (1.0 + q2) for _, q1, q2 in walk)
 
 
 _EXACT_SCALARS = (0.5, 2.0, 4.0, 0.25)

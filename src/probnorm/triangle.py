@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .distfn import StepDF
+from .distfn import StepDF, _df_of_hat, qf_add, quasi_inverse
 
 
 class TNormKind(enum.Enum):
@@ -153,50 +153,23 @@ def _step_df(cands: np.ndarray, out_vals: np.ndarray) -> StepDF:
 
 
 def _min_conv(F: StepDF, G: StepDF) -> StepDF:
-    """tau_M(F, G), which is also tau_{M*}(F, G), exactly, by one merge of
+    """tau_M(F, G), which is also tau_{M*}(F, G), exactly, off the sum of
     the hats.
 
     With the hat q_F(w) = sup{t : F(t) < w}: tau_M(F, G)(x) < w iff every s
     has F(s) < w or G(x - s) < w, and tau_{M*}(F, G)(x) < w iff some s has
     F(s) < w and G(x - s) < w; each holds iff x <= q_F(w) + q_G(w).  In
-    floats the sum is the rounded q_F(w) (+) q_G(w), and float addition is
-    monotone, so both d.f.s are read off the same nondecreasing step
-    function of w: tau(x) >= w iff x > q_F(w) (+) q_G(w).
-
-    For w in (fv[i-1], fv[i]], q_F(w) = fb[i-1], and above fv[-1] it is
-    +inf.  So the merge walks the levels of F.values[1:] and G.values[1:]
-    upward; at the level w = min(fv[i], gv[j]) the sum is fb[i-1] + gb[j-1],
-    the float sum that _conv forms, and it is a breakpoint whose value is
-    the largest level at that sum.  Once either list is spent that hat is
-    +inf, and the d.f. stays at the last level: the improper top.
+    floats the sum is the rounded q_F(w) (+) q_G(w), the breakpoint sum that
+    _conv forms, and float addition is monotone, so both d.f.s are the one
+    whose hat is qf_add of the hats.
 
     O(n + m) time and memory.  A breakpoint sum beyond the float range is a
-    ValueError, decided first as in _conv: on an improper pair the merge
-    can stop before it forms the overflowing sum.
+    ValueError, decided first as in _conv: on an improper pair the hat sum
+    may never form it, the other hat being +inf by then.
     """
-    fb, fv, gb, gv = F.breakpoints, F.values, G.breakpoints, G.values
-    if fb[-1] + gb[-1] == math.inf:
+    if F.breakpoints[-1] + G.breakpoints[-1] == math.inf:
         raise ValueError("breakpoint sum overflows the float range")
-    bps, vals = [], [0.0]
-    i = j = 1
-    while i < len(fv) and j < len(gv):
-        v, u = fv[i], gv[j]
-        w = v if v <= u else u
-        if w > 0.0:  # level 0.0 is only the mute d.f.'s, and adds nothing
-            s = fb[i - 1] + gb[j - 1]
-            if bps and bps[-1] == s:
-                vals[-1] = w
-            else:
-                bps.append(s)
-                vals.append(w)
-        i += v <= u  # advance each list whose head is w
-        j += u <= v
-    if not bps:
-        bps, vals = [0.0], [0.0, 0.0]
-    # canonical as built: the sums are finite (at most the checked last one),
-    # >= 0 and, with equal neighbours merged, strictly increasing; the levels
-    # rise strictly in (0, 1], as both value lists do past their 0.0
-    return StepDF._canonical(tuple(bps), tuple(vals))
+    return _df_of_hat(qf_add(quasi_inverse(F), quasi_inverse(G)))
 
 
 def tau_sup_conv(T: TNormKind, F: StepDF, G: StepDF) -> StepDF:

@@ -151,16 +151,26 @@ class TestProbNorm:
 
 # the only producers that may build unchecked, each proving its own canonical form
 CANONICAL_CALLERS = [
+    "distfn._df_of_hat",
+    "distfn.qf_add",
     "distfn.quasi_inverse",
     "pnspace.PNSpace.prob_norm",
-    "triangle._min_conv",
     "triangle._step_df",
 ]
+# the only readers of the one merge of two step functions' ends, one entry per read
+WALK_READERS = [
+    "distfn.qf_add",
+    "pnspace._hat_le",
+    "pnspace._hat_le",
+    "pnspace.product_space",
+]
+# the fields that hold step functions' ends
+END_FIELDS = {"breakpoints", "wbreaks", "uptos"}
 
 
-def canonical_references(sources: dict[str, str]) -> list[str]:
-    """module.scope for every read of the name _canonical (an attribute, a
-    name or a string) in sources (module -> text), one entry per read."""
+def canonical_references(sources: dict[str, str], name: str = "_canonical") -> list[str]:
+    """module.scope for every read of name (an attribute, a name or a
+    string) in sources (module -> text), one entry per read."""
     found = []
 
     def visit(node, scope):
@@ -169,15 +179,42 @@ def canonical_references(sources: dict[str, str]) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = (*scope, child.name)
             elif (
-                (isinstance(child, ast.Attribute) and child.attr == "_canonical")
-                or (isinstance(child, ast.Name) and child.id == "_canonical")
-                or (isinstance(child, ast.Constant) and child.value == "_canonical")
+                (isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.Name) and child.id == name)
+                or (isinstance(child, ast.Constant) and child.value == name)
             ):
                 found.append(".".join(scope))
             visit(child, inner)
 
     for mod, text in sources.items():
         visit(ast.parse(text), (mod,))
+    return sorted(found)
+
+
+def end_set_unions(sources: dict[str, str]) -> list[str]:
+    """module.function for every union of sets, set(...) | ... or
+    set(...).union(...), that reads an END_FIELDS attribute: a merge of
+    ends by sorting their union instead of by distfn._walk."""
+    found = []
+
+    def is_set(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "set"
+
+    for mod, text in sources.items():
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                union = (
+                    isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+                    and (is_set(node.left) or is_set(node.right))
+                ) or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "union" and is_set(node.func.value)
+                )
+                reads = {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+                if union and reads & END_FIELDS:
+                    found.append(f"{mod}.{fn.name}")
     return sorted(found)
 
 
@@ -193,3 +230,20 @@ def test_scanner_finds_every_read():
 def test_only_the_pinned_producers_build_unchecked():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert canonical_references(sources) == CANONICAL_CALLERS
+
+
+def test_set_union_scanner_finds_every_merge():
+    sources = {
+        "a": "def f(P, Q):\n    return sorted(set(P.uptos) | set(Q.uptos))\n",
+        "b": "def g(Q1, Q2):\n    return set(Q1.wbreaks).union(Q2.wbreaks)\n"
+        "def h(a, b):\n    return set(a) | set(b)\n",
+    }
+    assert end_set_unions(sources) == ["a.f", "b.g"]
+
+
+def test_one_merge_of_step_ends():
+    # distfn._walk is read by qf_add, _hat_le and product_space alone, and
+    # nothing in src/ merges ends through a union of sets
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert canonical_references(sources, "_walk") == WALK_READERS
+    assert end_set_unions(sources) == []

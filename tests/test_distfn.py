@@ -27,10 +27,10 @@ from probnorm.distfn import (
     unit_step,
 )
 from probnorm.testkit import _scan_eval_many, gen_stepdf
-from probnorm.triangle import TNormKind, tau_sup_conv
 
 import levy_oracle
 from fuzz import fuzz_list, mostly
+from conv_oracles import pair_sort_min
 from levy_oracle import bisection_levy_metric
 
 INF = math.inf
@@ -116,6 +116,27 @@ class TestStepDF:
             F = gen_stepdf(seed)
             for h in (0.5, 2.0, 7.0):
                 assert quasi_inverse(df_scale(F, h)) == qf_scale(quasi_inverse(F), h)
+
+    @pytest.mark.parametrize("h", [INF, math.nan, 0.0, -1.0])
+    def test_scale_factor_must_be_positive_and_finite(self, h):
+        F = gen_stepdf(5)
+        for call in (lambda: df_scale(F, h), lambda: qf_scale(quasi_inverse(F), h)):
+            with pytest.raises(ValueError, match="scale factor must be > 0 and finite"):
+                call()
+
+    def test_scale_hat_identity_at_infinity(self):
+        # both sides raise alike, on the mute d.f., on H_0 (whose hat times
+        # inf would be 0 * inf = nan) and on improper and proper d.f.s
+        def outcome(call):
+            try:
+                return repr(call())
+            except ValueError as e:
+                return str(e)
+
+        for F in (StepDF([1.0], [0.0, 0.0]), unit_step(0.0), StepDF([1.0], [0.0, 0.5]), gen_stepdf(2)):
+            lhs = outcome(lambda: quasi_inverse(df_scale(F, INF)))
+            assert lhs == outcome(lambda: qf_scale(quasi_inverse(F), INF))
+            assert lhs == "scale factor must be > 0 and finite"
 
     def test_is_proper(self):
         assert is_proper(unit_step(4.0))
@@ -217,10 +238,11 @@ class TestQuasiInverse:
         assert s == StepQuantile([1.0], [3.0])
 
     def test_add_matches_min_convolution(self):
+        # tau_M by the pair sort: the library reads tau_M off qf_add itself
         for seed in range(100):
             F, G = gen_stepdf(seed), gen_stepdf(seed + 4000)
             lhs = qf_add(quasi_inverse(F), quasi_inverse(G))
-            rhs = quasi_inverse(tau_sup_conv(TNormKind.MIN, F, G))
+            rhs = quasi_inverse(pair_sort_min(F, G, True))
             assert lhs == rhs
 
     @settings(max_examples=300, deadline=None)
@@ -235,7 +257,7 @@ class TestQuasiInverse:
 
         F, G = draw_proper(), draw_proper()
         try:
-            want = quasi_inverse(tau_sup_conv(TNormKind.MIN, F, G))
+            want = quasi_inverse(pair_sort_min(F, G, True))
         except ValueError as e:
             assert "overflows the float range" in str(e)
             with pytest.raises(ValueError, match="overflows the float range"):
@@ -255,6 +277,23 @@ class TestQuasiInverse:
         improper = quasi_inverse(StepDF([1.0], [0.0, 0.5]))
         assert qf_add(improper, Q) == StepQuantile((0.5, 1.0), (1e308, INF))
         assert qf_scale(improper, 2.0) == StepQuantile((0.5, 1.0), (2.0, INF))
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_stepdfs())
+    def test_df_of_hat_inverts_quasi_inverse(self, F):
+        assert repr(distfn._df_of_hat(quasi_inverse(F))) == repr(F)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_quasi_inverse_inverts_df_of_hat(self, data):
+        # every StepQuantile is a hat: finite qvalues, or a +inf top band
+        w_st = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        wb = (*sorted(set(data.draw(st.lists(w_st, max_size=7)))), 1.0)
+        q_st = st.sampled_from((0.0, 5e-324, 1.0, 1e308, sys.float_info.max, INF)) | st.floats(0.0, 5.0)
+        Q = StepQuantile(wb, sorted(data.draw(st.lists(q_st, min_size=len(wb), max_size=len(wb)))))
+        D = distfn._df_of_hat(Q)
+        assert repr(StepDF(D.breakpoints, D.values)) == repr(D)
+        assert repr(quasi_inverse(D)) == repr(Q)
 
     def test_order_reversal(self):
         # G raises F's values pointwise (same breakpoints), so F <= G

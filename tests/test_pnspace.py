@@ -46,6 +46,7 @@ from probnorm.testkit import _scan_eval_many, gen_space, gen_vector
 from probnorm.triangle import TNormKind, tau_sup_conv
 
 import axioms_oracle
+import hat_oracle
 from axioms_oracle import stepdf_validate_pn_axioms
 from band_values import band_values
 from fuzz import fuzz_list, mostly
@@ -1101,6 +1102,41 @@ class TestProduct:
         assert R.dimension == 5
         merged = set(P.family.uptos) | set(Q.family.uptos)
         assert set(R.family.uptos) == merged
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_union_oracle(self, data):
+        # band ends on a 1/16 lattice, so many are shared, or in runs of
+        # adjacent floats; non-monotone families and products of products
+        def draw_space():
+            if data.draw(st.booleans()):
+                ends = [k / 16.0 for k in data.draw(st.lists(st.integers(1, 15), max_size=6))]
+            else:
+                w = data.draw(st.floats(0.01, 0.99))
+                ends = [w := math.nextafter(w, 1.0) for _ in range(data.draw(st.integers(0, 4)))]
+            ends = (*sorted(set(ends)), 1.0)
+            n = data.draw(st.integers(1, 3))
+            weights = data.draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n))
+            scales = data.draw(st.lists(st.floats(1.0, 2.0), min_size=len(ends), max_size=len(ends)))
+            monotone = mostly(data)
+            if monotone:  # each band a multiple >= 1 of the one before
+                scales = sorted(scales)
+            kind = data.draw(st.sampled_from(("l1", "linf")))
+            bands = tuple(Band(u, WeightedNorm(kind, [c * w for w in weights])) for u, c in zip(ends, scales))
+            P = PNSpace(SeminormFamily(n, bands, enforce_monotone=False))
+            if monotone and data.draw(st.booleans()):
+                return product_space(P, gen_space(data.draw(st.integers(0, 99)), 1))
+            return P
+
+        def outcome(build, A, B):  # a non-monotone product raises alike
+            try:
+                return repr(build(A, B))
+            except ValueError as e:
+                return str(e)
+
+        P, Q = draw_space(), draw_space()
+        for A, B in ((P, Q), (Q, P), (P, P)):
+            assert outcome(product_space, A, B) == outcome(hat_oracle.product_space, A, B)
 
     def test_hat_additivity_exact(self):
         rng = np.random.default_rng(8)

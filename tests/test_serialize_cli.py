@@ -637,14 +637,16 @@ class TestCLI:
 
     def test_check_computes_each_library_result_once(self, monkeypatch):
         # at 25 cases: triangle convolves 75 unit steps, 75 unit laws, tau_T(F, G)
-        # per pair and T (75) and tau_T(G, F) for commutativity (75), and distfn
-        # 25 hat-additivity pairs; tau_{T*}(F, G) is MIN's per pair (25) and W's
-        # and PROD's on the 5 oracle pairs (10).  distfn takes d(F, F), d(F, G)
+        # per pair and T (75) and tau_T(G, F) for commutativity (75);
+        # tau_{T*}(F, G) is MIN's per pair (25) and W's and PROD's on the 5
+        # oracle pairs (10).  distfn's 25 hat-additivity pairs and triangle's
+        # 25 sup-below-inf pairs take tau_M and tau_{M*} from the pair sort,
+        # not off qf_add as tau_sup_conv does.  distfn takes d(F, F), d(F, G)
         # and d(G, F) per pair; the operator suite's exact norms are
         # bound_check's 25 and uniform_bound's 12, mc-below-exact reading the
         # profile tables
         counts = dict.fromkeys(
-            ("tau_sup_conv", "tau_inf_conv", "levy_metric", "operator_norm_exact"), 0
+            ("tau_sup_conv", "tau_inf_conv", "_min_pair_sort", "levy_metric", "operator_norm_exact"), 0
         )
 
         def counting(name, fn):
@@ -659,6 +661,7 @@ class TestCLI:
             (checks, "tau_sup_conv"),
             (triangle, "tau_inf_conv"),
             (checks, "tau_inf_conv"),
+            (checks, "_min_pair_sort"),
             (distfn, "levy_metric"),
             (checks, "levy_metric"),
             (operators, "operator_norm_exact"),
@@ -666,8 +669,9 @@ class TestCLI:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         rows = checks.run_suites("all", 42, 25)
         assert all(r.passed for r in rows)
-        assert counts["tau_sup_conv"] == 325
+        assert counts["tau_sup_conv"] == 300
         assert counts["tau_inf_conv"] <= 185
+        assert counts["_min_pair_sort"] == 50
         assert counts["levy_metric"] == 75
         assert counts["operator_norm_exact"] == 37
         # one hat per d.f.: distfn inverts F and G (25 each), tau_M(F, G) (25),

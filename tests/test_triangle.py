@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probnorm.distfn import StepDF, df_eval, quasi_inverse, qf_add, unit_step
+from probnorm.distfn import StepDF, StepQuantile, df_eval, quasi_inverse, qf_add, unit_step
 from probnorm.pnspace import _hat_le
 from probnorm.testkit import gen_stepdf, oracle_inf_conv, oracle_sup_conv
 from probnorm.triangle import (
@@ -27,6 +27,7 @@ from probnorm.triangle import (
     tnorm_eval,
 )
 
+import hat_oracle
 from conv_oracles import (
     conv_range,
     exact_conv_values,
@@ -477,14 +478,89 @@ class TestMinMerge:
         n = 4000
         F = StepDF([k / 8.0 for k in range(1, n + 1)], [0.0, *(k / n for k in range(1, n + 1))])
         G = StepDF([k / 3.0 for k in range(1, n + 1)], [0.0, *(k / (n + 1) for k in range(1, n + 1))])
+        hats = quasi_inverse(F), quasi_inverse(G)
         tracemalloc.start()
         try:
             sup, inf = tau_sup_conv(TNormKind.MIN, F, G), tau_inf_conv(TNormKind.MIN, F, G)
+            total = qf_add(*hats)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert sup == inf and len(sup.breakpoints) == 2 * n - 1
+        assert total == quasi_inverse(sup)
+
+
+def hat_outcome(call, *args) -> str:
+    # a result's repr, or the message of its ValueError
+    try:
+        return repr(call(*args))
+    except ValueError as e:
+        return str(e)
+
+
+def draw_quantiles(data) -> list:
+    """Three StepQuantiles from raw lists with repeated qvalues: edge,
+    subnormal, near the float maximum or +inf, on lattice or adjacent-float
+    wbreaks, so that sums tie, overflow or stay +inf."""
+    q_st = st.sampled_from((0.0, 5e-324, 1.0, 2.0, 1e308, sys.float_info.max, math.inf)) | st.floats(0.0, 4.0)
+    qs = []
+    for _ in range(3):
+        if data.draw(st.booleans()):
+            ws = [k / 16.0 for k in data.draw(st.lists(st.integers(1, 15), max_size=6))]
+        else:
+            w = data.draw(st.floats(0.01, 0.99))
+            ws = [w := math.nextafter(w, 1.0) for _ in range(data.draw(st.integers(0, 4)))]
+        wb = (*sorted(set(ws)), 1.0)
+        qs.append(StepQuantile(wb, sorted(data.draw(st.lists(q_st, min_size=len(wb), max_size=len(wb))))))
+    return qs
+
+
+class TestHatMerge:
+    """qf_add and _hat_le read two step functions' ends off distfn._walk,
+    against hat_oracle's union of wbreaks with a bisect per value, bit for
+    bit and errors by message; _hat_le with two and three arguments."""
+
+    @staticmethod
+    def assert_matches(hats):
+        for A, B in itertools.permutations(hats, 2):
+            assert hat_outcome(qf_add, A, B) == hat_outcome(hat_oracle.qf_add, A, B), (A, B)
+            assert _hat_le(A, B) == hat_oracle.hat_le(A, B), (A, B)
+        for A, B, C in itertools.permutations(hats, 3):
+            assert _hat_le(A, B, C) == hat_oracle.hat_le(A, B, C), (A, B, C)
+
+    @staticmethod
+    def assert_hats_match(data, draw):
+        dfs = draw(data) + draw(data)[:1]
+        hats = [quasi_inverse(D) for D in dfs]
+        try:
+            top = quasi_inverse(pair_sort_min(dfs[0], dfs[1], True))
+        except ValueError:  # a breakpoint sum past the float range
+            pass
+        else:  # the hat of tau_M(F, G), equal to hat F + hat G
+            assert _hat_le(top, hats[0], hats[1])
+            hats.append(top)
+        TestHatMerge.assert_matches(hats)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edge_values(self, data):
+        self.assert_hats_match(data, draw_edge_dfs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_adjacent_float_breakpoints(self, data):
+        self.assert_hats_match(data, draw_adjacent_float_dfs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_scaled_improper_and_mute(self, data):
+        self.assert_hats_match(data, draw_scaled_dfs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drawn_quantiles(self, data):
+        self.assert_matches(draw_quantiles(data))
 
 
 # 0, then 1 - k ULP for k = 12 down to 0: the values where float rounding
