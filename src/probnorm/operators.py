@@ -49,14 +49,24 @@ class LinearOperator:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, x) -> np.ndarray:
-        return self.matrix @ _check_vector(self.domain.family, x)
+        return _product(self.matrix, _check_vector(self.domain.family, x), "the image T x")
 
 
 def compose(S: LinearOperator, T: LinearOperator) -> LinearOperator:
     """S after T; the middle space must agree."""
     if S.domain != T.codomain:
         raise ValueError("composition needs S.domain == T.codomain")
-    return LinearOperator(S.matrix @ T.matrix, T.domain, S.codomain)
+    return LinearOperator(_product(S.matrix, T.matrix, "the product S T"), T.domain, S.codomain)
+
+
+def _product(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+    """A @ B of finite factors, or a ValueError naming what overflows, with
+    no numpy warning: past the float range it holds inf, or nan from inf - inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = A @ B
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} overflows the float range")
+    return out
 
 
 def _band_norm(space: PNSpace, w: float):

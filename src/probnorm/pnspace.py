@@ -450,23 +450,21 @@ def _proper_rows(V: np.ndarray) -> np.ndarray:
 def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomReport:
     """Sampled checks of N1, N2, N3 (with tau_M), and the scaling law.
 
-    One rng is drawn in the order N1, N2, N3, (S), one vector at a time.
-    Each axiom draws all its samples, evaluates their band values in one
-    stacked pass and decides from the rows; the first failing sample, in
-    order, decides the axiom, and the rng is rewound to just past it.  A
-    row that overflows raises prob_norm's ValueError (_finite's) at the
-    sample and axiom where nu_x would: in (S), x's row first, then each
-    scalar's in order.
+    One rng draws every sample up front, one block per axiom: N1's x, N3's
+    (x, y), (S)'s x, then (S)'s general scalars.  Each axiom decides from
+    its block's band values, evaluated in one stacked pass, and its first
+    failing sample is its witness.  A row that overflows raises prob_norm's
+    ValueError (_finite's) where nu_x would, in the order N1, N3, (S): in
+    (S), x's row first, then each scalar's in order.
 
     Every band norm reads |x| through positive weights, so for N1, N2 and
     (S) a row decides what nu_x decides, whether or not it is monotone,
     while its values stay clear of the subnormal range:
-    - N1 fails iff x's row is all 0 (nu_x = H_0).  With a positive band,
-      nu_x(0+) is the total length of the zero bands, below 1; a nonzero x
-      has a zero band only where every weighted product underflows.
-    - N2 cannot fail: -x and x have one row, so nu_-x = nu_x.  Its samples
-      are drawn, and their rows evaluated only so that one that overflows
-      raises, as nu_-x would.
+    - N1 fails iff a nonzero x has a row of all 0 (nu_x = H_0); nu_0 = H_0
+      is N1 itself.  With a positive band, nu_x(0+) is the total length of
+      the zero bands, below 1; a nonzero x has a zero band only where every
+      weighted product underflows.
+    - N2 cannot fail, so it draws nothing: -x and x have one row.
     - (S) for alpha = 2^k fails at the first alpha whose row is not
       |alpha| V(x) bit for bit.  A row that scales exactly gives a nu that
       scales exactly: distinct values map one to one and the band lengths
@@ -487,32 +485,24 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
     _check_count(samples, "samples")
     rng = np.random.default_rng(_check_count(seed, "seed"))
     n = P.dimension
+    x1 = rng.uniform(-3.0, 3.0, (samples, n))
+    x3 = rng.uniform(-3.0, 3.0, (samples, 2, n))
+    xs = rng.uniform(-3.0, 3.0, (samples, n))
+    alphas = (rng.uniform(0.1, 5.0, samples) * rng.choice((-1.0, 1.0), samples)).tolist()
 
-    def first_failure(per, failures) -> CheckResult:
-        """FAIL at the first (i, witness) of failures(X) on samples x per x n
-        fresh vectors, with the rng left just past sample i; else PASS."""
-        state = rng.bit_generator.state
-        X = np.array([_nonzero(rng, n) for _ in range(samples * per)]).reshape(samples, per, n)
-        for i, witness in failures(X):
-            rng.bit_generator.state = state
-            for _ in range((i + 1) * per):
-                _nonzero(rng, n)
+    def first(witnesses) -> CheckResult:
+        for witness in witnesses:
             return CheckResult(False, witness)
         return CheckResult(True)
 
-    def n1(X):
-        x = X[:, 0]
-        top = P.family.band_values(x).max(axis=1)
-        for i in np.flatnonzero((top == 0.0) | (top == math.inf)):
+    def n1():
+        top = P.family.band_values(x1).max(axis=1)
+        for i in np.flatnonzero(((top == 0.0) & x1.any(axis=1)) | (top == math.inf)):
             _finite(top[i])
-            yield i, f"nu_x = H_0 at x = {x[i].tolist()}"
+            yield f"nu_x = H_0 at x = {x1[i].tolist()}"
 
-    def n2(X):  # see the docstring: only an overflow shows
-        _finite(P.family.band_values(X[:, 0]).max(initial=0.0))
-        return ()
-
-    def n3(X):
-        x, y = X[:, 0], X[:, 1]
+    def n3():
+        x, y = x3[:, 0], x3[:, 1]
         V = P.family.band_values(np.stack((x + y, x, y), axis=1))
         with np.errstate(over="ignore"):  # s overflows to inf on large rows
             s = V[:, 1] + V[:, 2]
@@ -522,20 +512,12 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
             if above[i] if proper[i] else not _hat_le(
                 *(quasi_inverse(P.prob_norm(v)) for v in (x[i] + y[i], x[i], y[i]))
             ):
-                yield i, f"N3 fails at x = {x[i].tolist()}, y = {y[i].tolist()}"
+                yield f"N3 fails at x = {x[i].tolist()}, y = {y[i].tolist()}"
 
     def scaling():
-        # each sample draws x, then its general scalar; (S) is drawn last,
-        # so no later check reads the rng
-        xs, alphas = [], []
-        for _ in range(samples):
-            xs.append(_nonzero(rng, n))
-            alphas.append(float(rng.uniform(0.1, 5.0)) * float(rng.choice((-1.0, 1.0))))
-        x = np.array(xs).reshape(samples, n)
         # one scalar per sample: each exact scalar in turn, then the general ones
-        scalars = [[a] * samples for a in _EXACT_SCALARS] + [alphas]
-        A = np.array(scalars).reshape(len(scalars), samples, 1)
-        V = P.family.band_values(np.concatenate(([x], A * x)))
+        A = np.array([[a] * samples for a in _EXACT_SCALARS] + [alphas])[..., None]
+        V = P.family.band_values(np.concatenate(([xs], A * xs)))
         # an inf row against an inf |alpha| V(x) is inf - inf = nan: not off
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = np.abs(A) * V[0]
@@ -546,18 +528,10 @@ def validate_pn_axioms(P: PNSpace, samples: int = 50, seed: int = 0) -> PNAxiomR
             for alpha, row, ok in zip(_EXACT_SCALARS, V[1:-1, i], exact[:, i]):
                 _finite(row.max())
                 if not ok:
-                    return CheckResult(False, f"(S) fails at alpha = {alpha}")
-            return CheckResult(False, f"(S) off tolerance at alpha = {alphas[i]}")
-        return CheckResult(True)
+                    yield f"(S) fails at alpha = {alpha}"
+            yield f"(S) off tolerance at alpha = {alphas[i]}"
 
     ok, msg = P.family.monotone_report()
     monotone = CheckResult(ok, None if ok else msg)
     # nu_0 = H_0 needs no check: every band norm of 0 is 0.0
-    return PNAxiomReport(monotone, first_failure(1, n1), first_failure(1, n2), first_failure(2, n3), scaling())
-
-
-def _nonzero(rng, n: int) -> np.ndarray:
-    while True:
-        x = rng.uniform(-3.0, 3.0, n)
-        if np.any(x != 0.0):
-            return x
+    return PNAxiomReport(monotone, first(n1()), CheckResult(True), first(n3()), first(scaling()))

@@ -92,6 +92,19 @@ class TestLinearOperator:
         with pytest.raises(ValueError):
             compose(T, S)
 
+    def test_overflowing_products_name_the_product(self):
+        # finite factors whose product passes the float range: a ValueError
+        # that says so, with no numpy warning (the suite makes one an error),
+        # not a complaint about the caller's finite vector or matrix
+        A = space_l1([1, 1])
+        T = LinearOperator(np.array([[1e308, 1e308], [1.0, 0.0]]), A, A)
+        with pytest.raises(ValueError, match="the image T x overflows the float range"):
+            graph_norm(T, [1.0, 1.0], 0.5, 0.5)
+        with pytest.raises(ValueError, match="the image T x overflows the float range"):
+            T.apply([2.0, -2.0])  # inf - inf: nan
+        with pytest.raises(ValueError, match="the product S T overflows the float range"):
+            compose(T, T)
+
 
 class TestExactNorm:
     def test_identity_is_one(self):

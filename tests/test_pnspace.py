@@ -45,7 +45,6 @@ from probnorm.pnspace import (
 from probnorm.testkit import _scan_eval_many, gen_space, gen_vector
 from probnorm.triangle import TNormKind, tau_sup_conv
 
-import axioms_oracle
 import hat_oracle
 from axioms_oracle import stepdf_validate_pn_axioms
 from band_values import band_values
@@ -947,12 +946,94 @@ def test_the_validator_builds_nu_only_in_n3():
     assert set(nu_builder_reads(source, "validate_pn_axioms")) == {"validate_pn_axioms.n3"}
 
 
+# where the validator may not read its generator: every sample is drawn
+# up front, so the number of draws cannot depend on samples or on a verdict
+REPEATING = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+             ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def rng_reads_that_repeat(source: str, function: str) -> list[str]:
+    """Inside the top-level function of source: every read of an attribute
+    bit_generator, and every read of the name rng inside a loop, a
+    comprehension or a nested function, one entry per read."""
+    found = []
+
+    def visit(node, repeats):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "bit_generator":
+                found.append("bit_generator")
+            if isinstance(child, ast.Name) and child.id == "rng" and repeats:
+                found.append(f"rng at line {child.lineno}")
+            visit(child, repeats or isinstance(child, REPEATING))
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            visit(node, False)
+    return found
+
+
+def test_rng_scanner_finds_every_repeated_read():
+    source = (
+        "def f(rng):\n    state = rng.bit_generator.state\n    X = rng.uniform(0, 1, 3)\n"
+        "    Y = [g(rng) for _ in X]\n    for _ in X:\n        rng.choice(X)\n"
+        "    def n1():\n        yield rng.uniform()\n"
+    )
+    assert rng_reads_that_repeat(source, "f") == ["bit_generator", "rng at line 4", "rng at line 6", "rng at line 8"]
+
+
+def test_the_validator_draws_each_block_once():
+    source = Path(pnspace.__file__).read_text()
+    assert rng_reads_that_repeat(source, "validate_pn_axioms") == []
+    defined = {
+        node.name if isinstance(node, ast.FunctionDef) else node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    }
+    assert "_nonzero" not in defined
+
+
 def axioms_outcome(validate, P: PNSpace, samples: int, seed: int):
     """The PNAxiomReport, or the repr of the ValueError raised."""
     try:
         return validate(P, samples, seed)
     except ValueError as e:
         return repr(e)
+
+
+def wrap_default_rng(monkeypatch, edit=lambda k, X: X) -> list[str]:
+    """Make np.random.default_rng return its generator behind a proxy, for
+    the library and the oracle alike.  The proxy records the name of every
+    attribute read from it, in the list returned, and passes the k-th
+    uniform(-3, 3) block it draws (k from 0) through edit(k, block)."""
+    reads, default_rng = [], np.random.default_rng
+
+    class Proxy:
+        def __init__(self, rng):
+            self._rng, self._blocks = rng, 0
+
+        def __getattr__(self, name):
+            reads.append(name)
+            if name != "uniform":
+                return getattr(self._rng, name)
+
+            def uniform(low, high, size):
+                X = self._rng.uniform(low, high, size)
+                if (low, high) == (-3.0, 3.0):
+                    X, self._blocks = edit(self._blocks, X), self._blocks + 1
+                return X
+
+            return uniform
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Proxy(default_rng(seed)))
+    return reads
+
+
+def zero_first_n1_row(k, X):
+    """An edit for wrap_default_rng: N1's first sample is drawn exactly 0,
+    which is no counterexample, and every other block is left as drawn."""
+    if k == 0:
+        X[:1] = 0.0
+    return X
 
 
 def _top_weight(norm) -> float:
@@ -993,38 +1074,79 @@ class TestAxiomRows:
             assert validate_pn_axioms(P, 10, seed) == want and want.ok
 
     @pytest.mark.parametrize(
-        "P, seed, failed",
+        "P",
         [
-            (crossing_space(NormKind.L1), 0, ["n3"]),
-            (crossing_space(NormKind.LINF, 3.0), 1, ["n3"]),
-            (PNSpace(SeminormFamily(2, tuple(
+            crossing_space(NormKind.L1),
+            crossing_space(NormKind.LINF, 3.0),
+            PNSpace(SeminormFamily(2, tuple(
                 Band(u, BlockSumNorm((WeightedNorm("l1", (a,)), WeightedNorm("linf", (b,))), (1, 1)))
                 for u, a, b in ((0.5, 1.0, 10.0), (1.0, 10.0, 1.0))
-            ), enforce_monotone=False)), 2, ["n3"]),
+            ), enforce_monotone=False)),
         ],
         ids=["crossing-l1", "crossing-linf", "crossing-blocks"],
     )
-    def test_failing_families(self, P, seed, failed):
-        want = stepdf_validate_pn_axioms(P, 10, seed)
-        assert validate_pn_axioms(P, 10, seed) == want
-        assert [name for name in ("n1", "n2", "n3", "scaling") if not getattr(want, name).passed] == failed
+    def test_failing_families(self, P):
+        # seeds 0-9 at 10 samples: N3 alone fails on 10, 9 and 10 of them
+        fails = 0
+        for seed in range(10):
+            want = stepdf_validate_pn_axioms(P, 10, seed)
+            assert validate_pn_axioms(P, 10, seed) == want
+            names = [name for name in ("n1", "n2", "n3", "scaling") if not getattr(want, name).passed]
+            assert names in ([], ["n3"])
+            fails += names == ["n3"]
+        assert fails >= 1
+
+    @pytest.mark.parametrize("weight, axiom", [(1e308, "n1"), (4.5e307, "n3"), (3.6e307, "scaling")])
+    def test_overflow_raises_in_the_same_axiom(self, monkeypatch, weight, axiom):
+        # |x| * weight overflows first on a sample of the same axiom in both:
+        # N1's x, N3's x + y, or (S)'s 2x or 4x.  Seeds 0-19 at 10 samples,
+        # N1's first x drawn 0: the named axiom raises on 20, 18 and 15 of them
+        wrap_default_rng(monkeypatch, zero_first_n1_row)
+        P = PNSpace(SeminormFamily(1, (Band(1.0, WeightedNorm("l1", (weight,))),)))
+        raised = 0
+        for seed in range(20):
+            outcomes = []
+            for validate in (stepdf_validate_pn_axioms, validate_pn_axioms):
+                try:
+                    outcomes.append((validate(P, 10, seed), None))
+                except ValueError as e:
+                    assert "band norm of x is inf: the weighted sum overflows" in str(e)
+                    frames = {frame.name for frame in traceback.extract_tb(e.__traceback__)}
+                    outcomes.append((repr(e), frames & {"n1", "n2", "n3", "scaling"}))
+            assert outcomes[0] == outcomes[1]
+            raised += outcomes[1][1] == {axiom}
+        assert raised >= 1
 
     @pytest.mark.parametrize(
-        "weight, seed, axiom",
-        [(1e308, 0, "n1"), (6.1e307, 0, "n2"), (4.5e307, 0, "n3"), (3.6e307, 4, "scaling")],
+        "P",
+        [crossing_space(), PNSpace(SeminormFamily(1, (Band(1.0, WeightedNorm("l1", (6.1e307,))),)))],
+        ids=["non-monotone", "overflowing"],
     )
-    def test_overflow_raises_in_the_same_axiom(self, weight, seed, axiom):
-        # |x| * weight overflows first on a sample of the named axiom: N1's or
-        # N2's x, N3's x + y, or (S)'s 2x or 4x
-        P = PNSpace(SeminormFamily(1, (Band(1.0, WeightedNorm("l1", (weight,))),)))
-        for validate in (stepdf_validate_pn_axioms, validate_pn_axioms):
-            with pytest.raises(ValueError, match="band norm of x is inf: the weighted sum overflows") as e:
-                validate(P, 10, seed)
-            assert axiom in [frame.name for frame in traceback.extract_tb(e.value.__traceback__)]
+    def test_n2_draws_and_evaluates_nothing(self, monkeypatch, P):
+        # -x and x have one row, so N2 is PASS with no sample: band_values is
+        # called by N1, N3 and (S) alone (and by prob_norm in N3's fallback).
+        # |x| * 6.1e307 overflows for |x| > 2.95: that family raises on 19 of
+        # the 20 runs below, never in N2, and reports on the other
+        callers = []
+        band_values = SeminormFamily.band_values
+        monkeypatch.setattr(SeminormFamily, "band_values", lambda S, X: callers.append(
+            traceback.extract_stack(limit=2)[0].name) or band_values(S, X))
+        reports = 0
+        for seed, samples in itertools.product(range(10), (1, 10)):
+            want = axioms_outcome(stepdf_validate_pn_axioms, P, samples, seed)
+            callers.clear()
+            got = axioms_outcome(validate_pn_axioms, P, samples, seed)
+            assert got == want
+            assert "n2" not in callers and set(callers) <= {"n1", "n3", "scaling", "prob_norm"}
+            if not isinstance(got, str):
+                reports += 1
+                assert got.n2 == CheckResult(True)
+                assert [c for c in callers if c != "prob_norm"] == ["n1", "n3", "scaling"]
+        assert reports >= 1
 
     def test_weights_of_1e308(self):
         # most samples overflow: the same report or error as the StepDF loop
-        # on every seed, N2's own overflow among them
+        # on every seed, raised in N1 or N3 and never in N2, which draws nothing
         P = PNSpace(SeminormFamily(2, (
             Band(0.5, WeightedNorm("l1", (1e308, 1e308))), Band(1.0, WeightedNorm("l1", (1e308, 1.5e308)))
         )))
@@ -1038,19 +1160,14 @@ class TestAxiomRows:
                     got = repr(e)
                     raised_in |= {frame.name for frame in traceback.extract_tb(e.__traceback__)}
                 assert got == want
-        assert "n2" in raised_in and "n1" in raised_in
+        assert {"n1", "n3"} <= raised_in and "n2" not in raised_in
 
     def test_n1_witness(self, monkeypatch):
         # every vector with x_0 > 0 shrinks to at most 3e-300, whose products
-        # with weights of 1e-30 underflow to 0: its row is all 0, nu_x = H_0
-        nonzero = pnspace._nonzero
-
-        def tiny(rng, n):
-            x = nonzero(rng, n)
-            return x * 1e-300 if x[0] > 0 else x
-
-        monkeypatch.setattr(pnspace, "_nonzero", tiny)
-        monkeypatch.setattr(axioms_oracle, "_nonzero", tiny)
+        # with weights of 1e-30 underflow to 0: its row is all 0, nu_x = H_0.
+        # N1's first row is exactly 0 and no witness, so the first shrunk row
+        # after it is
+        wrap_default_rng(monkeypatch, lambda k, X: zero_first_n1_row(k, np.where(X[..., :1] > 0, X * 1e-300, X)))
         P = PNSpace(SeminormFamily(2, (
             Band(0.5, WeightedNorm("l1", (1e-30, 1e-30))), Band(1.0, WeightedNorm("l1", (2e-30, 1e-30)))
         )))
@@ -1058,17 +1175,59 @@ class TestAxiomRows:
             report = validate_pn_axioms(P, 10, seed)
             assert report == stepdf_validate_pn_axioms(P, 10, seed)
             assert report.n1.witness.startswith("nu_x = H_0 at x = ")
+            assert report.n1.witness != "nu_x = H_0 at x = [0.0, 0.0]"
             assert report.n2.passed and report.n3.passed and report.scaling.passed
 
-    def test_scaling_off_tolerance_witness(self):
+    @pytest.mark.parametrize("P", [gen_space(4, 3), crossing_space()], ids=["monotone", "crossing"])
+    def test_zero_n1_row_is_no_witness(self, monkeypatch, P):
+        # x = 0 gives nu_0 = H_0, which is N1 itself: an N1 block drawn all 0
+        # passes in both, and every later block is drawn as before
+        shapes = []
+
+        def edit(k, X):
+            shapes.append(X.shape)
+            return np.zeros_like(X) if k == 0 else X
+
+        wrap_default_rng(monkeypatch, edit)
+        for seed in range(5):
+            report = validate_pn_axioms(P, 10, seed)
+            assert report.n1.passed and report == stepdf_validate_pn_axioms(P, 10, seed)
+        assert shapes[0] == (10, P.dimension)
+
+    @pytest.mark.parametrize(
+        "P",
+        [gen_space(4, 3), crossing_space(), PNSpace(SeminormFamily(1, (Band(1.0, WeightedNorm("l1", (6.1e307,))),)))],
+        ids=["monotone", "crossing", "overflowing"],
+    )
+    def test_rng_calls_do_not_depend_on_samples(self, monkeypatch, P):
+        # every block is drawn up front: three of vectors, then the general
+        # scalars and their signs, whatever the samples and the verdicts
+        reads = wrap_default_rng(monkeypatch)
+        for samples in (1, 200):
+            reads.clear()
+            axioms_outcome(validate_pn_axioms, P, samples, 3)
+            assert reads == ["uniform"] * 4 + ["choice"]
+
+    def test_scaling_off_tolerance_witness(self, monkeypatch):
         # 12 * weight stays below the float max, so no exact scalar (|alpha|
-        # <= 4) overflows.  At seed 278 the fourth general scalar, -4.46...,
-        # puts |alpha x| * weight just past it while |alpha| * V(x) stays
-        # below: the row is inf against a finite |alpha| V(x)
-        P = PNSpace(SeminormFamily(1, (Band(1.0, WeightedNorm("l1", (1.4501033479524368e307,))),)))
-        report = validate_pn_axioms(P, 5, 278)
-        assert report == stepdf_validate_pn_axioms(P, 5, 278)
-        assert report.scaling == CheckResult(False, "(S) off tolerance at alpha = -4.462139799092359")
+        # <= 4) overflows, while at seed 42 (S)'s third sample, alpha x with
+        # alpha = -4.856..., puts |alpha x| * weight just past it and
+        # |alpha| * V(x) stays below: the row is inf against a finite
+        # |alpha| V(x).  The weight is the least float of that window, which
+        # is one ulp wide; found by this search over seeds from 0, with
+        # least(pred) the least float w in (1e300, max] where pred(w):
+        #   for each seed, draw the blocks at 5 samples, and for each (S) x
+        #   and general alpha with |alpha x| > 12:
+        #     w1 = least(|alpha x| * w == inf)
+        #     w2 = least(|alpha| * (|x| * w) == inf)
+        #     take w1 if w1 < w2, 12 * w1 < max, and validate_pn_axioms
+        #     reports this alpha off tolerance
+        # N1's first x is drawn 0, which changes no later block
+        wrap_default_rng(monkeypatch, zero_first_n1_row)
+        P = PNSpace(SeminormFamily(1, (Band(1.0, WeightedNorm("l1", (1.4144238206782135e307,))),)))
+        report = validate_pn_axioms(P, 5, 42)
+        assert report == stepdf_validate_pn_axioms(P, 5, 42)
+        assert report.scaling == CheckResult(False, "(S) off tolerance at alpha = -4.856420319535026")
         assert report.n1.passed and report.n2.passed and report.n3.passed
 
     @settings(max_examples=150, deadline=None)
@@ -1077,22 +1236,29 @@ class TestAxiomRows:
         want = axioms_outcome(stepdf_validate_pn_axioms, P, samples, seed)
         assert axioms_outcome(validate_pn_axioms, P, samples, seed) == want
 
-    @pytest.mark.parametrize("weight, alpha", [(3e-308, 0.25), (1e-308, 0.5)])
-    def test_subnormal_band_values(self, weight, alpha):
+    @pytest.mark.parametrize(
+        "weight, alpha, oracle_raises", [(3e-308, 0.25, True), (1e-308, 0.5, False)], ids=["3e-308-0.25", "1e-308-0.5"]
+    )
+    def test_subnormal_band_values(self, monkeypatch, weight, alpha, oracle_raises):
         # alpha x scales the band values into the subnormal range, where the
-        # float norm no longer commutes with the scaling; at 3e-308 the StepDF
-        # loop cannot even build nu_x scaled by 0.25, whose two breakpoints
-        # underflow into one float
+        # float norm no longer commutes with the scaling, and (S) fails on
+        # every seed.  The StepDF loop either agrees or cannot even build a
+        # scaled nu_x, whose two breakpoints underflow into one float.
+        # Seeds 0-19 at 5 samples: (S) fails at alpha with the loop raising
+        # (3e-308, 0.25) on 6 of them, and with the loop agreeing
+        # (1e-308, 0.5) on 8.  N1's first x is drawn 0 throughout
+        wrap_default_rng(monkeypatch, zero_first_n1_row)
         bands = (Band(0.5, WeightedNorm("l1", (weight,))), Band(1.0, WeightedNorm("l1", (math.nextafter(weight, 1),))))
         P = PNSpace(SeminormFamily(1, bands))
-        report = validate_pn_axioms(P, 5, 0)
-        assert report.scaling == CheckResult(False, f"(S) fails at alpha = {alpha}")
-        assert report.n1.passed and report.n2.passed and report.n3.passed
-        if alpha == 0.5:
-            assert stepdf_validate_pn_axioms(P, 5, 0) == report
-        else:
-            with pytest.raises(ValueError, match="strictly increasing"):
-                stepdf_validate_pn_axioms(P, 5, 0)
+        shown = 0
+        for seed in range(20):
+            report = validate_pn_axioms(P, 5, seed)
+            assert not report.scaling.passed
+            assert report.n1.passed and report.n2.passed and report.n3.passed
+            want = axioms_outcome(stepdf_validate_pn_axioms, P, 5, seed)
+            assert want in (report, repr(ValueError("breakpoints must be strictly increasing")))
+            shown += report.scaling.witness == f"(S) fails at alpha = {alpha}" and (want != report) == oracle_raises
+        assert shown >= 1
 
 
 class TestProduct:
