@@ -166,10 +166,20 @@ def df_eval(F: StepDF, x: float) -> float:
 
 
 def df_scale(F: StepDF, h: float) -> StepDF:
-    """x -> F(x / h) for finite h > 0: breakpoints scaled by h, values unchanged."""
+    """x -> F(x / h) for finite h > 0: breakpoints scaled by h, values unchanged.
+
+    A scaled breakpoint beyond the float range, or two that round to one
+    float, is a ValueError, decided in that order: the products rise with
+    the breakpoints, so the last is the largest.
+    """
     if not 0.0 < h < INF:
         raise ValueError("scale factor must be > 0 and finite")
-    return StepDF(tuple(b * h for b in F.breakpoints), F.values)
+    scaled = tuple(b * h for b in F.breakpoints)
+    if scaled[-1] == INF:
+        raise ValueError("scaled breakpoint overflows the float range")
+    if any(b2 <= b1 for b1, b2 in zip(scaled, scaled[1:])):
+        raise ValueError("scaled breakpoints round to one float, too close for the float range")
+    return StepDF(scaled, F.values)
 
 
 def is_proper(F: StepDF) -> bool:

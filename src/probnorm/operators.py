@@ -7,9 +7,9 @@ band norm is a weighted L1/Linf norm or a block sum of them, nothing else.
 The vertices come in +-pairs and a band norm is even, so one vertex of each
 pair suffices: n for a weighted-L1 domain and 2^(n-1) sign vectors for a
 weighted-Linf domain (capped at n = 20), which `_vertex_blocks` builds here
-column by column in blocks of at most 2^16 rows.  Every exact quantity is
-read from `_norm_table`, which enumerates one domain band's vertices and
-returns a table over matrices x codomain bands.
+by doubling whole rows, in blocks of at most 2^16 rows.  Every exact
+quantity is read from `_norm_table`, which enumerates one domain band's
+vertices and returns a table over matrices x codomain bands.
 """
 
 from __future__ import annotations
@@ -86,8 +86,12 @@ def _vertex_blocks(norm: WeightedNorm):
     coordinate 0 is positive, the first half of
     itertools.product((1, -1), repeat=n) order (row r has sign -1 at
     coordinate j iff bit n-1-j of r is set), in blocks of at most
-    2^_VERTEX_BLOCK_BITS rows.  Every block is the one array, rewritten
-    in place, so a block must be used before the next is drawn.
+    2^_VERTEX_BLOCK_BITS rows.  The low bits, which run within a block, are
+    built once by doubling: row 0 is +1/w, and rows [s, 2s) are rows [0, s)
+    with coordinate n-1-log2(s) negated, so each step copies whole rows.
+    The high bits, one set per block, are written per block.  Every block
+    is the one array, rewritten in place, so a block must be used before
+    the next is drawn.
     """
     n = norm.dimension
     inv = 1.0 / np.array(norm.weights)
@@ -101,16 +105,17 @@ def _vertex_blocks(norm: WeightedNorm):
         )
     b = min(n - 1, _VERTEX_BLOCK_BITS)
     block = np.empty((2**b, n))
-    # the sign of coordinate j flips every 2^(n-1-j) rows: within a block
-    # for the low columns, written once; per block for the high ones
-    for j in range(n - b, n):
-        step = 2 ** (n - 1 - j)
-        pairs = block.reshape(2**b // (2 * step), 2, step, n)
-        pairs[:, 0, :, j] = inv[j]
-        pairs[:, 1, :, j] = -inv[j]
+    block[0] = inv
+    for k in range(b):
+        s = 2**k
+        block[s : 2 * s] = block[:s]
+        block[s : 2 * s, n - 1 - k] = -inv[n - 1 - k]
+    # coordinate j < n - b has sign -1 iff bit n-1-b-j of the block index is
+    # set: all +1/w in block 0, as row 0 left them
+    high = np.arange(n - 1 - b, -1, -1)
     for q in range(2 ** (n - 1 - b)):
-        for j in range(n - b):
-            block[:, j] = -inv[j] if (q >> (n - 1 - b - j)) & 1 else inv[j]
+        if q:
+            block[:, : n - b] = np.where((q >> high) & 1, -inv[: n - b], inv[: n - b])
         yield block
 
 

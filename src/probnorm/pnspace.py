@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .distfn import StepDF, StepQuantile, _walk, df_eval, quasi_inverse
+from .distfn import StepDF, StepQuantile, _walk, quasi_inverse
 
 
 class NormKind(enum.Enum):
@@ -158,7 +158,9 @@ class SeminormFamily:
     Monotonicity is decided once, at construction, and enforced there, before
     the structure check; enforce_monotone=False admits an externally supplied
     family for validate_pn_axioms to report on.  Either way the verdict is
-    kept for monotone_report and for neighborhood_contains's one-band decision.
+    kept for monotone_report and for neighborhood_contains's one-band decision,
+    and a family that is not monotone keeps its exact band lengths, which
+    prob_norm reads where a row decreases and neighborhood_contains always.
     """
 
     dimension: int
@@ -202,6 +204,18 @@ class SeminormFamily:
         if not same.all():
             k = int(same.argmin())
             raise ValueError(f"band {k + 1} does not share the structure of band {k}")
+        lengths = None
+        if not verdict[0]:
+            # only here can a finite row decrease: keep the exact band
+            # lengths, in whole units of 1/D (D the largest denominator of
+            # the band ends, a power of two), and D.  int64 while D <= 2^53:
+            # every partial sum and D are then exact floats, and one float
+            # division rounds as Python's int / int does
+            ratios = [u.as_integer_ratio() for u in (0.0, *self._ends.tolist())]
+            D = max(den for _, den in ratios)
+            ends = [num * (D // den) for num, den in ratios]
+            lengths = (np.diff(np.array(ends, dtype=np.int64 if D <= 2**53 else object)), D)
+        object.__setattr__(self, "_lengths", lengths)
 
     def __reduce__(self):
         # pickle the fields alone; the arrays are rebuilt, read-only again,
@@ -303,9 +317,10 @@ class PNSpace:
         exact measure of its bands, rounded once.  For a row that is
         nondecreasing and finite (see _proper_rows) that measure is a band
         end itself, so the step d.f. is assembled from the family's own
-        floats.  Any other row is sorted once, and its measures are exact
-        integer sums of the band lengths.  An inf value is _finite's
-        ValueError.
+        floats.  Only a family that is not monotone has any other finite
+        row: it is sorted once, and its measures are exact integer sums of
+        the band lengths the family keeps, each divided once.  An inf value
+        is _finite's ValueError.
         """
         vals = self.family.band_values(_check_vector(self.family, x))
         if _proper_rows(vals):
@@ -318,18 +333,18 @@ class PNSpace:
                 tuple(vals[last].tolist()), (0.0, *self.family._ends[last].tolist())
             )
         _finite(vals.max())
-        # any other row: sorted once; below each distinct value the measure
-        # is the exact sum of the band lengths so far, in whole units of 1/D,
-        # D the largest denominator of the band ends (all powers of two),
-        # divided by D once, which Python rounds correctly.  The last sum is
-        # all of (0, 1): 1.0 exactly
+        # below each distinct value the measure is the sum of the band
+        # lengths so far over D (the last sum is D: 1.0 exactly).  Canonical
+        # as built: the last band of each distinct value carries a finite
+        # breakpoint >= 0, rising strictly, and of those only the ones where
+        # the rounded measure rises (from 0.0) are kept, as StepDF keeps them
+        lengths, D = self.family._lengths
         order = np.argsort(vals, kind="stable")
-        ratios = [u.as_integer_ratio() for u in (0.0, *self.family._ends.tolist())]
-        D = max(den for _, den in ratios)
-        ends = np.array([num * (D // den) for num, den in ratios], dtype=object)
-        vals, sums = vals[order], np.cumsum(np.diff(ends)[order])
+        vals, measures = vals[order], np.asarray(np.cumsum(lengths[order]) / D, dtype=float)
         last = np.append(vals[1:] > vals[:-1], True)
-        return StepDF(vals[last].tolist(), [0.0, *(sums[last] / D).tolist()])
+        vals, measures = vals[last], measures[last]
+        rise = measures > np.append(0.0, measures[:-1])
+        return StepDF._canonical(tuple(vals[rise].tolist()), (0.0, *measures[rise].tolist()))
 
     def norm_at(self, x, w: float) -> float:
         """The left-limit band norm ||x||_w = lim_{w' -> w-} p(x, w'): the
@@ -344,7 +359,7 @@ class PNSpace:
         return self.prob_norm(_difference(self.family, p, q))
 
     def neighborhood_contains(self, p, t: float, q) -> bool:
-        """Membership q in N_p(t) = {q : nu_{p-q}(t) > 1 - t}.
+        """Membership q in N_p(t) = {q : nu_{p-q}(t) > 1 - t}, with no nu built.
 
         On a monotone family of one structure the bands with p(x, w) < t
         form a prefix, and nu_x(t) is the end of its last band.  So with
@@ -357,14 +372,19 @@ class PNSpace:
         them, so the verdict is nu_x's bit for bit, and an overflow in any
         band is still _finite's ValueError, whatever t is: the last band
         holds the largest value.  A family that is not monotone reads
-        nu_{p-q} from pm_distance.
+        nu_{p-q}(t) as prob_norm would: the kept lengths of the bands whose
+        value is below t, summed exactly and divided once, after the same
+        overflow check on every band.
         """
         if not t > 0:
             raise ValueError("t must be > 0")
         F = self.family
-        if not F._monotone[0]:
-            return df_eval(self.pm_distance(p, q), t) > 1.0 - t
         x = _check_vector(F, _difference(F, p, q))
+        if F._lengths is not None:
+            vals = F.band_values(x)
+            _finite(vals.max())
+            lengths, D = F._lengths
+            return bool(lengths[vals < t].sum() / D > 1.0 - t)
         s = 1.0 - t
         k = min(bisect_right(F.uptos, s), len(F.uptos) - 1)
         with np.errstate(over="ignore"):

@@ -154,6 +154,12 @@ CANONICAL_CALLERS = [
     "distfn._df_of_hat",
     "distfn.qf_add",
     "distfn.quasi_inverse",
+    # a nondecreasing finite row: its distinct values, rising strictly, over
+    # the band ends they reach, rising strictly in (0, 1]
+    "pnspace.PNSpace.prob_norm",
+    # any other row, on a family that is not monotone: its sorted distinct
+    # values, kept only where the exactly summed measure, rounded once,
+    # rises from 0.0, as StepDF keeps them
     "pnspace.PNSpace.prob_norm",
     "triangle._step_df",
 ]

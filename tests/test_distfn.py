@@ -111,6 +111,21 @@ class TestStepDF:
         with pytest.raises(ValueError):
             df_scale(F, 0.0)
 
+    @pytest.mark.parametrize(
+        "breakpoints, h, message",
+        [
+            ((1e-308, math.nextafter(1e-308, 1.0)), 2.0**-60, "scaled breakpoints round to one float, too close for the float range"),
+            ((1.0, 2.0), 1e308, "scaled breakpoint overflows the float range"),
+        ],
+        ids=["round-to-one", "overflow"],
+    )
+    def test_scale_leaving_the_float_range(self, breakpoints, h, message):
+        # a valid d.f. and a valid factor, scaled past what floats hold
+        F = StepDF(breakpoints, (0.0, 0.5, 1.0))
+        with pytest.raises(ValueError) as raised:
+            df_scale(F, h)
+        assert str(raised.value) == message
+
     def test_scale_hat_identity(self):
         for seed in range(30):
             F = gen_stepdf(seed)

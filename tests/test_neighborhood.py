@@ -2,15 +2,16 @@
 
 neighborhood_contains decides a monotone family from band
 k = bisect_right(uptos, 1 - t) and the last band, and a family that is not
-monotone from pm_distance.  Every verdict, and every error, must be the
-oracle's, which builds nu_{p-q} whole and reads it at t; the one-band path
-builds no nu.
+monotone from its band values and kept band lengths.  Every verdict, and
+every error, must be the oracle's, which builds nu_{p-q} whole and reads it
+at t; neither path builds a nu.
 """
 
 import math
 import pickle
 import warnings
 from bisect import bisect_right
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from neighborhood_oracle import stepdf_neighborhood_contains
 
 # monotone: decided on one band
 ONE_BAND = ("l1", "linf", "product", "unenforced")
-# not monotone: decided on nu_{p-q}
+# not monotone: decided on the band values and the kept band lengths
 FALLBACK = ("non-monotone", "non-monotone-product", "last-falls")
 SHAPES = ONE_BAND + FALLBACK
 
@@ -198,15 +199,18 @@ def monotone_spaces() -> list[PNSpace]:
     return [space(shape, 24, 3, lattice, seed) for seed, shape in enumerate(ONE_BAND) for lattice in (True, False)]
 
 
-def verdicts(P: PNSpace, seed: int) -> list:
+def verdicts(P: PNSpace, seed: int, contains=None) -> list:
+    """contains(p, t, q), P.neighborhood_contains by default, at 25 t."""
     rng = np.random.default_rng(seed)
     p, q = points(rng, P.dimension, False)
-    return [outcome(P.neighborhood_contains, p, t, q) for t in (*rng.uniform(0.0, 2.0, 24).tolist(), math.inf)]
+    contains = contains or P.neighborhood_contains
+    return [outcome(contains, p, t, q) for t in (*rng.uniform(0.0, 2.0, 24).tolist(), math.inf)]
 
 
 class TestNoNuBuilt:
     """A monotone family answers with prob_norm, pm_distance and band_values
-    all refused; a family that is not monotone reaches prob_norm."""
+    all refused; a family that is not monotone reads band_values and answers
+    with prob_norm and pm_distance refused."""
 
     def test_monotone_families_build_no_nu(self, monkeypatch):
         spaces = monotone_spaces()
@@ -216,11 +220,14 @@ class TestNoNuBuilt:
         assert [verdicts(P, seed) for seed, P in enumerate(spaces)] == want
 
     @pytest.mark.parametrize("shape", FALLBACK)
-    def test_other_families_reach_prob_norm(self, monkeypatch, shape):
-        P = space(shape, 8, 3, False, 0)
-        refuse(monkeypatch, ("prob_norm", "band_values"))
-        with pytest.raises(Built, match="prob_norm"):
-            P.neighborhood_contains(np.zeros(3), 0.5, np.ones(3))
+    def test_other_families_build_no_nu(self, monkeypatch, shape):
+        spaces = [space(shape, 8 + 4 * seed, 3, lattice, seed) for seed in range(4) for lattice in (True, False)]
+        want = [verdicts(P, seed, partial(stepdf_neighborhood_contains, P)) for seed, P in enumerate(spaces)]
+        refuse(monkeypatch, ("prob_norm", "pm_distance"))
+        assert [verdicts(P, seed) for seed, P in enumerate(spaces)] == want
+        refuse(monkeypatch, ("band_values",))
+        with pytest.raises(Built, match="band_values"):
+            spaces[0].neighborhood_contains(np.zeros(3), 0.5, np.ones(3))
 
 
 class TestPickle:

@@ -228,6 +228,20 @@ class TestWeightedNorm:
         [block] = operators._vertex_blocks(l1)
         assert block.tobytes() == unit_ball_vertices(l1)[:3].tobytes()
 
+    @pytest.mark.parametrize("bits", [2, 3])
+    def test_small_blocks_are_the_oracles_first_half(self, monkeypatch, bits):
+        # with blocks of 2^bits rows, n = 3 to 8 runs up to 2^(7-bits) blocks,
+        # each doubled from its row 0 and given its high signs in place
+        monkeypatch.setattr(operators, "_VERTEX_BLOCK_BITS", bits)
+        rng = np.random.default_rng(14)
+        for n in range(1, 9):
+            weights = rng.uniform(0.5, 2.0, n) * 2.0 ** rng.integers(-40, 41, n)
+            norm = WeightedNorm(NormKind.LINF, tuple(weights))
+            blocks = [block.copy() for block in operators._vertex_blocks(norm)]
+            assert len(blocks) == 2 ** max(0, n - 1 - bits), n
+            V = unit_ball_vertices(norm)
+            assert np.concatenate(blocks).tobytes() == V[: len(V) // 2].tobytes(), n
+
 
 class TestSeminormFamily:
     def test_validation(self):
@@ -1256,7 +1270,7 @@ class TestAxiomRows:
             assert not report.scaling.passed
             assert report.n1.passed and report.n2.passed and report.n3.passed
             want = axioms_outcome(stepdf_validate_pn_axioms, P, 5, seed)
-            assert want in (report, repr(ValueError("breakpoints must be strictly increasing")))
+            assert want in (report, repr(ValueError("scaled breakpoints round to one float, too close for the float range")))
             shown += report.scaling.witness == f"(S) fails at alpha = {alpha}" and (want != report) == oracle_raises
         assert shown >= 1
 
