@@ -269,7 +269,7 @@ def _operator_suite(seed: int, cases: int) -> list[CheckRow]:
     mids = [(T.domain.family.midpoints()[0], T.codomain.family.midpoints()[-1]) for T in ops]
     tables = [operators.norm_profile(T).table for T in ops]
     # t[0, -1] is operator_norm_exact(T, w, wp) bit for bit: w and wp lie in T's first domain
-    # and last codomain band, so both read one _norm_table entry (same vertices and images)
+    # and last codomain band, so both read one _norm_table entry (same side, same arithmetic)
     rec.run(
         "mc-below-exact",
         (

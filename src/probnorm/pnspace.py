@@ -146,6 +146,19 @@ def _reduce(key, wx: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _stacked_values(key, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The norms of structure key with each row of weights W, for each
+    vector along the last axis of X; the result has one value per row of W
+    there.  Reduced in blocks of at most _MASK_CELLS weighted products (one
+    vector at least), bit for bit each norm's own eval_many of each vector."""
+    rows = np.abs(X).reshape(-1, 1, W.shape[1])
+    out = np.empty((len(rows), len(W)))
+    step = max(1, _MASK_CELLS // W.size)
+    for i in range(0, len(rows), step):
+        out[i : i + step] = _reduce(key, rows[i : i + step] * W)
+    return out.reshape(X.shape[:-1] + (len(W),))
+
+
 @dataclass(frozen=True)
 class SeminormFamily:
     """Partition of (0, 1) into bands, each carrying a norm on R^n.
@@ -226,18 +239,12 @@ class SeminormFamily:
         """p(x, w) on every band, in band order, for each checked vector x
         along the last axis of X; the result has one value per band there.
 
-        The stack is reduced in blocks of at most _MASK_CELLS weighted
-        products (one vector at least), bit for bit each vector's own values.
-        A value that overflows is inf, with no numpy warning: prob_norm
-        reports it as _finite's ValueError.
+        One _stacked_values reduction of the stacked weights, bit for bit
+        each vector's own values.  A value that overflows is inf, with no
+        numpy warning: prob_norm reports it as _finite's ValueError.
         """
         with np.errstate(over="ignore"):
-            rows = np.abs(X).reshape(-1, 1, self.dimension)
-            out = np.empty((len(rows), len(self.bands)))
-            step = max(1, _MASK_CELLS // self._weights.size)
-            for i in range(0, len(rows), step):
-                out[i : i + step] = _reduce(self._key, rows[i : i + step] * self._weights)
-            return out.reshape(X.shape[:-1] + (len(self.bands),))
+            return _stacked_values(self._key, self._weights, X)
 
     def monotone_report(self) -> tuple[bool, str]:
         """(ok, message) naming the first band that does not dominate the one before."""

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from probnorm.pnspace import (
 )
 from probnorm.testkit import gen_operator, gen_space, gen_vector, oracle_operator_norm
 
+import exact
 from band_values import band_values
 from vertex_oracle import oracle_norm, unit_ball_vertices
 
@@ -275,9 +277,70 @@ def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+@dataclasses.dataclass
+class Want:
+    """What a kernel table entry must be, a sup of exact norms over matrices.
+
+    Where the rule takes the primal side, bits is oracle_norm's value (their
+    max), bit for bit, and inf or nan there is the overflow error.  Where it
+    takes the dual side, the entry is within bound of exact, the overflow
+    error must be raised when exact - bound is past the float max, and must
+    not be when finite says every error margin and intermediate sum of
+    |terms| stays below it.
+    """
+
+    bits: float | None
+    exact: Fraction | None = None
+    bound: Fraction | None = None
+    must_raise: bool = False
+    finite: bool = True
+
+
+FLOAT_MAX = Fraction(np.finfo(float).max)
+OVERFLOW = "operator norm overflows the float range"
+
+
+def want(matrices, dom_norm, cod_norm) -> Want:
+    """The Want of one table entry, the sup over matrices of ||M||_(dom_norm, cod_norm)."""
+    if not exact.dual_side(dom_norm, cod_norm):
+        return Want(float(np.max([oracle_norm(M, dom_norm, cod_norm) for M in matrices])))
+    problems = [exact.Problem(M, dom_norm, cod_norm) for M in matrices]
+    gamma = exact.gamma(exact.roundings(True, dom_norm.dimension, cod_norm.dimension))
+    value = max(p.dual_sup() for p in problems)
+    bound = gamma * max(p.abs_scale() for p in problems)
+    finite = all((1 + gamma) * max(p.abs_scale(), p.row_scale()) <= FLOAT_MAX for p in problems)
+    return Want(None, value, bound, value - bound > FLOAT_MAX, finite)
+
+
+def holds(call, wants) -> int:
+    """call() meets wants, one per entry of its result (all on one side);
+    1 if it raised the overflow error, else 0."""
+    if wants[0].bits is not None:
+        expected = [w.bits for w in wants]
+        if np.isfinite(expected).all():
+            assert bits(call()) == bits(expected)
+            return 0
+        with pytest.raises(ValueError, match=OVERFLOW):
+            call()
+        return 1
+    if any(w.must_raise for w in wants):
+        with pytest.raises(ValueError, match=OVERFLOW):
+            call()
+        return 1
+    try:
+        got = np.ravel(call())
+    except ValueError as err:
+        assert str(err) == OVERFLOW and not all(w.finite for w in wants)
+        return 1
+    assert len(got) == len(wants)
+    assert all(abs(Fraction(float(v)) - w.exact) <= w.bound for v, w in zip(got, wants))
+    return 0
+
+
 class TestKernelAgainstPerPairFormula:
     """Every exact quantity equals the per-pair formula over the full vertex
-    list bit for bit."""
+    list bit for bit where the rule takes the primal side, and is within
+    _norm_table's error bound of the exact norm where it takes the dual."""
 
     @staticmethod
     def cases(dom_kind, cod_kind):
@@ -298,15 +361,14 @@ class TestKernelAgainstPerPairFormula:
     def test_profile_and_single_norms(self, dom_kind, cod_kind):
         for seed, dom, cod in self.cases(dom_kind, cod_kind):
             T = gen_operator(seed, dom, cod)
-            expected = [
-                [oracle_norm(T.matrix, db.norm, cb.norm) for cb in cod.family.bands]
-                for db in dom.family.bands
-            ]
-            assert bits(norm_profile(T).table) == bits(expected)
+            wants = [[want([T.matrix], db.norm, cb.norm) for cb in cod.family.bands] for db in dom.family.bands]
+            holds(lambda: norm_profile(T).table, [w for row in wants for w in row])
+            table = norm_profile(T).table
             for i, w in enumerate(dom.family.midpoints()):
                 for j, wp in enumerate(cod.family.midpoints()):
                     value = operator_norm_exact(T, w, wp)
-                    assert type(value) is float and bits(value) == bits(expected[i][j])
+                    assert type(value) is float and bits(value) == bits(table[i, j])
+                    holds(lambda: value, [wants[i][j]])
 
     @pytest.mark.parametrize("dom_kind", [NormKind.L1, NormKind.LINF])
     def test_functional_norm(self, dom_kind):
@@ -314,48 +376,35 @@ class TestKernelAgainstPerPairFormula:
             f = gen_operator(seed, dom, SCALAR)
             for band, w in zip(dom.family.bands, dom.family.midpoints()):
                 value = functional_norm(f, w)
-                expected = oracle_norm(f.matrix, band.norm, SCALAR.family.bands[0].norm)
-                assert type(value) is float and bits(value) == bits(expected)
+                assert type(value) is float
+                holds(lambda: value, [want([f.matrix], band.norm, SCALAR.family.bands[0].norm)])
 
     @pytest.mark.parametrize("dom_kind", [NormKind.L1, NormKind.LINF])
     @pytest.mark.parametrize("cod_kind", ["l1", "linf", "product"])
     def test_uniform_bound(self, dom_kind, cod_kind):
         for seed, dom, cod in self.cases(dom_kind, cod_kind):
             family = [gen_operator(seed + 10 * k, dom, cod) for k in range(3)]
+            matrices = [T.matrix for T in family]
             for cb, wp in zip(cod.family.bands, cod.family.midpoints()):
                 res = uniform_bound(family, wp)
-                sups = [
-                    max(oracle_norm(T.matrix, db.norm, cb.norm) for T in family)
-                    for db in dom.family.bands
-                ]
-                best = sups.index(min(sups))
+                holds(lambda: res.band_sups, [want(matrices, db.norm, cb.norm) for db in dom.family.bands])
+                best = res.band_sups.index(min(res.band_sups))
                 assert all(type(v) is float for v in res.band_sups)
-                assert bits(res.band_sups) == bits(sups)
-                assert bits(res.bound) == bits(sups[best])
+                assert bits(res.bound) == bits(res.band_sups[best])
                 assert res.w == dom.family.midpoints()[best]
 
 
 # decimal exponents of the matrix scale, up to the edge of the float range
 MATRIX_EXPONENTS = (-300, -200, -100, 0, 100, 200, 290, 296, 300, 305)
-OVERFLOW = "operator norm overflows the float range"
-
-
-def exact_or_overflow(call, want) -> int:
-    """call() is want bit for bit, or, where want is not finite, the overflow
-    ValueError; 1 for an overflow."""
-    if np.isfinite(want).all():
-        assert bits(call()) == bits(want)
-        return 0
-    with pytest.raises(ValueError, match=OVERFLOW):
-        call()
-    return 1
 
 
 class TestKernelAgainstFullEnumeration:
-    """The half-vertex blocks give every exact quantity of the full 2^n sign
-    enumeration bit for bit, or the overflow error where it is not finite:
-    Linf domains up to n = 14 with weights scaled by up to 2^+-40, matrices
-    scaled by up to 10^+-305, and L1, Linf, block-sum and non-monotone codomains."""
+    """Every exact quantity is the full 2^n sign enumeration's bit for bit,
+    or the overflow error where that is not finite, where the rule takes
+    the primal side, and within the error bound of the exact norm, or the
+    overflow error as Want says, where it takes the dual: Linf domains up
+    to n = 14 with weights scaled by up to 2^+-40, matrices scaled by up
+    to 10^+-305, and L1, Linf, block-sum and non-monotone codomains."""
 
     @staticmethod
     def codomain(kind, seed, m):
@@ -382,35 +431,46 @@ class TestKernelAgainstFullEnumeration:
                 for k in range(2)
             ]
             T = family[0]
-            want = np.array([
-                [[oracle_norm(M.matrix, db.norm, cb.norm) for cb in cod.family.bands] for db in dom.family.bands]
+            wants = [
+                [[want([M.matrix], db.norm, cb.norm) for cb in cod.family.bands] for db in dom.family.bands]
                 for M in family
-            ])
-            overflows += exact_or_overflow(lambda: norm_profile(T).table, want[0])
+            ]
+            overflows += holds(lambda: norm_profile(T).table, [w for row in wants[0] for w in row])
             for i, w in enumerate(dom.family.midpoints()):
                 for j, wp in enumerate(cod.family.midpoints()):
-                    exact_or_overflow(lambda: operator_norm_exact(T, w, wp), want[0, i, j])
-            for j, wp in enumerate(cod.family.midpoints()):
-                sups = want[:, :, j].max(axis=0)
-                exact_or_overflow(lambda: uniform_bound(family, wp).band_sups, sups)
+                    holds(lambda: operator_norm_exact(T, w, wp), [wants[0][i][j]])
+            for cb, wp in zip(cod.family.bands, cod.family.midpoints()):
+                sups = [want([M.matrix for M in family], db.norm, cb.norm) for db in dom.family.bands]
+                holds(lambda: uniform_bound(family, wp).band_sups, sups)
             f = LinearOperator(T.matrix[:1], dom, SCALAR)
             for band, w in zip(dom.family.bands, dom.family.midpoints()):
-                want_f = oracle_norm(f.matrix, band.norm, SCALAR.family.bands[0].norm)
-                exact_or_overflow(lambda: functional_norm(f, w), want_f)
+                holds(lambda: functional_norm(f, w), [want([f.matrix], band.norm, SCALAR.family.bands[0].norm)])
         # both outcomes are exercised
         assert 0 < overflows < 24
 
     def test_one_case_past_one_block(self):
-        # n = 18: 2^17 half-set rows in two blocks
+        # n = 18: 2^17 half-set rows in two blocks on the primal side (into
+        # L1(18), where D n = 2^17 * 18 is not below 2^17 * 18), and the
+        # dual side's few pairs into Linf(3) and a block sum
         dom = banded(NormKind.LINF, 18, 18, 1, octaves=40)
-        V = unit_ball_vertices(dom.family.bands[0].norm)
-        for kind in ("linf", "product"):
-            cod = self.codomain(kind, 18, 3)
+        dom_norm = dom.family.bands[0].norm
+        V = unit_ball_vertices(dom_norm)
+        for kind, m in (("l1", 18), ("linf", 3), ("product", 3)):
+            cod = self.codomain(kind, 18, m)
+            cod_norm = cod.family.bands[0].norm
             T = gen_operator(18, dom, cod)
+            value = operator_norm_exact(T, 0.5, 0.25)
+            if exact.dual_side(dom_norm, cod_norm):
+                assert abs(Fraction(value) - exact.exact_norm(T.matrix, dom_norm, cod_norm)) <= exact.error_bound(
+                    T.matrix, dom_norm, cod_norm
+                )
+                continue
+            assert kind == "l1"
             with np.errstate(over="ignore"):
-                want = cod.family.bands[0].norm.eval_many(V @ T.matrix.T).max()
-            assert np.isfinite(want)
-            assert bits(operator_norm_exact(T, 0.5, 0.25)) == bits(want)
+                images = (cod_norm.eval_many(V[a : a + 2**16] @ T.matrix.T) for a in range(0, len(V), 2**16))
+                want_value = max(block.max() for block in images)
+            assert np.isfinite(want_value)
+            assert bits(value) == bits(want_value)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_past_the_first_block(self):
@@ -517,6 +577,15 @@ class TestMonteCarlo:
                 call(T, 0.5, 0.5)
 
 
+    @pytest.mark.parametrize("stratum", [0, 1, 2])
+    def test_a_nan_from_any_stratum_is_an_error(self, monkeypatch, stratum):
+        # the max over the strata keeps a nan wherever it comes from
+        values = iter([1.0] * stratum + [np.nan] + [1.0] * (2 - stratum))
+        monkeypatch.setattr(operators, "_mc_best", lambda *args: next(values))
+        with pytest.raises(ValueError, match=OVERFLOW):
+            operator_norm_mc(all_c(1.0), 0.5, 0.5, samples=30, seed=0)
+
+
 def mc_cases() -> dict:
     """name: (operator, w, w', samples, seed) over L1, Linf and block-sum
     domains and codomains, with domain norms that overflow (dropped
@@ -574,20 +643,20 @@ class TestMonteCarloPinned:
         for name in ("l1-drop", "linf-drop", "l1-inf-images", "linf-nan-images"):
             T, w, wp, samples, seed = cases[name]
             dom_norm = operators._band_norm(T.domain, w)
-            X = operators._mc_directions(operators._philox(seed), T.domain.dimension, samples, dom_norm)
-            with np.errstate(over="ignore", invalid="ignore"):
-                den = dom_norm.eval_many(X)
-                images = X[den < np.inf] @ T.matrix.T
-            seen[name] = [int(v.sum()) for v in (den == np.inf, np.isinf(images), np.isnan(images))]
+            counts = np.zeros(3, dtype=int)
+            for X in operators._mc_strata(operators._philox(seed), T.domain.dimension, samples, dom_norm):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    den = dom_norm.eval_many(X)
+                    images = X[den < np.inf] @ T.matrix.T
+                counts += [int(v.sum()) for v in (den == np.inf, np.isinf(images), np.isnan(images))]
+            seen[name] = counts
         assert seen["l1-drop"][0] > 0 and seen["linf-drop"][0] > 0
         assert seen["l1-inf-images"][1] > 0 and seen["linf-nan-images"][2] > 0
 
-    def test_one_buffer_and_a_max_across_coordinates(self, monkeypatch):
-        # the strata are drawn into one array, not stacked; the Linf max
-        # runs across the coordinates, not along each row's last axis
-        def refused(*args, **kwargs):
-            raise AssertionError("_mc_directions stacks its strata")
-
+    def test_strata_evaluated_as_drawn_and_a_max_across_coordinates(self, monkeypatch):
+        # each stratum is evaluated before the next is drawn, and is the
+        # matching rows of the stacked reference; the Linf max runs across
+        # the coordinates, not along each row's last axis
         class RowMax(np.ndarray):
             def max(self, axis=None, **kwargs):
                 if self.ndim > 1 and axis is not None and axis % self.ndim == self.ndim - 1:
@@ -597,10 +666,24 @@ class TestMonteCarloPinned:
         wx = np.arange(12.0).reshape(3, 4).view(RowMax)
         assert pnspace._reduce(NormKind.LINF, wx).tolist() == [3.0, 7.0, 11.0]
         norm = WeightedNorm(NormKind.LINF, (0.5, 1.0, 2.0))
-        rngs = [operators._philox(7) for _ in range(2)]
-        want = reference_mc_directions(rngs[0], 3, 100, norm)
-        monkeypatch.setattr(np, "concatenate", refused)
-        assert operators._mc_directions(rngs[1], 3, 100, norm).tobytes() == want.tobytes()
+        T = LinearOperator(np.array([[1.0, -2.0, 0.5]]), single_band_space(norm), SCALAR)
+        events, strata, best = [], operators._mc_strata, operators._mc_best
+
+        def drawn(*args):
+            for X in strata(*args):
+                events.append(("drawn", X.tobytes()))
+                yield X
+
+        def evaluated(X, *args):
+            events.append(("evaluated", X.tobytes()))
+            return best(X, *args)
+
+        monkeypatch.setattr(operators, "_mc_strata", drawn)
+        monkeypatch.setattr(operators, "_mc_best", evaluated)
+        operator_norm_mc(T, 0.5, 0.5, 100, 7)
+        want = reference_mc_directions(operators._philox(7), 3, 100, norm)
+        rows = (want[:33], want[33:66], want[66:])
+        assert events == [(event, r.tobytes()) for r in rows for event in ("drawn", "evaluated")]
 
     @pytest.mark.parametrize("samples", [0, 1, 2, 5, 3001])
     @pytest.mark.parametrize("n", [1, 7, 17])
@@ -608,14 +691,15 @@ class TestMonteCarloPinned:
         weighted = WeightedNorm(NormKind.L1, np.linspace(0.3, 3.0, n))
         for norm in (weighted, product_space(space_l1([1.0] * n), SCALAR).family.bands[0].norm):
             dim = norm.dimension
-            got = operators._mc_directions(operators._philox(n + samples), dim, samples, norm)
+            got = list(operators._mc_strata(operators._philox(n + samples), dim, samples, norm))
             want = reference_mc_directions(operators._philox(n + samples), dim, samples, norm)
-            assert got.shape == want.shape == (samples, dim)
-            assert got.tobytes() == want.tobytes()
+            k = samples // 3
+            assert [X.shape for X in got] == [(k, dim), (k, dim), (samples - 2 * k, dim)]
+            assert b"".join(X.tobytes() for X in got) == want.tobytes()
 
 
 def reference_mc_directions(rng, n: int, samples: int, dom_norm) -> np.ndarray:
-    """_mc_directions drawn stratum by stratum and stacked."""
+    """The strata of _mc_strata, drawn one after another and stacked."""
     k1 = k2 = samples // 3
     k3 = samples - k1 - k2
     dense = rng.standard_normal((k1, n))

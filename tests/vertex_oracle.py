@@ -4,7 +4,8 @@ This is the full enumeration that `operators._vertex_blocks` replaced,
 kept as it was: 2n rows for L1, and for Linf the 2^n sign vectors from a bit
 matrix, in itertools.product((1, -1), repeat=n) order.  The half set and its
 blocks must reproduce its first half byte for byte, and an exact norm taken
-over it must equal the library's bit for bit.
+over it must equal the library's bit for bit wherever the library takes the
+primal side; on the dual side the reference is tests/exact.py.
 """
 
 import numpy as np
